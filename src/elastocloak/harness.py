@@ -39,6 +39,7 @@ from .modesolver import (
     per_mode_distance,
 )
 from .tensors import IsotropicMedium, check_legendre
+from .wavefields import wavenumbers
 
 __all__ = [
     "FitResult",
@@ -443,20 +444,19 @@ def _series_3d_check(omega, medium, n_terms=40, d=0.5):
     """Closed-form 3D kernel against its entire Taylor series.
 
     The series coefficients follow from expanding exp(ikd)/(4 pi d) and
-    applying grad grad termwise; the medium factors carry the
-    (n+2)-th powers of the wave speeds.
+    applying grad grad termwise; the medium enters through the (n+2)-th
+    powers of the wavenumbers and the rho omega^2 divisor.
     """
     import math as _math
 
-    lam, mu = complex(medium.lam), complex(medium.mu)
-    kp = omega / np.sqrt(lam + 2 * mu)
-    ks = omega / np.sqrt(mu)
+    kp, ks = wavenumbers(medium, omega)
+    w2 = complex(medium.rho) * omega**2
     x = np.array([0.1, 0.2, 0.3])
     u = d * np.array([0.6, 0.48, 0.64]) / np.linalg.norm([0.6, 0.48, 0.64])
     y = x - u
     A = np.zeros((3, 3), dtype=complex)
     for n in range(n_terms):
-        base = 1j**n / ((n + 2) * _math.factorial(n) * omega**2)
+        base = 1j**n / ((n + 2) * _math.factorial(n) * w2)
         cI = base * ((n + 1) * ks ** (n + 2) + kp ** (n + 2)) * d ** (n - 1)
         cU = base * (n - 1) * (ks ** (n + 2) - kp ** (n + 2)) * d ** (n - 3)
         A += (cI * np.eye(3) - cU * np.outer(u, u)) / (4 * np.pi)

@@ -2,13 +2,13 @@
 
 The displacement Green tensor of the time-harmonic Navier operator is
 
-    Pi(x, y) = G_ks(x, y)/mu * I + grad grad [G_ks - G_kp] / omega^2
+    Pi(x, y) = G_ks(x, y)/mu * I + grad grad [G_ks - G_kp] / (rho omega^2)
              = alpha(d) I + beta(d) uhat (x) uhat,        d = |x - y|,
 
 with G_k the scalar Helmholtz fundamental solution and kp, ks the
 compressional/shear wavenumbers. All derivatives are taken analytically
-through Hankel/exponential recurrences; the 1/omega^2 amplification makes
-nested numerical differentiation useless here.
+through Hankel/exponential recurrences; the 1/(rho omega^2) amplification
+makes nested numerical differentiation useless here.
 
 Near the diagonal the radial factors are evaluated through explicit
 even power series of the *difference* combinations (G_ks - G_kp and its
@@ -25,7 +25,7 @@ quadratures for the boundary operators S and K on circles.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,29 +133,139 @@ def _w_series(k, M=_SERIES_TERMS):
 
 
 # ---------------------------------------------------------------------------
-# scalar radial factors of the 2D kernels
+# radial factors: Pi = alpha I + beta uhat uhat, and the reduced traction
+# factors c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2
 
 
-class _Radial2D:
-    """Radial factors alpha, beta and traction combinations in 2D.
+def _lame_constants(lam, mu):
+    """b1, b2 and kappa1 of the static kernels and of the 2D traction."""
+    b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
+    b2 = (lam + mu) / (mu * (lam + 2 * mu))
+    kappa1 = mu / (2.0 * np.pi * (lam + 2.0 * mu))
+    return b1, b2, kappa1
 
-    Provides both the direct Hankel evaluation (used away from the
-    diagonal) and the cancellation-free log/smooth series split (used for
-    small arguments and for the Nystrom quadrature coefficients).
+
+def _g2(k, d, order):
+    """Derivatives d^order/dd^order of the 2D kernel (i/4) H0(k d)."""
+    z = k * d
+    h0 = _sp.hankel1(0, z)
+    h1 = _sp.hankel1(1, z)
+    if order == 0:
+        return 0.25j * h0
+    if order == 1:
+        return -0.25j * k * h1
+    if order == 2:
+        return -0.25j * k * k * (h0 - h1 / z)
+    if order == 3:
+        return -0.25j * k**3 * (-h1 - h0 / z + 2.0 * h1 / z**2)
+    raise ValueError(order)
+
+
+def _g3(k, d, order):
+    """Derivatives d^order/dd^order of the 3D kernel exp(i k d)/(4 pi d)."""
+    g = np.exp(1j * k * d) / (4.0 * np.pi * d)
+    q = 1j * k - 1.0 / d
+    if order == 0:
+        return g
+    if order == 1:
+        return q * g
+    if order == 2:
+        return (q**2 + 1.0 / d**2) * g
+    if order == 3:
+        # (G'')' with q' = 1/d^2 and G' = q G
+        return (2.0 * q / d**2 - 2.0 / d**3) * g + (q**2 + 1.0 / d**2) * q * g
+    raise ValueError(order)
+
+
+class _Direct:
+    """Closed-form dynamic radial factors from a scalar kernel g(k, d, order).
+
+    ``g`` is ``_g2`` (Hankel form) or ``_g3``; the grad grad term divides
+    by rho omega^2, so the factors hold for any density.
+    """
+
+    def __init__(self, g, omega, medium):
+        self.g = g
+        self.lam, self.mu = complex(medium.lam), complex(medium.mu)
+        self.kp, self.ks = wavenumbers(medium, omega)
+        self.w2 = complex(medium.rho) * float(omega) ** 2
+
+    def _direct_alpha_beta(self, d):
+        g, kp, ks, w2 = self.g, self.kp, self.ks, self.w2
+        d1 = g(ks, d, 1) - g(kp, d, 1)
+        d2 = g(ks, d, 2) - g(kp, d, 2)
+        alpha = g(ks, d, 0) / self.mu + d1 / (w2 * d)
+        beta = (d2 - d1 / d) / w2
+        return alpha, beta
+
+    def _direct_cs(self, d):
+        g, kp, ks, w2 = self.g, self.kp, self.ks, self.w2
+        d1 = g(ks, d, 1) - g(kp, d, 1)
+        d2 = g(ks, d, 2) - g(kp, d, 2)
+        d3 = g(ks, d, 3) - g(kp, d, 3)
+        alpha_p = g(ks, d, 1) / self.mu + (d2 * d - d1) / (w2 * d * d)
+        beta = (d2 - d1 / d) / w2
+        beta_p = (d3 - d2 / d + d1 / d**2) / w2
+        return alpha_p / d, beta_p / d, beta / d**2
+
+    alpha_beta = _direct_alpha_beta
+    cs = _direct_cs
+
+
+class _Series2D:
+    """2D radial factors as (log series) ln d + (smooth series).
+
+    c2 and c4 carry in addition the singular terms s2/d^2 and s4/d^2.
+    Subclasses set the ten even series ``_<factor>_log``/``_<factor>_smooth``
+    and s2, s4; ``log`` exposes the ln d coefficients as a pack of their own
+    for the Nystrom split.
+    """
+
+    def _series_alpha_beta(self, d):
+        L = np.log(d)
+        return (
+            self._alpha_log(d) * L + self._alpha_smooth(d),
+            self._beta_log(d) * L + self._beta_smooth(d),
+        )
+
+    def _series_cs(self, d):
+        L = np.log(d)
+        inv2 = 1.0 / d**2
+        return (
+            self.s2 * inv2 + self._c2_log(d) * L + self._c2_smooth(d),
+            self._c3_log(d) * L + self._c3_smooth(d),
+            self.s4 * inv2 + self._c4_log(d) * L + self._c4_smooth(d),
+        )
+
+    @property
+    def log(self):
+        return _LogPart(self)
+
+
+class _LogPart:
+    """The ln d coefficients of a 2D pack, with the pack interface."""
+
+    def __init__(self, pack):
+        self.p = pack
+
+    def alpha_beta(self, d):
+        return self.p._alpha_log(d), self.p._beta_log(d)
+
+    def cs(self, d):
+        return self.p._c2_log(d), self.p._c3_log(d), self.p._c4_log(d)
+
+
+class _Radial2D(_Series2D, _Direct):
+    """Dynamic 2D radial factors.
+
+    The Hankel form is used away from the diagonal and the
+    cancellation-free log/smooth series split for small arguments.
     """
 
     def __init__(self, omega, medium):
-        if omega <= 0:
-            raise ValueError("omega must be positive for the dynamic kernel")
-        self.omega = float(omega)
-        self.medium = medium
-        lam, mu = complex(medium.lam), complex(medium.mu)
-        self.lam, self.mu = lam, mu
-        self.kp, self.ks = wavenumbers(medium, omega)
-        self.b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
-        self.b2 = (lam + mu) / (mu * (lam + 2 * mu))
-        self.kappa1 = mu / (2.0 * np.pi * (lam + 2.0 * mu))
-        w2 = self.omega**2
+        _Direct.__init__(self, _g2, omega, medium)
+        self.b1, self.b2, self.kappa1 = _lame_constants(self.lam, self.mu)
+        w2 = self.w2
 
         def lam_log(k):
             return np.log(k / 2.0) + _EULER - 0.5j * np.pi
@@ -183,7 +293,6 @@ class _Radial2D:
         aL0 = self._alpha_log.const
         bA0 = self._beta_smooth.const
         self.s2 = aL0  # = -b1/(4 pi)
-        self.s3 = 0.0 + 0.0j
         self.s4 = bA0  # = +b2/(4 pi)
         self._c2_log = self._alpha_log.dlog()
         self._c2_smooth = self._alpha_log.shift_const(-aL0).div_d2() + self._alpha_smooth.dlog()
@@ -193,131 +302,101 @@ class _Radial2D:
         self._c4_smooth = self._beta_smooth.shift_const(-bA0).div_d2()
         self.eta = self._alpha_smooth.const
 
-    # -- direct Hankel building blocks ------------------------------------
-    @staticmethod
-    def _g(k, d, order):
-        z = k * d
-        h0 = _sp.hankel1(0, z)
-        h1 = _sp.hankel1(1, z)
-        if order == 0:
-            return 0.25j * h0
-        if order == 1:
-            return -0.25j * k * h1
-        if order == 2:
-            return -0.25j * k * k * (h0 - h1 / z)
-        if order == 3:
-            return -0.25j * k**3 * (-h1 - h0 / z + 2.0 * h1 / z**2)
-        raise ValueError(order)
-
-    def _direct_alpha_beta(self, d):
-        w2 = self.omega**2
-        g0s = self._g(self.ks, d, 0)
-        d1 = self._g(self.ks, d, 1) - self._g(self.kp, d, 1)
-        d2 = self._g(self.ks, d, 2) - self._g(self.kp, d, 2)
-        alpha = g0s / self.mu + d1 / (w2 * d)
-        beta = (d2 - d1 / d) / w2
-        return alpha, beta
-
-    def _direct_cs(self, d):
-        w2 = self.omega**2
-        d1 = self._g(self.ks, d, 1) - self._g(self.kp, d, 1)
-        d2 = self._g(self.ks, d, 2) - self._g(self.kp, d, 2)
-        d3 = self._g(self.ks, d, 3) - self._g(self.kp, d, 3)
-        alpha_p = self._g(self.ks, d, 1) / self.mu + (d2 * d - d1) / (w2 * d * d)
-        beta = (d2 - d1 / d) / w2
-        beta_p = (d3 - d2 / d + d1 / d**2) / w2
-        return alpha_p / d, beta_p / d, beta / d**2
-
-    # -- regime-split public evaluations ----------------------------------
-    def _split(self, d):
+    def _by_regime(self, d, series, direct, n):
         d = np.asarray(d, dtype=float)
         small = np.abs(self.ks) * d < _SERIES_SWITCH
-        return d, small
+        out = [np.empty(d.shape, dtype=complex) for _ in range(n)]
+        for mask, f in ((small, series), (~small, direct)):
+            if np.any(mask):
+                for o, v in zip(out, f(d[mask])):
+                    o[mask] = v
+        return out
 
     def alpha_beta(self, d):
-        d, small = self._split(d)
-        alpha = np.empty(d.shape, dtype=complex)
-        beta = np.empty(d.shape, dtype=complex)
-        if np.any(small):
-            ds = d[small]
-            L = np.log(ds)
-            alpha[small] = self._alpha_log(ds) * L + self._alpha_smooth(ds)
-            beta[small] = self._beta_log(ds) * L + self._beta_smooth(ds)
-        if np.any(~small):
-            a, b = self._direct_alpha_beta(d[~small])
-            alpha[~small] = a
-            beta[~small] = b
-        return alpha, beta
+        return self._by_regime(d, self._series_alpha_beta, self._direct_alpha_beta, 2)
 
     def cs(self, d):
         """(c2, c3, c4) with c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2."""
-        d, small = self._split(d)
-        out = [np.empty(d.shape, dtype=complex) for _ in range(3)]
-        if np.any(small):
-            ds = d[small]
-            L = np.log(ds)
-            inv2 = 1.0 / ds**2
-            out[0][small] = self.s2 * inv2 + self._c2_log(ds) * L + self._c2_smooth(ds)
-            out[1][small] = self._c3_log(ds) * L + self._c3_smooth(ds)
-            out[2][small] = self.s4 * inv2 + self._c4_log(ds) * L + self._c4_smooth(ds)
-        if np.any(~small):
-            c2, c3, c4 = self._direct_cs(d[~small])
-            out[0][~small] = c2
-            out[1][~small] = c3
-            out[2][~small] = c4
-        return out
-
-    def log_pi(self, d):
-        """Log-coefficient matrices' radial factors (alpha_L, beta_L)."""
-        d = np.asarray(d, dtype=float)
-        return self._alpha_log(d), self._beta_log(d)
-
-    def log_cs(self, d):
-        d = np.asarray(d, dtype=float)
-        return self._c2_log(d), self._c3_log(d), self._c4_log(d)
+        return self._by_regime(d, self._series_cs, self._direct_cs, 3)
 
 
-class _Static2D:
-    """Static (omega = 0) counterparts; purely algebraic radial factors."""
+class _Static2D(_Series2D):
+    """Static (omega = 0) 2D factors: the series split with constant series."""
 
     def __init__(self, medium):
-        lam, mu = complex(medium.lam), complex(medium.mu)
-        self.lam, self.mu = lam, mu
-        self.b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
-        self.b2 = (lam + mu) / (mu * (lam + 2 * mu))
-        self.kappa1 = mu / (2.0 * np.pi * (lam + 2.0 * mu))
+        self.b1, self.b2, self.kappa1 = _lame_constants(
+            complex(medium.lam), complex(medium.mu)
+        )
         self.s2 = -self.b1 / (4 * np.pi)
-        self.s3 = 0.0 + 0.0j
         self.s4 = self.b2 / (4 * np.pi)
         self.eta = 0.0 + 0.0j
+        zero = _EvenSeries([0.0])
+        self._alpha_log = _EvenSeries([self.s2])
+        self._beta_smooth = _EvenSeries([self.s4])
+        self._alpha_smooth = self._beta_log = zero
+        self._c2_log = self._c3_log = self._c4_log = zero
+        self._c2_smooth = self._c3_smooth = self._c4_smooth = zero
+
+    alpha_beta = _Series2D._series_alpha_beta
+    cs = _Series2D._series_cs
+
+
+class _Static3D:
+    """Static (omega = 0) 3D factors: alpha = b1/(8 pi d), beta = b2/(8 pi d)."""
+
+    def __init__(self, medium):
+        b1, b2, _ = _lame_constants(complex(medium.lam), complex(medium.mu))
+        self.a, self.b = b1 / (8 * np.pi), b2 / (8 * np.pi)
 
     def alpha_beta(self, d):
-        d = np.asarray(d, dtype=float)
-        alpha = -self.b1 / (4 * np.pi) * np.log(d).astype(complex)
-        beta = np.full(d.shape, self.b2 / (4 * np.pi), dtype=complex)
-        return alpha, beta
+        return self.a / d, self.b / d
 
     def cs(self, d):
-        d = np.asarray(d, dtype=float)
-        inv2 = 1.0 / d**2
-        zero = np.zeros(d.shape, dtype=complex)
-        return self.s2 * inv2, zero, self.s4 * inv2
-
-    def log_pi(self, d):
-        d = np.asarray(d, dtype=float)
-        return (
-            np.full(d.shape, -self.b1 / (4 * np.pi), dtype=complex),
-            np.zeros(d.shape, dtype=complex),
-        )
-
-    def log_cs(self, d):
-        d = np.asarray(d, dtype=float)
-        zero = np.zeros(d.shape, dtype=complex)
-        return zero, zero.copy(), zero.copy()
+        # both factors are c/d, so their derivatives are -c/d^2
+        alpha, beta = self.alpha_beta(d)
+        return -alpha / d**2, -beta / d**2, beta / d**2
 
 
-def _radial_pack(omega, medium):
-    return _Radial2D(omega, medium) if omega > 0 else _Static2D(medium)
+@functools.lru_cache(maxsize=8)
+def _radial_pack(omega, medium, dim):
+    """Radial factors for (omega, medium) in ``dim`` 2 or 3; omega <= 0 is static."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    if omega <= 0:
+        return _Static2D(medium) if dim == 2 else _Static3D(medium)
+    return _Radial2D(omega, medium) if dim == 2 else _Direct(_g3, omega, medium)
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _pi(u, d, pack):
+    """Green tensor Pi over separations u[..., dim] with lengths d[...]."""
+    alpha, beta = pack.alpha_beta(d)
+    uh = u / d[..., None]
+    eye = np.eye(u.shape[-1])
+    return alpha[..., None, None] * eye + beta[..., None, None] * _outer(uh, uh)
+
+
+def _xi(u, d, nu, pack, lam, mu):
+    """Traction tensor Xi[..., l, i] over separations u with normals nu at y.
+
+    Xi[l, i] is the i-th traction component (normal ``nu`` at the source
+    point y) of the field z -> Pi(x, z) e_l; the double layer contracts
+    the second index with the density.
+    """
+    dim = u.shape[-1]
+    c2, c3, c4 = pack.cs(d)
+    nuu = np.sum(nu * u, axis=-1)
+    A = lam * (c2 + c3 + (dim - 1) * c4) + 2.0 * mu * c4
+    B = mu * (c2 + c4)
+    C = mu * (2.0 * c3 - 4.0 * c4)
+    return -(
+        A[..., None, None] * _outer(u, nu)
+        + B[..., None, None] * (_outer(nu, u) + nuu[..., None, None] * np.eye(dim))
+        + (C * nuu / d**2)[..., None, None] * _outer(u, u)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +409,7 @@ def _sep(x, y, dim):
     if x.shape != (dim,) or y.shape != (dim,):
         raise ValueError(f"points must have shape ({dim},)")
     u = x - y
-    d = float(np.linalg.norm(u))
+    d = np.array(np.linalg.norm(u))
     if d == 0.0:
         raise ValueError("kernel is singular at coincident points")
     return u, d
@@ -341,78 +420,13 @@ def green_omega(x, y, omega, medium, dim=2):
     if omega <= 0:
         raise ValueError("omega must be positive; use green_static for omega = 0")
     u, d = _sep(x, y, dim)
-    uh = u / d
-    P = np.outer(uh, uh)
-    if dim == 2:
-        pack = _Radial2D(omega, medium)
-        a, b = pack.alpha_beta(np.array(d))
-        return complex(a) * np.eye(2) + complex(b) * P
-    if dim == 3:
-        a, b = _alpha_beta_3d(d, omega, medium)
-        return a * np.eye(3) + b * P
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
-
-
-def _g3(k, d, order):
-    g = np.exp(1j * k * d) / (4.0 * np.pi * d)
-    q = 1j * k - 1.0 / d
-    if order == 0:
-        return g
-    if order == 1:
-        return q * g
-    if order == 2:
-        return (q**2 + 1.0 / d**2) * g
-    if order == 3:
-        # (G'')' with q' = 1/d^2 and G' = q G
-        return (2.0 * q / d**2 - 2.0 / d**3) * g + (q**2 + 1.0 / d**2) * q * g
-    raise ValueError(order)
-
-
-def _alpha_beta_3d(d, omega, medium):
-    kp, ks = wavenumbers(medium, omega)
-    w2 = omega**2
-    d1 = _g3(ks, d, 1) - _g3(kp, d, 1)
-    d2 = _g3(ks, d, 2) - _g3(kp, d, 2)
-    alpha = _g3(ks, d, 0) / complex(medium.mu) + d1 / (w2 * d)
-    beta = (d2 - d1 / d) / w2
-    return alpha, beta
+    return _pi(u, d, _radial_pack(omega, medium, dim))
 
 
 def green_static(x, y, medium, dim=2):
     """Static (omega = 0) Green tensor."""
     u, d = _sep(x, y, dim)
-    uh = u / d
-    P = np.outer(uh, uh)
-    lam, mu = complex(medium.lam), complex(medium.mu)
-    if dim == 2:
-        b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
-        b2 = (lam + mu) / (mu * (lam + 2 * mu))
-        return (1.0 / (4 * np.pi)) * (-b1 * np.log(d) * np.eye(2) + b2 * P)
-    if dim == 3:
-        c1 = (lam + 3 * mu) / (8 * np.pi * mu * (lam + 2 * mu))
-        c2 = (lam + mu) / (8 * np.pi * mu * (lam + 2 * mu))
-        return c1 / d * np.eye(3) + c2 / d * P
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
-
-
-def _traction_from_cs(u, d, nu, c2, c3, c4, lam, mu, dim):
-    """Assemble Xi[l, i] from the reduced radial factors.
-
-    Xi[l, i] is the i-th traction component (normal ``nu`` at the source
-    point y) of the field z -> Pi(x, z) e_l; the double layer contracts
-    the second index with the density.
-    """
-    nu = np.asarray(nu, dtype=float)
-    nuu = float(nu @ u)
-    A = lam * (c2 + c3 + (dim - 1) * c4) + 2.0 * mu * c4
-    B = mu * (c2 + c4)
-    C = mu * (2.0 * c3 - 4.0 * c4)
-    eye = np.eye(dim)
-    return -(
-        A * np.outer(u, nu)
-        + B * (np.outer(nu, u) + nuu * eye)
-        + C * nuu * np.outer(u, u) / d**2
-    )
+    return _pi(u, d, _radial_pack(0.0, medium, dim))
 
 
 def green_traction(x, y, normal, omega, medium, dim=2):
@@ -423,41 +437,7 @@ def green_traction(x, y, normal, omega, medium, dim=2):
     """
     u, d = _sep(x, y, dim)
     lam, mu = complex(medium.lam), complex(medium.mu)
-    if dim == 2:
-        pack = _radial_pack(omega, medium)
-        c2, c3, c4 = [complex(v) for v in pack.cs(np.array(d))]
-    elif dim == 3:
-        if omega <= 0:
-            c2, c3, c4 = _static_cs_3d(d, medium)
-        else:
-            c2, c3, c4 = _dynamic_cs_3d(d, omega, medium)
-    else:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
-    return _traction_from_cs(u, d, np.asarray(normal, float), c2, c3, c4, lam, mu, dim)
-
-
-def _dynamic_cs_3d(d, omega, medium):
-    kp, ks = wavenumbers(medium, omega)
-    mu = complex(medium.mu)
-    w2 = omega**2
-    d1 = _g3(ks, d, 1) - _g3(kp, d, 1)
-    d2 = _g3(ks, d, 2) - _g3(kp, d, 2)
-    d3 = _g3(ks, d, 3) - _g3(kp, d, 3)
-    alpha_p = _g3(ks, d, 1) / mu + (d2 * d - d1) / (w2 * d * d)
-    beta = (d2 - d1 / d) / w2
-    beta_p = (d3 - d2 / d + d1 / d**2) / w2
-    return alpha_p / d, beta_p / d, beta / d**2
-
-
-def _static_cs_3d(d, medium):
-    lam, mu = complex(medium.lam), complex(medium.mu)
-    c1 = (lam + 3 * mu) / (8 * np.pi * mu * (lam + 2 * mu))
-    c2c = (lam + mu) / (8 * np.pi * mu * (lam + 2 * mu))
-    # alpha = c1/d + ... : alpha = (c1 + c2c)/d? no: alpha = c1/d, beta = c2c/d
-    alpha_p = -c1 / d**2
-    beta = c2c / d
-    beta_p = -c2c / d**2
-    return alpha_p / d, beta_p / d, beta / d**2
+    return _xi(u, d, np.asarray(normal, float), _radial_pack(omega, medium, dim), lam, mu)
 
 
 def eta_constant(omega, medium):
@@ -465,14 +445,16 @@ def eta_constant(omega, medium):
 
     Closed form:
 
-        eta = -(1/(4 pi)) [ b1 (ln(omega/2) + E - i pi/2) + b2/2
+        eta = -(1/(4 pi)) [ b1 (ln(omega sqrt(rho)/2) + E - i pi/2) + b2/2
                             - (ln(mu)/mu + ln(lam+2mu)/(lam+2mu)) / 2 ],
 
     with b1 = (lam+3mu)/(mu(lam+2mu)), b2 = (lam+mu)/(mu(lam+2mu)) and E
     Euler's constant; the implementation evaluates it from the series
     split, which agrees with this expression to machine precision.
     """
-    return complex(_Radial2D(omega, medium).eta)
+    if omega <= 0:
+        raise ValueError("omega must be positive for the dynamic kernel")
+    return complex(_radial_pack(omega, medium, 2).eta)
 
 
 def asymptotic_gap_2d(x, y, omega, medium):
@@ -482,14 +464,12 @@ def asymptotic_gap_2d(x, y, omega, medium):
     split so the decay is resolved far below double-precision rounding of
     the naive difference.
     """
+    if omega <= 0:
+        raise ValueError("omega must be positive for the dynamic kernel")
     u, d = _sep(x, y, 2)
-    pack = _Radial2D(omega, medium)
-    a, b = pack.alpha_beta(np.array(d))
-    P = np.outer(u, u) / d**2
-    gap = complex(a) * np.eye(2) + complex(b) * P
-    gap -= green_static(x, y, medium, 2)
-    gap -= pack.eta * np.eye(2)
-    return gap
+    pack = _radial_pack(omega, medium, 2)
+    gap = _pi(u, d, pack) - _pi(u, d, _radial_pack(0.0, medium, 2))
+    return gap - pack.eta * np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -557,22 +537,6 @@ class LayerOperators:
     omega: float
     medium: IsotropicMedium
 
-    def export(self, prefix):
-        """Write S/K as row-major complex128 binaries plus a JSON header."""
-        paths = {}
-        for name, M in (("S", self.S), ("K", self.K)):
-            p = f"{prefix}_{name}.bin"
-            np.ascontiguousarray(M, dtype=np.complex128).tofile(p)
-            paths[name] = p
-        header = {
-            "n": self.quadrature.n_points,
-            "radius": self.quadrature.radius,
-            "omega": self.omega,
-        }
-        with open(f"{prefix}.json", "w") as fh:
-            json.dump(header, fh)
-        return paths
-
 
 def layer_operators(quad, omega, medium):
     """Assemble spectrally accurate Nystrom matrices for S and K.
@@ -586,7 +550,7 @@ def layer_operators(quad, omega, medium):
     N = quad.n_points
     R = quad.radius
     t = quad.angles
-    pack = _radial_pack(omega, medium)
+    pack = _radial_pack(omega, medium, 2)
     lam, mu = complex(medium.lam), complex(medium.mu)
     kappa1 = pack.kappa1
     b2 = pack.b2
@@ -595,74 +559,44 @@ def layer_operators(quad, omega, medium):
     Wcot = _pv_cot_weight_matrix(N)
     h = 2.0 * np.pi / N
 
+    # kernels are evaluated on the off-diagonal pairs (i = observation,
+    # j = source) in (i, j, comp_i, comp_j) layout and interleaved at the
+    # end; the diagonal takes the analytic limits
     dt = t[:, None] - t[None, :]
-    dmat = 2.0 * R * np.abs(np.sin(0.5 * dt))
     off = ~np.eye(N, dtype=bool)
-    lnfac = np.zeros((N, N))
-    lnfac[off] = np.log(4.0 * np.sin(0.5 * dt[off]) ** 2)
-
-    # pairwise geometry (i = observation, j = source); matrices are built
-    # in (i, j, comp_i, comp_j) layout and interleaved at the end
-    u = quad.nodes[:, None, :] - quad.nodes[None, :, :]
-    nu = np.broadcast_to(quad.normals[None, :, :], u.shape)
-    d_off = dmat[off]
+    diag = ~off
+    s_off = np.sin(0.5 * dt[off])
+    d = 2.0 * R * np.abs(s_off)
+    lnfac = np.log(4.0 * s_off**2)
+    u = (quad.nodes[:, None, :] - quad.nodes[None, :, :])[off]
+    nu = np.broadcast_to(quad.normals[None, :, :], (N, N, 2))[off]
+    tau = quad.tangents
+    tt = tau[:, :, None] * tau[:, None, :]
+    eye2 = np.eye(2)
 
     # ---- single layer ----------------------------------------------------
-    aL = np.zeros((N, N), dtype=complex)
-    bL = np.zeros((N, N), dtype=complex)
-    aLo, bLo = pack.log_pi(d_off)
-    aL[off], bL[off] = aLo, bLo
-    # diagonal limits: alpha_L(0) on I, beta_L(0) = 0 on the projector
-    aL[np.eye(N, dtype=bool)] = -pack.b1 / (4 * np.pi)
-
-    alpha = np.zeros((N, N), dtype=complex)
-    beta = np.zeros((N, N), dtype=complex)
-    al_o, be_o = pack.alpha_beta(d_off)
-    alpha[off], beta[off] = al_o, be_o
-
-    P = np.zeros((N, N, 2, 2))
-    uh = np.zeros_like(u)
-    uh[off] = u[off] / d_off[:, None]
-    P[off] = uh[off][:, :, None] * uh[off][:, None, :]
-    tau = quad.tangents
-    P[~off] = tau[:, :, None] * tau[:, None, :]
-
-    eye2 = np.eye(2)
-    PL = aL[..., None, None] * eye2 + bL[..., None, None] * P
-    full_pi = alpha[..., None, None] * eye2 + beta[..., None, None] * P
     # off-diagonal: smooth = full - PL * (lnfac/2 + ln R) and the ln R part
-    # rejoins through PR + PL ln R; diagonal: PR(t,t) = eta I + b2/(4 pi) tau tau
-    PR = np.zeros_like(PL)
-    PR[off] = full_pi[off] - PL[off] * (0.5 * lnfac[off] + np.log(R))[..., None, None]
-    diag = np.eye(N, dtype=bool)
-    PR[diag] = pack.eta * eye2 + (b2 / (4 * np.pi)) * P[diag]
+    # rejoins through PR + PL ln R; diagonal: PL = alpha_L(0) I (beta_L(0)
+    # = 0) and PR(t,t) = eta I + b2/(4 pi) tau tau
+    PL = np.zeros((N, N, 2, 2), dtype=complex)
+    PL[off] = _pi(u, d, pack.log)
+    PL[diag] = -pack.b1 / (4 * np.pi) * eye2
+    PR = np.empty_like(PL)
+    PR[off] = _pi(u, d, pack) - PL[off] * (0.5 * lnfac + np.log(R))[..., None, None]
+    PR[diag] = pack.eta * eye2 + (b2 / (4 * np.pi)) * tt
     S = (Wlog[..., None, None] * 0.5 * PL + h * (PR + PL * np.log(R))) * R
+    del PL, PR  # release before the double layer allocates its own
 
     # ---- double layer (PV) ------------------------------------------------
-    c2L = np.zeros((N, N), dtype=complex)
-    c3L = np.zeros((N, N), dtype=complex)
-    c4L = np.zeros((N, N), dtype=complex)
-    c2Lo, c3Lo, c4Lo = pack.log_cs(d_off)
-    c2L[off], c3L[off], c4L[off] = c2Lo, c3Lo, c4Lo
-
-    nuu = np.einsum("ijk,ijk->ij", u, nu)
-    XL = _xi_from_cs_matrices(u, nu, nuu, dmat, c2L, c3L, c4L, lam, mu, off)
-
-    c2 = np.zeros((N, N), dtype=complex)
-    c3 = np.zeros((N, N), dtype=complex)
-    c4 = np.zeros((N, N), dtype=complex)
-    c2o, c3o, c4o = pack.cs(d_off)
-    c2[off], c3[off], c4[off] = c2o, c3o, c4o
-    XiF = _xi_from_cs_matrices(u, nu, nuu, dmat, c2, c3, c4, lam, mu, off)
-
     J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    cot = np.zeros((N, N))
-    cot[off] = 1.0 / np.tan(0.5 * dt[off])
-    Xcot = kappa1 / (2.0 * R) * cot[..., None, None] * J2
-
-    Ksm = np.zeros_like(XiF)
-    Ksm[off] = XiF[off] - XL[off] * (0.5 * lnfac[off])[..., None, None] - Xcot[off]
-    Ksm[diag] = -kappa1 / (2.0 * R) * eye2 - (mu * b2 / (2.0 * np.pi * R)) * P[diag]
+    XL = np.zeros((N, N, 2, 2), dtype=complex)
+    XL[off] = _xi(u, d, nu, pack.log, lam, mu)
+    Xcot = kappa1 / (2.0 * R) * (1.0 / np.tan(0.5 * dt[off]))[..., None, None] * J2
+    Ksm = np.empty_like(XL)
+    Ksm[off] = (
+        _xi(u, d, nu, pack, lam, mu) - XL[off] * (0.5 * lnfac)[..., None, None] - Xcot
+    )
+    Ksm[diag] = -kappa1 / (2.0 * R) * eye2 - (mu * b2 / (2.0 * np.pi * R)) * tt
     K = (
         Wlog[..., None, None] * 0.5 * XL
         + Wcot[..., None, None] * (kappa1 / (2.0 * R)) * J2
@@ -678,56 +612,33 @@ def layer_operators(quad, omega, medium):
     )
 
 
-def _xi_from_cs_matrices(u, nu, nuu, dmat, c2, c3, c4, lam, mu, off):
-    """Vectorized Xi assembly over node pairs; diagonal left zero."""
-    A = lam * (c2 + c3 + c4) + 2.0 * mu * c4
-    B = mu * (c2 + c4)
-    C = mu * (2.0 * c3 - 4.0 * c4)
-    uxn = u[..., :, None] * nu[..., None, :]  # u (x) nu
-    nxu = nu[..., :, None] * u[..., None, :]
-    uxu = u[..., :, None] * u[..., None, :]
-    eye2 = np.eye(2)
-    d2 = np.ones_like(dmat)
-    d2[off] = dmat[off] ** 2
-    out = -(
-        A[..., None, None] * uxn
-        + B[..., None, None] * (nxu + nuu[..., None, None] * eye2)
-        + (C * nuu / d2)[..., None, None] * uxu
-    )
-    out[~off] = 0.0
-    return out
+def _potential(quad, density, points, kernel):
+    """Trapezoid sum of kernel(u, d) @ density over the nodes, per target."""
+    density = np.asarray(density, dtype=complex).reshape(quad.n_points, 2)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must have shape (2,) or (n, 2)")
+    u = pts[:, None, :] - quad.nodes[None, :, :]
+    d = np.linalg.norm(u, axis=-1)
+    if np.any(d == 0.0):
+        raise ValueError("kernel is singular at coincident points")
+    out = np.einsum("ajkl,j,jl->ak", kernel(u, d), quad.weights, density)
+    return out if np.asarray(points).ndim > 1 else out[0]
 
 
 def sl_potential(quad, density, points, omega, medium):
     """Single-layer potential off the boundary by plain quadrature."""
-    density = np.asarray(density, dtype=complex).reshape(quad.n_points, 2)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((pts.shape[0], 2), dtype=complex)
-    for a, x in enumerate(pts):
-        acc = np.zeros(2, dtype=complex)
-        for j in range(quad.n_points):
-            G = (
-                green_omega(x, quad.nodes[j], omega, medium, 2)
-                if omega > 0
-                else green_static(x, quad.nodes[j], medium, 2)
-            )
-            acc += quad.weights[j] * (G @ density[j])
-        out[a] = acc
-    return out if np.asarray(points).ndim > 1 else out[0]
+    pack = _radial_pack(omega, medium, 2)
+    return _potential(quad, density, points, lambda u, d: _pi(u, d, pack))
 
 
 def dl_potential(quad, density, points, omega, medium):
     """Double-layer potential off the boundary by plain quadrature."""
-    density = np.asarray(density, dtype=complex).reshape(quad.n_points, 2)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((pts.shape[0], 2), dtype=complex)
-    for a, x in enumerate(pts):
-        acc = np.zeros(2, dtype=complex)
-        for j in range(quad.n_points):
-            Xi = green_traction(x, quad.nodes[j], quad.normals[j], omega, medium, 2)
-            acc += quad.weights[j] * (Xi @ density[j])
-        out[a] = acc
-    return out if np.asarray(points).ndim > 1 else out[0]
+    pack = _radial_pack(omega, medium, 2)
+    lam, mu = complex(medium.lam), complex(medium.mu)
+    return _potential(
+        quad, density, points, lambda u, d: _xi(u, d, quad.normals, pack, lam, mu)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -759,10 +670,6 @@ class ExteriorCavitySolution:
             fac = 2.0 * np.pi if n == 0 else np.pi
             tot += fac * radius * (abs(ur) ** 2 + abs(ut) ** 2)
         return float(np.sqrt(tot))
-
-    def part_field(self, n, pol):
-        """P- or S-only restriction of mode n (for radiation diagnostics)."""
-        return self.fields[n].restrict({pol})
 
 
 def solve_exterior_cavity(cavity_radius, tractions, omega, medium):

@@ -19,7 +19,6 @@ import json
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from . import specfun
 from .tensors import IsotropicMedium
@@ -428,6 +427,8 @@ class ResonanceResult:
 
 
 def _bracket_roots(fun, lo, hi, steps):
+    from scipy.optimize import brentq  # deferred: only the resonance search needs it
+
     ts = np.linspace(lo, hi, steps)
     vals = np.array([fun(t) for t in ts])
     roots = []

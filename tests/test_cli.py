@@ -60,7 +60,10 @@ def test_determinism_byte_identical(tmp_path):
 
 
 def test_toml_config(tmp_path):
-    pytest.importorskip("tomli")
+    try:
+        import tomllib  # noqa: F401  (Python >= 3.11)
+    except ModuleNotFoundError:
+        pytest.importorskip("tomli")
     cfg = tmp_path / "c.toml"
     cfg.write_text("[design]\nr_min = 1.5\nr_max = 2.0\nnum = 2\n")
     assert run(["design", "--config", cfg, "--out", tmp_path]) == 0

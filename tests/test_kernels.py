@@ -6,12 +6,12 @@ tractions for the Xi kernel, adaptive quadrature for single-layer rows,
 and the interior Calderon identity for the assembled operators.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import h1vp, hankel1
 
 from elastocloak import (
     IsotropicMedium,
@@ -28,6 +28,7 @@ from elastocloak import (
 )
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
+HEAVY = IsotropicMedium(1.0, 1.0, 2.0)  # rho != 1 separates rho omega^2 from omega^2
 OMEGA = 1.0
 
 
@@ -38,18 +39,47 @@ def series_pi_3d(x, y, omega, medium, n_terms=40):
     grad grad termwise; the medium enters through the (n+2)-th powers of
     the wavenumbers.
     """
-    lam, mu = medium.lam, medium.mu
-    kp = omega / np.sqrt(lam + 2 * mu)
-    ks = omega / np.sqrt(mu)
+    lam, mu, rho = medium.lam, medium.mu, medium.rho
+    kp = omega * np.sqrt(rho / (lam + 2 * mu))
+    ks = omega * np.sqrt(rho / mu)
     u = np.asarray(x, float) - np.asarray(y, float)
     d = np.linalg.norm(u)
     A = np.zeros((3, 3), dtype=complex)
     for n in range(n_terms):
-        base = 1j**n / ((n + 2) * math.factorial(n) * omega**2)
+        base = 1j**n / ((n + 2) * math.factorial(n) * rho * omega**2)
         cI = base * ((n + 1) * ks ** (n + 2) + kp ** (n + 2)) * d ** (n - 1)
         cU = base * (n - 1) * (ks ** (n + 2) - kp ** (n + 2)) * d ** (n - 3)
         A += (cI * np.eye(3) - cU * np.outer(u, u)) / (4 * np.pi)
     return A
+
+
+def hankel_pi_2d(x, y, omega, medium):
+    """Oracle: the 2D dynamic tensor from scipy's Hankel derivatives.
+
+    Pi = (i/(4 mu)) H0(ks d) I + grad grad (i/4) [H0(ks d) - H0(kp d)] / (rho omega^2),
+    with grad grad f(d) = f'' uhat uhat + (f'/d) (I - uhat uhat).
+    """
+    lam, mu, rho = medium.lam, medium.mu, medium.rho
+    kp = omega * np.sqrt(rho / (lam + 2 * mu))
+    ks = omega * np.sqrt(rho / mu)
+    u = np.asarray(x, float) - np.asarray(y, float)
+    d = np.linalg.norm(u)
+    P = np.outer(u, u) / d**2
+
+    def f(n):
+        return 0.25j * (ks**n * h1vp(0, ks * d, n) - kp**n * h1vp(0, kp * d, n))
+
+    gg = f(2) * P + f(1) / d * (np.eye(2) - P)
+    return 0.25j * hankel1(0, ks * d) / mu * np.eye(2) + gg / (rho * omega**2)
+
+
+def reference_pi(x, y, omega, medium, dim):
+    """Oracle tensor for the traction check: Hankel (2D) or series (3D)."""
+    if omega == 0:
+        return green_static(x, y, medium, dim)
+    if dim == 2:
+        return hankel_pi_2d(x, y, omega, medium)
+    return series_pi_3d(x, y, omega, medium)
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +183,19 @@ def navier_residual_fd(dim, x, y, omega, medium, step):
     return mu * lap + (lam + mu) * gd + omega**2 * rho * P0, P0
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_navier_residual_of_columns(dim):
+@pytest.mark.parametrize(
+    "dim,medium", [(2, BG), (3, BG), (2, HEAVY), (3, HEAVY)],
+    ids=["2", "3", "2-rho2", "3-rho2"],
+)
+def test_navier_residual_of_columns(dim, medium):
     # Richardson extrapolation of the 2nd-order residual gives a 4th-order
     # probe, resolving the contract below FD truncation noise
     rng = np.random.default_rng(1)
     y = np.zeros(dim)
     for _ in range(3):
         x = rng.uniform(0.6, 1.2) * _unit(rng, dim)
-        r_h, P0 = navier_residual_fd(dim, x, y, OMEGA, BG, 4e-3)
-        r_h2, _ = navier_residual_fd(dim, x, y, OMEGA, BG, 2e-3)
+        r_h, P0 = navier_residual_fd(dim, x, y, OMEGA, medium, 4e-3)
+        r_h2, _ = navier_residual_fd(dim, x, y, OMEGA, medium, 2e-3)
         resid = (4.0 * r_h2 - r_h) / 3.0
         rel = float(np.abs(resid).max() / np.abs(OMEGA**2 * P0).max())
         assert rel < 1e-6
@@ -173,20 +206,24 @@ def _unit(rng, dim):
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("dim,omega", [(2, OMEGA), (3, OMEGA), (2, 0.0), (3, 0.0)])
-def test_traction_kernel_matches_fd(dim, omega):
+@pytest.mark.parametrize(
+    "dim,omega,medium",
+    [(2, OMEGA, BG), (3, OMEGA, BG), (2, 0.0, BG), (3, 0.0, BG),
+     (2, OMEGA, HEAVY), (3, OMEGA, HEAVY)],
+    ids=["2-1.0", "3-1.0", "2-0.0", "3-0.0", "2-1.0-rho2", "3-1.0-rho2"],
+)
+def test_traction_kernel_matches_fd(dim, omega, medium):
     rng = np.random.default_rng(2)
-    lam, mu = BG.lam, BG.mu
+    lam, mu = medium.lam, medium.mu
     x = rng.uniform(-1, 1, dim)
     y = x + 0.8 * _unit(rng, dim)
     nu = _unit(rng, dim)
-    Xi = green_traction(x, y, nu, omega, BG, dim)
+    Xi = green_traction(x, y, nu, omega, medium, dim)
     h = 1e-6
     fd = np.zeros((dim, dim), dtype=complex)
     for l in range(dim):
         def v(z):
-            G = green_omega(x, z, omega, BG, dim) if omega > 0 else green_static(x, z, BG, dim)
-            return G[:, l]
+            return reference_pi(x, z, omega, medium, dim)[:, l]
 
         grad = np.zeros((dim, dim), dtype=complex)
         for j in range(dim):
@@ -206,12 +243,13 @@ def test_traction_kernel_matches_fd(dim, omega):
 
 
 def test_eta_closed_formula():
-    for omega, med in ((1.0, BG), (0.7, IsotropicMedium(2.0, 0.5)), (3.0, BG)):
+    for omega, med in ((1.0, BG), (0.7, IsotropicMedium(2.0, 0.5)), (3.0, BG),
+                       (1.0, HEAVY), (0.7, IsotropicMedium(2.0, 0.5, 2.0))):
         lam, mu = med.lam, med.mu
         b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
         b2 = (lam + mu) / (mu * (lam + 2 * mu))
         closed = -(1.0 / (4 * np.pi)) * (
-            b1 * (np.log(omega / 2) + np.euler_gamma - 0.5j * np.pi)
+            b1 * (np.log(omega * np.sqrt(med.rho) / 2) + np.euler_gamma - 0.5j * np.pi)
             + 0.5 * b2
             - 0.5 * (np.log(mu) / mu + np.log(lam + 2 * mu) / (lam + 2 * mu))
         )
@@ -406,15 +444,22 @@ def test_sl_potential_point_source_consistency():
     assert np.abs(rep - expected).max() < 1e-12
 
 
-def test_operator_export_roundtrip(tmp_path):
-    q = circle_quadrature(2.0, 16)
-    ops = layer_operators(q, OMEGA, BG)
-    prefix = str(tmp_path / "ops")
-    ops.export(prefix)
-    header = json.loads((tmp_path / "ops.json").read_text())
-    assert header == {"n": 16, "radius": 2.0, "omega": 1.0}
-    S2 = np.fromfile(tmp_path / "ops_S.bin", dtype=np.complex128).reshape(32, 32)
-    np.testing.assert_array_equal(S2, ops.S)
+def test_radial_pack_built_once_per_omega_and_medium(monkeypatch):
+    from elastocloak import kernel_check, kernels
+
+    built = []
+    init = kernels._Radial2D.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    kernels._radial_pack.cache_clear()
+    monkeypatch.setattr(kernels._Radial2D, "__init__", counting_init)
+    report = kernel_check({"kernelcheck": {"n_pairs": 1000}})
+    kernels._radial_pack.cache_clear()
+    assert report["passed"]
+    assert 1 <= len(built) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +495,7 @@ def test_cavity_radiation_decay():
 
     kp, ks = wavenumbers(BG, OMEGA)
     for pol, k in (("P", kp), ("S", ks)):
-        part = sol.part_field(1, pol)
+        part = sol.fields[1].restrict({pol})
         rs = np.array([30.0, 60.0, 120.0])
         vals = []
         for r in rs:
