@@ -58,6 +58,7 @@ from .specfun import (
 )
 from .modesolver import (
     LayeredDiskConfig,
+    ModeOverflowError,
     NearResonanceError,
     NtDOperator,
     ResonanceResult,

@@ -3,9 +3,10 @@ kernel-property reports.
 
 All drivers are pure functions from a configuration dictionary to plain
 data (lists/dicts of Python floats), so the CLI layer only does I/O.
-Rate fits are unweighted least squares on log-log data; fits with
-R^2 < 0.98 are flagged as rejected, and all-zero distance data raises
-(degenerate input, nothing to fit).
+Rate fits are unweighted least squares on log-log data over the
+unflagged rows; fits with R^2 < 0.98, or with fewer than two unflagged
+rows (slope NaN), are flagged as rejected, and all-zero distance data
+raises (degenerate input, nothing to fit).
 """
 
 from __future__ import annotations
@@ -183,11 +184,13 @@ def _sweep_distances(config, reference_op, make_config, n_max, omega):
 
 
 def _fit_rows(rows):
+    """Rate fit over the unflagged rows; a rejected all-NaN fit when fewer
+    than two remain."""
     ok = [r for r in rows if not r["flag"]]
-    hs = [r["h"] for r in ok]
-    ds = [r["distance"] for r in ok]
-    fit = loglog_fit(hs, ds)
-    return fit
+    if len(ok) < 2:
+        nan = float("nan")
+        return FitResult(slope=nan, intercept=nan, r2=nan, rejected=True)
+    return loglog_fit([r["h"] for r in ok], [r["distance"] for r in ok])
 
 
 def convergence_sweep(config):
@@ -263,33 +266,30 @@ def lining_sweep(config):
     h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
 
     def distance_at(h, p):
+        """Distance and flag at (h, p); NaN and a flag near a resonance."""
         lossy = build_near_cloak(content=content, background=bg, **{**p, "h": h}).virtual
         cavity = lining_config(h, bg)
-        return ntd_distance(
-            assemble_ntd(lossy, omega, n_max), assemble_ntd(cavity, omega, n_max)
-        )
+        try:
+            d = ntd_distance(assemble_ntd(lossy, omega, n_max), assemble_ntd(cavity, omega, n_max))
+        except NearResonanceError as exc:
+            return {"distance": float("nan"), "flag": f"near-resonance mode {exc.mode}"}
+        return {"distance": float(d), "flag": ""}
 
     rows = []
     for h in h_values:
         t0 = time.perf_counter()
-        try:
-            d = distance_at(h, params)
-            rows.append({"h": float(h), "distance": float(d),
-                         "seconds": time.perf_counter() - t0, "flag": ""})
-        except NearResonanceError as exc:
-            rows.append({"h": float(h), "distance": float("nan"),
-                         "seconds": time.perf_counter() - t0,
-                         "flag": f"near-resonance mode {exc.mode}"})
+        row = distance_at(h, params)
+        rows.append({"h": float(h), **row, "seconds": time.perf_counter() - t0})
     fit = _fit_rows(rows)
 
     h_mid = h_values[min(1, len(h_values) - 1)]
     beta_scan = [
-        {"beta": b, "distance": float(distance_at(h_mid, {**params, "beta": b}))}
+        {"beta": b, **distance_at(h_mid, {**params, "beta": b})}
         for b in (params["beta"], 4.0 * params["beta"], 16.0 * params["beta"])
     ]
-    delta_rows = [distance_at(h, {**params, "delta": params["delta"] + 0.5})
+    delta_rows = [{"h": h, **distance_at(h, {**params, "delta": params["delta"] + 0.5})}
                   for h in h_values]
-    delta_fit = loglog_fit(h_values, delta_rows)
+    delta_slope = _fit_rows(delta_rows).slope
     return {
         "omega": omega,
         "n_max": n_max,
@@ -297,7 +297,7 @@ def lining_sweep(config):
         "fit": fit.__dict__,
         "beta_scan_at_h": h_mid,
         "beta_scan": beta_scan,
-        "delta_shift_slope": delta_fit.slope,
+        "delta_shift_slope": None if np.isnan(delta_slope) else delta_slope,
     }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,6 +29,7 @@ __all__ = [
     "LayeredDiskConfig",
     "NtDOperator",
     "NearResonanceError",
+    "ModeOverflowError",
     "SearchWindowError",
     "ResonanceResult",
     "free_disk_block",
@@ -52,6 +54,16 @@ class NearResonanceError(RuntimeError):
         super().__init__(message)
         self.mode = mode
         self.condition = condition
+
+
+class ModeOverflowError(np.linalg.LinAlgError):
+    """Mode system not representable in double precision: an entry
+    overflowed (a Bessel or Hankel value past ~1e308) or a whole basis
+    column underflowed to zero. ``mode`` is the lowest such mode."""
+
+    def __init__(self, message, mode):
+        super().__init__(message)
+        self.mode = mode
 
 
 class SearchWindowError(RuntimeError):
@@ -130,24 +142,21 @@ class NtDOperator:
 
 
 def free_disk_block(medium, n, radius, omega):
-    """Closed-form NtD block of a uniform disk: U S^{-1} in the J basis.
+    """Closed-form NtD block of a uniform disk: U S^{-1} in the J basis
+    (stacked over orders for an array ``n``).
 
     This is the solver's ground-truth anchor; multi-layer assemblies with
     identical media must reduce to it exactly.
     """
     B = basis_matrix(medium, n, radius, omega, BASIS_REGULAR)
-    U, S = B[0:2, :], B[2:4, :]
-    return U @ np.linalg.inv(S)
+    return B[..., 0:2, :] @ np.linalg.inv(B[..., 2:4, :])
 
 
 def free_disk_ntd(medium, radius, omega, n_max):
-    blocks = np.stack([free_disk_block(medium, n, radius, omega) for n in range(n_max + 1)])
-    conds = np.array(
-        [np.linalg.cond(basis_matrix(medium, n, radius, omega, BASIS_REGULAR)[2:4, :])
-         for n in range(n_max + 1)]
-    )
-    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=blocks,
-                       conditions=conds)
+    B = basis_matrix(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR)
+    U, S = B[:, 0:2], B[:, 2:4]
+    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=U @ np.linalg.inv(S),
+                       conditions=np.linalg.cond(S))
 
 
 def free_disk_condition_scan(medium, radius, omega, n_max):
@@ -171,92 +180,125 @@ class ModeSolution:
         return np.array([ur, ut])
 
 
-def _assemble_system(config, omega, n):
-    """Equilibrated global interface system and unscale info.
+class _Region(NamedTuple):
+    """One region of a layered disk and its unknowns in the mode system."""
 
-    Unknown layout: 4 per annulus (J/H x P/S), 2 for a core (J x P/S).
+    medium: IsotropicMedium
+    kinds: tuple  # basis functions: BASIS_FULL for an annulus, BASIS_REGULAR for a core
+    cols: slice  # its coefficients among the unknowns
+    r_in: float  # 0 for a core
+    r_out: float
+
+
+def _regions(config):
+    """The regions of ``config``, outside-in.
+
+    Unknown layout: 4 per annulus (J/H x P/S), then 2 for a core (J x P/S).
+    """
+    out = []
+    for i in range(config.n_annuli):
+        med, r_out, r_in = config.annulus(i)
+        out.append(_Region(med, BASIS_FULL, slice(4 * i, 4 * i + 4), r_in, r_out))
+    if config.inner == "core":
+        na = config.n_annuli
+        out.append(_Region(config.core_medium, BASIS_REGULAR, slice(4 * na, 4 * na + 2),
+                           0.0, config.radii[-1]))
+    return out
+
+
+def _interface_systems(config, omega, orders):
+    """Interface systems of all ``orders``, stacked: A (M, m, m) and the
+    outer basis B0 (M, 4, w) whose w columns are the outer region's.
+
     Rows: 2 outer-traction rows, then 4 continuity rows per interior
     interface (2 traction-free rows at a cavity boundary).
     """
-    na = config.n_annuli
-    has_core = config.inner == "core"
-    nun = 4 * na + (2 if has_core else 0)
-    A = np.zeros((nun, nun), dtype=complex)
-    rhs = np.zeros((nun, 2), dtype=complex)
-
-    def ann_cols(i):
-        return slice(4 * i, 4 * i + 4)
-
-    def ann_basis(i, r):
-        med, _, _ = config.annulus(i)
-        return basis_matrix(med, n, r, omega, BASIS_FULL)
-
-    row = 0
-    if na == 0:
-        B = basis_matrix(config.core_medium, n, config.outer_radius, omega, BASIS_REGULAR)
-        A[0:2, 0:2] = B[2:4, :]
-    else:
-        B0 = ann_basis(0, config.outer_radius)
-        A[0:2, ann_cols(0)] = B0[2:4, :]
-    rhs[0, 0] = 1.0
-    rhs[1, 1] = 1.0
+    regions = _regions(config)
+    nun = regions[-1].cols.stop
+    A = np.zeros((len(orders), nun, nun), dtype=complex)
+    # each region's basis at its outer and (unless a core) inner radius,
+    # shape (M, 2 or 1, 4, w), in one call
+    B = [basis_matrix(g.medium, orders, [g.r_out, g.r_in] if g.r_in > 0 else [g.r_out],
+                      omega, g.kinds)
+         for g in regions]
+    A[:, 0:2, regions[0].cols] = B[0][:, 0, 2:4]
     row = 2
-    for i in range(na):
-        r_in = config.radii[i + 1]
-        Bi = ann_basis(i, r_in)
-        if i + 1 < na:
-            A[row:row + 4, ann_cols(i)] = Bi
-            A[row:row + 4, ann_cols(i + 1)] = -ann_basis(i + 1, r_in)
-            row += 4
-        elif has_core:
-            Bc = basis_matrix(config.core_medium, n, r_in, omega, BASIS_REGULAR)
-            A[row:row + 4, ann_cols(i)] = Bi
-            A[row:row + 4, 4 * na:4 * na + 2] = -Bc
-            row += 4
-        else:  # traction-free cavity
-            A[row:row + 2, ann_cols(i)] = Bi[2:4, :]
-            row += 2
+    for i in range(len(regions) - 1):
+        A[:, row:row + 4, regions[i].cols] = B[i][:, 1]
+        A[:, row:row + 4, regions[i + 1].cols] = -B[i + 1][:, 0]
+        row += 4
+    if config.inner == "cavity":  # traction-free inner boundary
+        A[:, row:row + 2, regions[-1].cols] = B[-1][:, 1, 2:4]
+        row += 2
     assert row == nun
+    return A, B[0][:, 0]
 
+
+def _mode_systems(config, omega, orders, cond_limit=np.inf):
+    """Equilibrated interface systems of ``orders`` and their conditions.
+
+    Returns ``(As, rhs, col, B0, conds)``: the two-sided equilibrated
+    systems ``As = diag(1/rw) A diag(1/col)`` (M, m, m), the scaled
+    right-hand sides (M, m, 2) for unit s_rr and s_rt, the column scales,
+    the outer basis and the condition number of each ``As``.
+
+    Raises :class:`NearResonanceError` for the lowest order whose
+    condition exceeds ``cond_limit``, and :class:`ModeOverflowError` for
+    the lowest order whose system is not representable, whichever is
+    lower.
+    """
+    orders = np.asarray(orders)
+    A, B0 = _interface_systems(config, omega, orders)
     # two-sided equilibration: columns span J ~ 1e-40 .. H ~ 1e+40 at high
-    # modes and small radii; raw solves would be hopeless
-    col = np.abs(A).max(axis=0)
-    col[col == 0] = 1.0
-    As = A / col[None, :]
-    rw = np.abs(As).max(axis=1)
+    # modes and small radii; raw solves would be hopeless. A mode whose
+    # system holds an overflowed entry, or a basis column that underflowed
+    # to zero, has no double-precision solution: only the modes below the
+    # first such one are equilibrated and solved.
+    col = np.abs(A).max(axis=1)
+    usable = (np.isfinite(B0).all(axis=(1, 2)) & np.isfinite(col).all(axis=1)
+              & (col > 0).all(axis=1))
+    n_ok = len(orders) if usable.all() else int(np.argmin(usable))
+    col = col[:n_ok]
+    As = A[:n_ok] / col[:, None, :]
+    rw = np.abs(As).max(axis=2)
     rw[rw == 0] = 1.0
-    As = As / rw[:, None]
-    return As, rhs / rw[:, None], col
+    As = As / rw[:, :, None]
+    rhs = np.zeros(As.shape[:2] + (2,), dtype=complex)
+    rhs[:, 0, 0] = 1.0 / rw[:, 0]
+    rhs[:, 1, 1] = 1.0 / rw[:, 1]
+
+    s = np.linalg.svd(As, compute_uv=False)
+    conds = np.full(n_ok, np.inf)
+    np.divide(s[:, 0], s[:, -1], out=conds, where=s[:, -1] > 0)
+    over = np.flatnonzero(conds > cond_limit)
+    if over.size:
+        n, cond = int(orders[over[0]]), float(conds[over[0]])
+        raise NearResonanceError(
+            f"mode {n} system condition {cond:.3e} exceeds {cond_limit:.1e}",
+            mode=n,
+            condition=cond,
+        )
+    if n_ok < len(orders):
+        n = int(orders[n_ok])
+        raise ModeOverflowError(
+            f"mode {n} system is not representable: a Bessel or Hankel value "
+            "overflowed, or a basis column underflowed to zero",
+            mode=n,
+        )
+    return As, rhs, col, B0, conds
+
+
+def _solve_modes(config, omega, orders, cond_limit=np.inf):
+    """Solution coefficients (M, m, 2) for unit s_rr and s_rt tractions of
+    every order in one batched solve, with the outer basis and conditions."""
+    As, rhs, col, B0, conds = _mode_systems(config, omega, orders, cond_limit)
+    return np.linalg.solve(As, rhs) / col[:, :, None], B0, conds
 
 
 def mode_system_condition(config, omega, n):
     """Condition number of the equilibrated mode-n interface system."""
-    As, _, _ = _assemble_system(config, omega, n)
-    s = np.linalg.svd(As, compute_uv=False)
-    return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-
-
-def _solve_system(config, omega, n):
-    As, rhs, col = _assemble_system(config, omega, n)
-    s = np.linalg.svd(As, compute_uv=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    sol = np.linalg.solve(As, rhs) / col[:, None]
-    return sol, cond
-
-
-def _fields_from_solution(config, omega, n, sol_col):
-    fields = []
-    na = config.n_annuli
-    for i in range(na):
-        med, _, _ = config.annulus(i)
-        coeffs = sol_col[4 * i:4 * i + 4]
-        fields.append(ModeField(med, omega, n, tuple(
-            (kind, pol, c) for (kind, pol), c in zip(BASIS_FULL, coeffs))))
-    if config.inner == "core":
-        coeffs = sol_col[4 * na:4 * na + 2] if na > 0 else sol_col[0:2]
-        fields.append(ModeField(config.core_medium, omega, n, tuple(
-            (kind, pol, c) for (kind, pol), c in zip(BASIS_REGULAR, coeffs))))
-    return fields
+    *_, conds = _mode_systems(config, omega, [n])
+    return float(conds[0])
 
 
 def solve_mode(config, omega, n, traction):
@@ -264,37 +306,42 @@ def solve_mode(config, omega, n, traction):
 
     Returns a :class:`ModeSolution` carrying per-region fields.
     """
-    sol, cond = _solve_system(config, omega, n)
-    coeffs = sol @ np.asarray(traction, dtype=complex)
-    return ModeSolution(config, omega, n, _fields_from_solution(config, omega, n, coeffs), cond)
+    sol, _, conds = _solve_modes(config, omega, [n])
+    coeffs = sol[0] @ np.asarray(traction, dtype=complex)
+    fields = [ModeField(g.medium, omega, n, tuple(
+        (kind, pol, c) for (kind, pol), c in zip(g.kinds, coeffs[g.cols])))
+        for g in _regions(config)]
+    return ModeSolution(config, omega, n, fields, float(conds[0]))
 
 
 def assemble_ntd(config, omega, n_max, cond_limit=1e14, raise_on_resonance=True):
     """NtD operator of a layered disk for modes 0..n_max.
 
-    Raises :class:`NearResonanceError` when a mode system's condition
-    number exceeds ``cond_limit`` (set ``raise_on_resonance=False`` to
-    keep the blocks and inspect ``conditions`` instead).
+    All modes are assembled, equilibrated and solved in one batch. Raises
+    :class:`NearResonanceError` when a mode system's condition number
+    exceeds ``cond_limit`` (set ``raise_on_resonance=False`` to keep the
+    blocks and inspect ``conditions`` instead), and
+    :class:`ModeOverflowError` when a mode system is not representable.
     """
-    R = config.outer_radius
-    blocks = np.empty((n_max + 1, 2, 2), dtype=complex)
-    conds = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        sol, cond = _solve_system(config, omega, n)
-        conds[n] = cond
-        if cond > cond_limit and raise_on_resonance:
-            raise NearResonanceError(
-                f"mode {n} system condition {cond:.3e} exceeds {cond_limit:.1e}",
-                mode=n,
-                condition=cond,
-            )
-        blk = np.empty((2, 2), dtype=complex)
-        for c in range(2):
-            fields = _fields_from_solution(config, omega, n, sol[:, c])
-            ur, ut = fields[0].displacement_polar(R) if fields else (0.0, 0.0)
-            blk[:, c] = (ur, ut)
-        blocks[n] = blk
-    return NtDOperator(omega=omega, n_max=n_max, radius=R, blocks=blocks, conditions=conds)
+    sol, B0, conds = _solve_modes(config, omega, np.arange(n_max + 1),
+                                  cond_limit if raise_on_resonance else np.inf)
+    w = B0.shape[-1]
+    blocks = B0[:, 0:2, :] @ sol[:, :w, :]
+    return NtDOperator(omega=omega, n_max=n_max, radius=config.outer_radius,
+                       blocks=blocks, conditions=conds)
+
+
+def per_mode_distance(A, B):
+    """Array of weighted per-mode deviations sqrt(1+n^2) * smax(A_n - B_n)
+    (the max of which is ``ntd_distance``); used for truncation-tail
+    checks."""
+    if A.n_max != B.n_max:
+        raise ValueError("operators must share n_max")
+    if A.omega != B.omega:
+        raise ValueError("operators must share omega")
+    n = np.arange(A.n_max + 1)
+    smax = np.linalg.svd(A.blocks - B.blocks, compute_uv=False)[:, 0]
+    return np.sqrt(1.0 + n * n) * smax
 
 
 def ntd_distance(A, B):
@@ -303,25 +350,7 @@ def ntd_distance(A, B):
     Surrogate for the H^{-1/2} -> H^{1/2} operator norm of the
     difference.
     """
-    if A.n_max != B.n_max:
-        raise ValueError("operators must share n_max")
-    if A.omega != B.omega:
-        raise ValueError("operators must share omega")
-    out = 0.0
-    for n in range(A.n_max + 1):
-        smax = np.linalg.svd(A.blocks[n] - B.blocks[n], compute_uv=False)[0]
-        out = max(out, float(np.sqrt(1.0 + n * n) * smax))
-    return out
-
-
-def per_mode_distance(A, B):
-    """Array of weighted per-mode deviations (the max of which is
-    ``ntd_distance``); used for truncation-tail checks."""
-    out = np.empty(A.n_max + 1)
-    for n in range(A.n_max + 1):
-        smax = np.linalg.svd(A.blocks[n] - B.blocks[n], compute_uv=False)[0]
-        out[n] = np.sqrt(1.0 + n * n) * smax
-    return out
+    return float(per_mode_distance(A, B).max())
 
 
 def traction_coeffs(medium, n, r, omega, coefficients, kinds=BASIS_FULL):
@@ -356,11 +385,6 @@ def ps_decompose(fld):
     return fld.restrict({"P"}), fld.restrict({"S"})
 
 
-def _angular_factor(n):
-    # integrals of cos^2(n th) / sin^2(n th) over the circle
-    return 2.0 * np.pi if n == 0 else np.pi
-
-
 def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
     """Damping-balance residual for a layered disk.
 
@@ -371,40 +395,39 @@ def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
 
     with ``u0`` the response of the uniform disk made of ``u0_medium``
     (default: the outermost medium). ``tractions`` maps mode index to
-    (s_rr, s_rt) coefficients.
+    (s_rr, s_rt) coefficients; all modes are solved in one batch.
 
     Returns
     -------
     (residual, lhs, rhs)
         ``residual`` is relative to the larger magnitude side.
     """
+    if not tractions:
+        return 0.0, 0.0, 0.0
     R = config.outer_radius
     med0 = u0_medium if u0_medium is not None else config.media[0]
+    orders = np.array(list(tractions), dtype=int)
+    tr = np.array(list(tractions.values()), dtype=complex)
+    fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
+    sol, B0, _ = _solve_modes(config, omega, orders)
+    coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     x, w = leggauss(n_quad)
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
-    for n, tr in tractions.items():
-        tr = np.asarray(tr, dtype=complex)
-        sol = solve_mode(config, omega, n, tr)
-        fac = _angular_factor(n)
-        spans = [(config.radii[i + 1], config.radii[i]) for i in range(config.n_annuli)]
-        if config.inner == "core":
-            spans.append((0.0, config.radii[-1]))
-        for fldr, (r_in, r_out) in zip(sol.fields, spans):
-            im_rho = complex(fldr.medium.rho).imag
-            if im_rho == 0.0:
-                continue
-            rr = 0.5 * (r_out + r_in) + 0.5 * (r_out - r_in) * x
-            ww = 0.5 * (r_out - r_in) * w
-            tot = 0.0
-            for r_, w_ in zip(rr, ww):
-                ur, ut = fldr.displacement_polar(r_)
-                tot += w_ * r_ * (abs(ur) ** 2 + abs(ut) ** 2)
-            lhs += omega**2 * im_rho * fac * tot
-        u = sol.boundary_displacement()
-        u0 = free_disk_block(med0, n, R, omega) @ tr
-        rhs += -fac * R * np.imag(tr[0] * np.conj(u[0] - u0[0]) + tr[1] * np.conj(u[1] - u0[1]))
-    lhs, rhs = complex(lhs).real, complex(rhs).real
+    lhs = 0.0
+    for g in _regions(config):
+        im_rho = complex(g.medium.rho).imag
+        if im_rho == 0.0:
+            continue
+        rr = 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x
+        ww = 0.5 * (g.r_out - g.r_in) * w
+        # (M, n_quad, 2): u_r and u_th of every mode at every node
+        u = (basis_matrix(g.medium, orders, rr, omega, g.kinds)[..., 0:2, :]
+             @ coeffs[:, None, g.cols])[..., 0]
+        tot = (np.abs(u) ** 2).sum(axis=-1) @ (ww * rr)
+        lhs += omega**2 * im_rho * float(fac @ tot)
+    w0 = B0.shape[-1]
+    u = (B0[:, 0:2, :] @ coeffs[:, :w0])[..., 0]
+    u0 = (free_disk_block(med0, orders, R, omega) @ tr[:, :, None])[..., 0]
+    rhs = float(-R * fac @ np.imag(tr * np.conj(u - u0)).sum(axis=1))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale, lhs, rhs
 

@@ -5,14 +5,20 @@ Thin, contract-checked wrappers around the Amos routines in
 Hankel functions of the first kind, and their first/second derivatives for
 integer order ``n >= 0`` and complex argument ``z``.
 
-The ``scaled`` variants are the overflow-safe forms used throughout the
-mode solver and kernel quadratures for strongly lossy media:
+``bessel_j``, ``bessel_y`` and ``hankel1`` also take an array of orders,
+which broadcasts against ``z``; the order and argument checks then run
+once for the whole array. The mode solver (through
+``wavefields.basis_matrix``) calls the unscaled ``bessel_j`` and
+``hankel1`` this way, once per radial kind over every order, wavenumber
+and radius it needs, and takes derivatives from the same array.
+
+The ``scaled`` variants multiply out the exponential growth:
 
 * J/Y family scaled by ``exp(-|Im z|)``,
 * H1 family scaled by ``exp(-1j*z)``.
 
-Unscaled evaluations overflow once ``|Im z|`` approaches ~700; the scaled
-forms stay finite far beyond that.
+Unscaled values overflow for large ``|Im z|`` or, for ``H1``, for orders
+far above ``|z|``; nothing in the library calls the scaled forms yet.
 """
 
 from __future__ import annotations
@@ -36,11 +42,15 @@ __all__ = [
 
 
 def _check_args(n, z):
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
+    if np.isscalar(n):
+        n = low = int(n)
+    else:  # an array of orders: one check for all of them
+        n = np.asarray(n).astype(int)
+        low = n.min(initial=0)
+    if low < 0:
+        raise ValueError(f"order must be >= 0, got {low}")
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("argument must be finite")
     return n, z
 
@@ -55,7 +65,7 @@ def bessel_j(n, z, scaled=False):
 def bessel_y(n, z, scaled=False):
     """Y_n(z) for complex z (z != 0); ``scaled`` multiplies by exp(-|Im z|)."""
     n, z = _check_args(n, z)
-    if np.any(z == 0):
+    if (z == 0).any():
         raise ValueError("Y_n is singular at z = 0")
     out = _sp.yve(n, z) if scaled else _sp.yv(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
@@ -64,7 +74,7 @@ def bessel_y(n, z, scaled=False):
 def hankel1(n, z, scaled=False):
     """H^(1)_n(z) = J_n + i Y_n; ``scaled`` multiplies by exp(-1j z)."""
     n, z = _check_args(n, z)
-    if np.any(z == 0):
+    if (z == 0).any():
         raise ValueError("H^(1)_n is singular at z = 0")
     out = _sp.hankel1e(n, z) if scaled else _sp.hankel1(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
@@ -88,7 +98,7 @@ def bessel_j_prime(n, z, scaled=False):
 def bessel_y_prime(n, z, scaled=False):
     """d/dz Y_n(z)."""
     n, z = _check_args(n, z)
-    if np.any(z == 0):
+    if (z == 0).any():
         raise ValueError("Y_n is singular at z = 0")
     return _prime(bessel_y, n, z, scaled)
 
@@ -96,7 +106,7 @@ def bessel_y_prime(n, z, scaled=False):
 def hankel1_prime(n, z, scaled=False):
     """d/dz H^(1)_n(z)."""
     n, z = _check_args(n, z)
-    if np.any(z == 0):
+    if (z == 0).any():
         raise ValueError("H^(1)_n is singular at z = 0")
     return _prime(hankel1, n, z, scaled)
 

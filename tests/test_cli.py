@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from elastocloak import harness
 from elastocloak.cli import main
 from elastocloak.harness import kernel_check, loglog_fit
+from elastocloak.modesolver import NearResonanceError
 
 
 def run(args):
@@ -152,6 +154,49 @@ def test_lining_command_small(tmp_path):
     assert len(rep["beta_scan"]) == 3
     assert all(row["distance"] > 0 for row in rep["beta_scan"])
     assert abs(rep["delta_shift_slope"] - rep["fit"]["slope"]) < 0.6
+
+
+def test_fit_rows_with_one_unflagged_row_is_rejected():
+    rows = [{"h": 0.2, "distance": 0.3, "flag": ""}]
+    rows += [{"h": h, "distance": float("nan"), "flag": "near-resonance mode 0"}
+             for h in (0.1, 0.05)]
+    fit = harness._fit_rows(rows)
+    assert fit.rejected
+    assert np.isnan(fit.slope) and np.isnan(fit.intercept) and np.isnan(fit.r2)
+
+
+@pytest.mark.parametrize("failing, delta_slope", [
+    ({3}, "fitted"),  # the first beta side-scan point
+    ({7}, "fitted"),  # one delta side-scan point: two rows remain
+    ({6, 8}, None),  # all but one delta side-scan point
+])
+def test_lining_side_scans_survive_near_resonance(monkeypatch, failing, delta_slope):
+    # the near-cloak solves run in order: the main rows (h = 0.2, 0.1,
+    # 0.05), the beta scan at h = 0.1, then the delta scan over h
+    real = harness.assemble_ntd
+    near_cloak_calls = []
+
+    def flaky(config, omega, n_max, **kw):
+        if config.inner == "core":
+            near_cloak_calls.append(None)
+            if len(near_cloak_calls) - 1 in failing:
+                raise NearResonanceError("forced", mode=3, condition=1e15)
+        return real(config, omega, n_max, **kw)
+
+    monkeypatch.setattr(harness, "assemble_ntd", flaky)
+    rep = harness.lining_sweep({"n_max": 8, "convergence": {"h_values": [0.2, 0.1, 0.05]}})
+    assert len(near_cloak_calls) == 9
+    assert all(not r["flag"] for r in rep["rows"])
+    beta_flags = [r["flag"] for r in rep["beta_scan"]]
+    if 3 in failing:
+        assert beta_flags == ["near-resonance mode 3", "", ""]
+        assert np.isnan(rep["beta_scan"][0]["distance"])
+    else:
+        assert beta_flags == ["", "", ""]
+    if delta_slope is None:
+        assert rep["delta_shift_slope"] is None
+    else:
+        assert abs(rep["delta_shift_slope"] - rep["fit"]["slope"]) < 0.6
 
 
 def test_n_max_override_and_background_content(tmp_path):

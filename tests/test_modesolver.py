@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from elastocloak import (
+    DEFAULT_CONTENTS,
     IsotropicMedium,
     LayeredDiskConfig,
+    ModeOverflowError,
     NearResonanceError,
     assemble_ntd,
     build_near_cloak,
     energy_identity_check,
+    lining_config,
     find_resonant_densities,
     free_disk_ntd,
     mode_system_condition,
@@ -106,16 +109,61 @@ def test_h_basis_at_origin_rejected():
         traction_coeffs(BG, 1, 0.0, OMEGA, [1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_order_rejected(n):
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        traction_coeffs(BG, n, 1.0, OMEGA, [1, 0, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # assembly anchors
 
 
 def test_homogeneous_reduction_matches_closed_form():
     config = LayeredDiskConfig(radii=(2.0, 0.7, 0.3), media=(BG, BG, BG), inner="core")
-    op = assemble_ntd(config, OMEGA, n_max=16)
-    for n in (0, 1, 2, 7, 16):
-        ref = free_disk_block(BG, n, 2.0, OMEGA)
-        assert np.abs(op.blocks[n] - ref).max() < 1e-10
+    for n_max in (16, 48):
+        op = assemble_ntd(config, OMEGA, n_max=n_max)
+        for n in sorted({0, 1, 2, 7, 16, n_max}):
+            ref = free_disk_block(BG, n, 2.0, OMEGA)
+            assert np.abs(op.blocks[n] - ref).max() < 1e-10
+
+
+def _near_cloak_or_cavity(kind):
+    if kind == "cavity":
+        return lining_config(0.05, BG)
+    return build_near_cloak(0.05, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS[kind],
+                            background=BG).virtual
+
+
+@pytest.mark.parametrize("kind", ["stiff", "heavy", "cavity"])
+def test_batched_ntd_matches_one_mode_solves(kind):
+    # the stacked all-mode solve against the one-mode entry points
+    config = _near_cloak_or_cavity(kind)
+    op = assemble_ntd(config, OMEGA, 24)
+    tr = np.array([0.4 - 0.2j, -0.9 + 0.5j])
+    for n in (0, 1, 5, 13, 24):
+        u = solve_mode(config, OMEGA, n, tr).boundary_displacement()
+        assert np.abs(op.blocks[n] @ tr - u).max() <= 1e-12 * np.abs(u).max()
+        assert op.conditions[n] == pytest.approx(mode_system_condition(config, OMEGA, n),
+                                                 rel=1e-10)
+
+
+@pytest.mark.parametrize("h, mode", [(0.05, 90), (0.005, 71)])
+def test_overflowed_mode_raises_typed_error(h, mode):
+    # the unscaled Hankel functions of the small inner radii overflow
+    # first at these modes; the error names the mode and stays a LinAlgError
+    config = build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
+                              background=BG).virtual
+    with pytest.raises(ModeOverflowError) as exc:
+        assemble_ntd(config, OMEGA, 100)
+    assert exc.value.mode == mode
+    assert isinstance(exc.value, np.linalg.LinAlgError)
+    # a mode over the condition limit below the overflow still comes first
+    with pytest.raises(NearResonanceError) as exc:
+        assemble_ntd(config, OMEGA, 100, cond_limit=1e3)
+    assert exc.value.mode < mode
+    assert exc.value.condition == pytest.approx(
+        mode_system_condition(config, OMEGA, exc.value.mode), rel=1e-10)
 
 
 def test_mode_decoupling_structure():
@@ -302,6 +350,36 @@ def test_energy_identity_near_cloak():
     resid, lhs, rhs = energy_identity_check(nc.virtual, OMEGA, tractions)
     assert lhs > 0 and rhs > 0
     assert resid < 1e-6
+
+
+def test_energy_identity_matches_per_radius_quadrature():
+    # per-mode solves and a per-radius Gauss-Legendre sum of the region
+    # fields, against the batched all-mode, all-radius evaluation
+    config = build_near_cloak(0.1, 1.0, 1.0, 1.0, 0.0,
+                              content=IsotropicMedium(2.0, 1.0, 1.0)).virtual
+    rng = np.random.default_rng(7)
+    tractions = {n: rng.normal(size=2) + 1j * rng.normal(size=2) for n in (0, 2, 3)}
+    _, lhs, rhs = energy_identity_check(config, OMEGA, tractions)
+
+    R = config.outer_radius
+    x, w = np.polynomial.legendre.leggauss(64)
+    spans = [(config.radii[i + 1], config.radii[i]) for i in range(config.n_annuli)]
+    spans.append((0.0, config.radii[-1]))
+    lhs_ref = rhs_ref = 0.0
+    for n, tr in tractions.items():
+        sol = solve_mode(config, OMEGA, n, tr)
+        fac = 2.0 * np.pi if n == 0 else np.pi
+        for field, (a, b) in zip(sol.fields, spans):
+            im_rho = complex(field.medium.rho).imag
+            for xi, wi in zip(x, w):
+                r = 0.5 * (b + a) + 0.5 * (b - a) * xi
+                ur, ut = field.displacement_polar(r)
+                lhs_ref += (OMEGA**2 * im_rho * fac * 0.5 * (b - a) * wi * r
+                            * (abs(ur) ** 2 + abs(ut) ** 2))
+        du = sol.boundary_displacement() - free_disk_block(BG, n, R, OMEGA) @ tr
+        rhs_ref += -fac * R * np.imag(tr[0] * np.conj(du[0]) + tr[1] * np.conj(du[1]))
+    assert lhs == pytest.approx(lhs_ref, rel=1e-12)
+    assert rhs == pytest.approx(rhs_ref, rel=1e-12)
 
 
 def test_energy_identity_quadratic_scaling():
