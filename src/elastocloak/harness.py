@@ -19,17 +19,19 @@ import numpy as np
 from . import specfun
 from .cloaks import build_near_cloak, ideal_cloak_polar, lining_config
 from .kernels import (
+    _pi,
+    _radial_pack,
+    _xi,
     asymptotic_gap_2d,
     circle_quadrature,
     dl_potential,
     eta_constant,
     green_omega,
-    green_static,
-    green_traction,
     layer_operators,
 )
 from .modesolver import (
     LayeredDiskConfig,
+    ModeOverflowError,
     NearResonanceError,
     assemble_ntd,
     find_resonant_densities,
@@ -150,8 +152,15 @@ def design_table(config):
     return {"rows": rows, "clipped_points": clipped}
 
 
+def _flag(exc):
+    """Row flag of a mode solve that failed with a typed error."""
+    kind = "mode overflow" if isinstance(exc, ModeOverflowError) else "near-resonance"
+    return f"{kind} mode {exc.mode}"
+
+
 def _sweep_distances(config, reference_op, make_config, n_max, omega):
-    """Distances ||Lambda(h) - reference|| over the h grid, with flags."""
+    """Distances ||Lambda(h) - reference|| over the h grid; a NaN distance
+    and a flag for an h whose mode solve is near a resonance or overflows."""
     h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
     rows = []
     for h in h_values:
@@ -170,14 +179,14 @@ def _sweep_distances(config, reference_op, make_config, n_max, omega):
                     "flag": "",
                 }
             )
-        except NearResonanceError as exc:
+        except (NearResonanceError, ModeOverflowError) as exc:
             rows.append(
                 {
                     "h": float(h),
                     "distance": float("nan"),
                     "tail_ratio": float("nan"),
                     "seconds": time.perf_counter() - t0,
-                    "flag": f"near-resonance mode {exc.mode}",
+                    "flag": _flag(exc),
                 }
             )
     return rows
@@ -266,13 +275,14 @@ def lining_sweep(config):
     h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
 
     def distance_at(h, p):
-        """Distance and flag at (h, p); NaN and a flag near a resonance."""
+        """Distance and flag at (h, p); NaN and a flag near a resonance or
+        at a mode overflow."""
         lossy = build_near_cloak(content=content, background=bg, **{**p, "h": h}).virtual
         cavity = lining_config(h, bg)
         try:
             d = ntd_distance(assemble_ntd(lossy, omega, n_max), assemble_ntd(cavity, omega, n_max))
-        except NearResonanceError as exc:
-            return {"distance": float("nan"), "flag": f"near-resonance mode {exc.mode}"}
+        except (NearResonanceError, ModeOverflowError) as exc:
+            return {"distance": float("nan"), "flag": _flag(exc)}
         return {"distance": float(d), "flag": ""}
 
     rows = []
@@ -370,17 +380,19 @@ def kernel_check(config, corrupt_eta=False):
     checks = []
 
     static_only = omega == 0.0
+    if omega < 0:
+        raise ValueError("omega must be positive, or 0 for the static kernels")
 
-    # reciprocity: Pi(x, y) == Pi(y, x)^T
-    worst = 0.0
+    # reciprocity: Pi(x, y) == Pi(y, x)^T; the pairs are drawn as x, y in turn
     n_pairs = int(config.get("kernelcheck", {}).get("n_pairs", 200))
-    for _ in range(n_pairs):
-        x, y = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2)
-        if np.linalg.norm(x - y) < 1e-3:
-            continue
-        G = green_omega(x, y, omega, bg, 2) if not static_only else green_static(x, y, bg, 2)
-        Gt = green_omega(y, x, omega, bg, 2) if not static_only else green_static(y, x, bg, 2)
-        worst = max(worst, float(np.abs(G - Gt.T).max()))
+    x, y = np.moveaxis(rng.uniform(-1.5, 1.5, (n_pairs, 2, 2)), 1, 0)
+    u = x - y
+    d = np.linalg.norm(u, axis=-1)
+    keep = d >= 1e-3
+    pack = _radial_pack(omega, bg, 2)
+    G = _pi(u[keep], d[keep], pack)
+    Gt = _pi(-u[keep], d[keep], pack)
+    worst = float(np.abs(G - np.swapaxes(Gt, -1, -2)).max(initial=0.0))
     checks.append({"name": "reciprocity", "value": worst, "tol": 1e-12,
                    "passed": worst <= 1e-12})
 
@@ -497,17 +509,17 @@ def _calderon_check(omega, medium, sizes=(64, 128)):
     """Interior Calderon identity (1/2) u + K u = S (T u); spectral decay."""
     src = np.array([3.0, 1.0])
     q = np.array([0.7, -0.4])
+    pack = _radial_pack(omega, medium, 2)
+    lam, mu = complex(medium.lam), complex(medium.mu)
     errs = []
     for N in sizes:
         quad = circle_quadrature(2.0, N)
         ops = layer_operators(quad, omega, medium)
-        u = np.zeros((N, 2), dtype=complex)
-        T = np.zeros((N, 2), dtype=complex)
-        for i in range(N):
-            u[i] = green_omega(quad.nodes[i], src, omega, medium, 2) @ q
-            Xi = green_traction(src, quad.nodes[i], quad.normals[i], omega, medium, 2)
-            T[i] = Xi.T @ q
-        uf, Tf = u.reshape(-1), T.reshape(-1)
+        v = quad.nodes - src
+        d = np.linalg.norm(v, axis=-1)
+        # field of the point force q at src, and its traction on the circle
+        uf = (_pi(v, d, pack) @ q).reshape(-1)
+        Tf = np.einsum("nli,l->ni", _xi(-v, d, quad.normals, pack, lam, mu), q).reshape(-1)
         errs.append(float(np.abs(0.5 * uf + ops.K @ uf - ops.S @ Tf).max()))
     improving = errs[-1] < 1e-7 and errs[-1] <= errs[0]
     return {"name": "calderon", "value": errs[-1], "tol": 1e-7,

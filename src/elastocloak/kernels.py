@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as _sp
 
 from .tensors import IsotropicMedium
@@ -145,43 +146,35 @@ def _lame_constants(lam, mu):
     return b1, b2, kappa1
 
 
-def _g2(k, d, order):
-    """Derivatives d^order/dd^order of the 2D kernel (i/4) H0(k d)."""
+def _g2(k, d):
+    """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3,
+    from one H0 and one H1 evaluation."""
     z = k * d
     h0 = _sp.hankel1(0, z)
     h1 = _sp.hankel1(1, z)
-    if order == 0:
-        return 0.25j * h0
-    if order == 1:
-        return -0.25j * k * h1
-    if order == 2:
-        return -0.25j * k * k * (h0 - h1 / z)
-    if order == 3:
-        return -0.25j * k**3 * (-h1 - h0 / z + 2.0 * h1 / z**2)
-    raise ValueError(order)
+    return (
+        0.25j * h0,
+        -0.25j * k * h1,
+        -0.25j * k * k * (h0 - h1 / z),
+        -0.25j * k**3 * (-h1 - h0 / z + 2.0 * h1 / z**2),
+    )
 
 
-def _g3(k, d, order):
-    """Derivatives d^order/dd^order of the 3D kernel exp(i k d)/(4 pi d)."""
+def _g3(k, d):
+    """The 3D kernel exp(i k d)/(4 pi d) and its d-derivatives of orders 1..3."""
     g = np.exp(1j * k * d) / (4.0 * np.pi * d)
     q = 1j * k - 1.0 / d
-    if order == 0:
-        return g
-    if order == 1:
-        return q * g
-    if order == 2:
-        return (q**2 + 1.0 / d**2) * g
-    if order == 3:
-        # (G'')' with q' = 1/d^2 and G' = q G
-        return (2.0 * q / d**2 - 2.0 / d**3) * g + (q**2 + 1.0 / d**2) * q * g
-    raise ValueError(order)
+    g2 = (q**2 + 1.0 / d**2) * g
+    # (G'')' with q' = 1/d^2 and G' = q G
+    return g, q * g, g2, (2.0 * q / d**2 - 2.0 / d**3) * g + q * g2
 
 
 class _Direct:
-    """Closed-form dynamic radial factors from a scalar kernel g(k, d, order).
+    """Closed-form dynamic radial factors from a scalar kernel g(k, d).
 
-    ``g`` is ``_g2`` (Hankel form) or ``_g3``; the grad grad term divides
-    by rho omega^2, so the factors hold for any density.
+    ``g`` is ``_g2`` (Hankel form) or ``_g3`` and returns the kernel with
+    its first three d-derivatives; the grad grad term divides by
+    rho omega^2, so the factors hold for any density.
     """
 
     def __init__(self, g, omega, medium):
@@ -190,20 +183,23 @@ class _Direct:
         self.kp, self.ks = wavenumbers(medium, omega)
         self.w2 = complex(medium.rho) * float(omega) ** 2
 
+    def _kernels(self, d):
+        """g at ks (orders 0..3), and the differences g(ks) - g(kp) of orders 1..3."""
+        gs = self.g(self.ks, d)
+        gp = self.g(self.kp, d)
+        return gs, gs[1] - gp[1], gs[2] - gp[2], gs[3] - gp[3]
+
     def _direct_alpha_beta(self, d):
-        g, kp, ks, w2 = self.g, self.kp, self.ks, self.w2
-        d1 = g(ks, d, 1) - g(kp, d, 1)
-        d2 = g(ks, d, 2) - g(kp, d, 2)
-        alpha = g(ks, d, 0) / self.mu + d1 / (w2 * d)
+        gs, d1, d2, _ = self._kernels(d)
+        w2 = self.w2
+        alpha = gs[0] / self.mu + d1 / (w2 * d)
         beta = (d2 - d1 / d) / w2
         return alpha, beta
 
     def _direct_cs(self, d):
-        g, kp, ks, w2 = self.g, self.kp, self.ks, self.w2
-        d1 = g(ks, d, 1) - g(kp, d, 1)
-        d2 = g(ks, d, 2) - g(kp, d, 2)
-        d3 = g(ks, d, 3) - g(kp, d, 3)
-        alpha_p = g(ks, d, 1) / self.mu + (d2 * d - d1) / (w2 * d * d)
+        gs, d1, d2, d3 = self._kernels(d)
+        w2 = self.w2
+        alpha_p = gs[1] / self.mu + (d2 * d - d1) / (w2 * d * d)
         beta = (d2 - d1 / d) / w2
         beta_p = (d3 - d2 / d + d1 / d**2) / w2
         return alpha_p / d, beta_p / d, beta / d**2
@@ -503,23 +499,52 @@ def circle_quadrature(radius, n_points):
     )
 
 
-def _log_weight_matrix(N):
-    """Exact quadrature of int log(4 sin^2((t-s)/2)) f(s) ds on the grid."""
+def _log_weights(N):
+    """Exact quadrature weights of int log(4 sin^2((t-s)/2)) f(s) ds on the
+    grid, by node offset (i - j) mod N."""
     m = np.fft.fftfreq(N, 1.0 / N)
     sym = np.where(m == 0, 0.0, -2.0 * np.pi / np.maximum(np.abs(m), 1.0))
-    first = np.real(np.fft.ifft(sym))
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return first[idx]
+    return np.real(np.fft.ifft(sym))
 
 
-def _pv_cot_weight_matrix(N):
-    """Exact principal-value quadrature of int cot((t-s)/2) f(s) ds."""
+def _pv_cot_weights(N):
+    """Exact principal-value quadrature weights of int cot((t-s)/2) f(s) ds,
+    by node offset (i - j) mod N."""
     m = np.fft.fftfreq(N, 1.0 / N)
     sym = -2.0j * np.pi * np.sign(m)
     sym[np.abs(m) == N // 2] = 0.0
-    first = np.fft.ifft(sym)
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return np.real(first[idx])
+    return np.real(np.fft.ifft(sym))
+
+
+def _circulant(v):
+    """Read-only view C[..., i, j] = v[..., (i - j) mod N], N = v.shape[-1]."""
+    N = v.shape[-1]
+    twice = np.concatenate((v[..., ::-1], v[..., ::-1]), axis=-1)
+    return sliding_window_view(twice, N, axis=-1)[..., N - 1::-1, :]
+
+
+def _rotated_gather(B, t):
+    """Dense interleaved matrix whose block (i, j) is Q(t_j) B[(i-j) mod N] Q(t_j)^T.
+
+    Q(t) rotates by the angle t. Each block splits as p I + q J + r F + s G
+    with J = [[0, 1], [-1, 0]], F = diag(1, -1) and G = [[0, 1], [1, 0]];
+    the rotation leaves p and q alone and turns (r, s) by the angle 2 t_j,
+    so four circulant gathers by offset give every block.
+    """
+    N = B.shape[0]
+    p, q, r, s = _circulant(0.5 * np.stack([
+        B[:, 0, 0] + B[:, 1, 1], B[:, 0, 1] - B[:, 1, 0],
+        B[:, 0, 0] - B[:, 1, 1], B[:, 0, 1] + B[:, 1, 0],
+    ]))
+    c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
+    f = r * c2 - s * s2
+    g = r * s2 + s * c2
+    M = np.empty((2 * N, 2 * N), dtype=complex)
+    M[0::2, 0::2] = p + f
+    M[1::2, 1::2] = p - f
+    M[0::2, 1::2] = q + g
+    M[1::2, 0::2] = g - q
+    return M
 
 
 @dataclass(frozen=True)
@@ -546,69 +571,61 @@ def layer_operators(quad, omega, medium):
     cot part (handled by the exact principal-value weights), and a smooth
     remainder (plain trapezoid). ``omega = 0`` assembles the static
     operators.
+
+    On the equispaced circle, block (i, j) is block (i - j mod N, 0)
+    rotated by the angle of node j, so the kernels are evaluated on the
+    first block column only (observation node k, source node 0) and the
+    matrices are assembled from it by ``_rotated_gather``.
     """
     N = quad.n_points
     R = quad.radius
-    t = quad.angles
     pack = _radial_pack(omega, medium, 2)
     lam, mu = complex(medium.lam), complex(medium.mu)
     kappa1 = pack.kappa1
     b2 = pack.b2
-
-    Wlog = _log_weight_matrix(N)
-    Wcot = _pv_cot_weight_matrix(N)
     h = 2.0 * np.pi / N
+    wlog = _log_weights(N)[:, None, None] * 0.5
 
-    # kernels are evaluated on the off-diagonal pairs (i = observation,
-    # j = source) in (i, j, comp_i, comp_j) layout and interleaved at the
-    # end; the diagonal takes the analytic limits
-    dt = t[:, None] - t[None, :]
-    off = ~np.eye(N, dtype=bool)
-    diag = ~off
-    s_off = np.sin(0.5 * dt[off])
-    d = 2.0 * R * np.abs(s_off)
-    lnfac = np.log(4.0 * s_off**2)
-    u = (quad.nodes[:, None, :] - quad.nodes[None, :, :])[off]
-    nu = np.broadcast_to(quad.normals[None, :, :], (N, N, 2))[off]
-    tau = quad.tangents
-    tt = tau[:, :, None] * tau[:, None, :]
+    # offsets k = 1 .. N-1 take the kernels; k = 0 the analytic limits.
+    # Offsets k and N - k share one distance, which keeps S symmetric
+    k = np.arange(1, N)
+    s_half = np.sin(0.5 * quad.angles[np.minimum(k, N - k)])
+    d = 2.0 * R * s_half
+    lnfac = np.log(4.0 * s_half**2)[:, None, None]
+    u = quad.nodes[1:] - quad.nodes[0]
+    nu = quad.normals[0]
+    tt = np.outer(quad.tangents[0], quad.tangents[0])
     eye2 = np.eye(2)
 
     # ---- single layer ----------------------------------------------------
     # off-diagonal: smooth = full - PL * (lnfac/2 + ln R) and the ln R part
     # rejoins through PR + PL ln R; diagonal: PL = alpha_L(0) I (beta_L(0)
     # = 0) and PR(t,t) = eta I + b2/(4 pi) tau tau
-    PL = np.zeros((N, N, 2, 2), dtype=complex)
-    PL[off] = _pi(u, d, pack.log)
-    PL[diag] = -pack.b1 / (4 * np.pi) * eye2
+    PL = np.empty((N, 2, 2), dtype=complex)
+    PL[0] = -pack.b1 / (4 * np.pi) * eye2
+    PL[1:] = _pi(u, d, pack.log)
     PR = np.empty_like(PL)
-    PR[off] = _pi(u, d, pack) - PL[off] * (0.5 * lnfac + np.log(R))[..., None, None]
-    PR[diag] = pack.eta * eye2 + (b2 / (4 * np.pi)) * tt
-    S = (Wlog[..., None, None] * 0.5 * PL + h * (PR + PL * np.log(R))) * R
-    del PL, PR  # release before the double layer allocates its own
+    PR[0] = pack.eta * eye2 + (b2 / (4 * np.pi)) * tt
+    PR[1:] = _pi(u, d, pack) - PL[1:] * (0.5 * lnfac + np.log(R))
+    S0 = (wlog * PL + h * (PR + PL * np.log(R))) * R
 
     # ---- double layer (PV) ------------------------------------------------
     J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    XL = np.zeros((N, N, 2, 2), dtype=complex)
-    XL[off] = _xi(u, d, nu, pack.log, lam, mu)
-    Xcot = kappa1 / (2.0 * R) * (1.0 / np.tan(0.5 * dt[off]))[..., None, None] * J2
+    XL = np.zeros((N, 2, 2), dtype=complex)
+    XL[1:] = _xi(u, d, nu, pack.log, lam, mu)
+    Xcot = kappa1 / (2.0 * R) * (1.0 / np.tan(0.5 * quad.angles[1:]))[:, None, None] * J2
     Ksm = np.empty_like(XL)
-    Ksm[off] = (
-        _xi(u, d, nu, pack, lam, mu) - XL[off] * (0.5 * lnfac)[..., None, None] - Xcot
-    )
-    Ksm[diag] = -kappa1 / (2.0 * R) * eye2 - (mu * b2 / (2.0 * np.pi * R)) * tt
-    K = (
-        Wlog[..., None, None] * 0.5 * XL
-        + Wcot[..., None, None] * (kappa1 / (2.0 * R)) * J2
+    Ksm[0] = -kappa1 / (2.0 * R) * eye2 - (mu * b2 / (2.0 * np.pi * R)) * tt
+    Ksm[1:] = _xi(u, d, nu, pack, lam, mu) - XL[1:] * (0.5 * lnfac) - Xcot
+    K0 = (
+        wlog * XL
+        + _pv_cot_weights(N)[:, None, None] * (kappa1 / (2.0 * R)) * J2
         + h * Ksm
     ) * R
 
-    def interleave(M):
-        return np.ascontiguousarray(M.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N))
-
     return LayerOperators(
-        S=interleave(S), K=interleave(K), quadrature=quad,
-        omega=float(omega), medium=medium,
+        S=_rotated_gather(S0, quad.angles), K=_rotated_gather(K0, quad.angles),
+        quadrature=quad, omega=float(omega), medium=medium,
     )
 
 
@@ -658,18 +675,28 @@ class ExteriorCavitySolution:
     medium: IsotropicMedium
     fields: dict  # mode index -> ModeField (outgoing basis)
 
+    def _boundary_values(self, r):
+        """(u_r, u_th, s_rr, s_rth) of every mode at radius r, stacked over
+        the modes of ``fields`` in order, from one ``basis_matrix`` call."""
+        orders = np.array(list(self.fields), dtype=int)
+        coeffs = np.array([[c for _, _, c in f.terms] for f in self.fields.values()])
+        B = basis_matrix(self.medium, orders, r, self.omega, BASIS_OUTGOING)
+        return orders, np.einsum("m...c,mc->m...", B, coeffs)
+
     def displacement(self, r):
         """Dict mode -> (u_r, u_th) angular coefficients at radius r."""
-        return {n: np.array(f.displacement_polar(r)) for n, f in self.fields.items()}
+        if not self.fields:
+            return {}
+        _, v = self._boundary_values(r)
+        return {n: np.moveaxis(v[i, ..., 0:2], -1, 0) for i, n in enumerate(self.fields)}
 
     def boundary_norm(self, radius):
         """L2 norm of the trace on the circle of given radius."""
-        tot = 0.0
-        for n, f in self.fields.items():
-            ur, ut = f.displacement_polar(radius)
-            fac = 2.0 * np.pi if n == 0 else np.pi
-            tot += fac * radius * (abs(ur) ** 2 + abs(ut) ** 2)
-        return float(np.sqrt(tot))
+        if not self.fields:
+            return 0.0
+        orders, v = self._boundary_values(radius)
+        fac = np.where(orders == 0, 2.0 * np.pi, np.pi)
+        return float(np.sqrt(np.sum(fac * radius * np.sum(np.abs(v[:, 0:2]) ** 2, axis=-1))))
 
 
 def solve_exterior_cavity(cavity_radius, tractions, omega, medium):
@@ -687,13 +714,17 @@ def solve_exterior_cavity(cavity_radius, tractions, omega, medium):
     if cavity_radius <= 0:
         raise ValueError("cavity radius must be positive")
     fields = {}
-    for n, tr in tractions.items():
-        B = basis_matrix(medium, n, cavity_radius, omega, BASIS_OUTGOING)
-        coeffs = np.linalg.solve(B[2:4, :], np.asarray(tr, dtype=complex))
-        fields[n] = ModeField(
-            medium, omega, n,
-            tuple((kind, pol, c) for (kind, pol), c in zip(BASIS_OUTGOING, coeffs)),
-        )
+    if tractions:
+        # one basis_matrix call and one batched solve over every mode
+        orders = np.array(list(tractions), dtype=int)
+        B = basis_matrix(medium, orders, cavity_radius, omega, BASIS_OUTGOING)
+        rhs = np.array(list(tractions.values()), dtype=complex)
+        coeffs = np.linalg.solve(B[:, 2:4, :], rhs[..., None])[..., 0]
+        for n, c in zip(tractions, coeffs):
+            fields[n] = ModeField(
+                medium, omega, n,
+                tuple((kind, pol, ci) for (kind, pol), ci in zip(BASIS_OUTGOING, c)),
+            )
     return ExteriorCavitySolution(
         cavity_radius=float(cavity_radius), omega=float(omega), medium=medium,
         fields=fields,

@@ -199,6 +199,26 @@ def test_lining_side_scans_survive_near_resonance(monkeypatch, failing, delta_sl
         assert abs(rep["delta_shift_slope"] - rep["fit"]["slope"]) < 0.6
 
 
+def test_sweeps_flag_mode_overflow(tmp_path):
+    # a configured n_max past the representable modes flags the rows
+    # (mode 98 at h = 0.1, mode 71 at h = 0.005) instead of raising
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_max": 100, "convergence": {"h_values": [0.1, 0.005]}}))
+    for cmd in ("convergence", "lining"):
+        assert run([cmd, "--config", cfg, "--out", tmp_path]) == 0
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    for res in conv["contents"].values():
+        assert [r["flag"] for r in res["rows"]] == ["mode overflow mode 98",
+                                                    "mode overflow mode 71"]
+        assert all(np.isnan(r["distance"]) for r in res["rows"])
+        assert res["fit"]["rejected"]
+    lin = json.loads((tmp_path / "lining.json").read_text())
+    assert [r["flag"] for r in lin["rows"]] == ["mode overflow mode 98", "mode overflow mode 71"]
+    assert all(r["flag"] == "mode overflow mode 71" for r in lin["beta_scan"])
+    assert lin["delta_shift_slope"] is None
+    assert "mode overflow mode 98" in (tmp_path / "lining.csv").read_text()
+
+
 def test_n_max_override_and_background_content(tmp_path):
     # content defaulting to the background ("cloaking nothing") still
     # converges at the same rate

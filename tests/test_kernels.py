@@ -26,6 +26,7 @@ from elastocloak import (
     sl_potential,
     solve_exterior_cavity,
 )
+from elastocloak.modesolver import free_disk_block
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 HEAVY = IsotropicMedium(1.0, 1.0, 2.0)  # rho != 1 separates rho omega^2 from omega^2
@@ -424,6 +425,34 @@ def test_calderon_identity_spectral(omega):
         errs.append(float(np.abs(resid).max()))
     assert errs[1] < 1e-7
     assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("medium", [BG, IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)],
+                         ids=["unit", "lossy"])
+@pytest.mark.parametrize("N", [64, 128])
+def test_boundary_integral_ntd_matches_mode_solver(N, medium):
+    # interior Neumann problem through the Calderon identity: with the
+    # mode-n traction t = a cos(n th) e_r + b sin(n th) e_th on the circle,
+    # (1/2 I + K) u = S t gives the displacement trace u, whose cos/sin
+    # coefficients must be the uniform-disk NtD block applied to (a, b).
+    # Neither medium is near a traction-free resonance at omega = 1, R = 2.
+    R = 2.0
+    q = circle_quadrature(R, N)
+    ops = layer_operators(q, OMEGA, medium)
+    A = 0.5 * np.eye(2 * N) + ops.K
+    er, et = q.normals, q.tangents
+    for n in range(9):
+        a, b = 0.8, (0.0 if n == 0 else -0.35)
+        cos, sin = np.cos(n * q.angles), np.sin(n * q.angles)
+        t = a * cos[:, None] * er + b * sin[:, None] * et
+        u = np.linalg.solve(A, ops.S @ t.reshape(-1)).reshape(N, 2)
+        ur, ut = np.sum(u * er, axis=1), np.sum(u * et, axis=1)
+        want = free_disk_block(medium, n, R, OMEGA) @ np.array([a, b])
+        assert abs(ur @ cos / (cos @ cos) - want[0]) < 1e-10
+        if n == 0:
+            assert np.abs(ut).max() < 1e-10
+        else:
+            assert abs(ut @ sin / (sin @ sin) - want[1]) < 1e-10
 
 
 def test_sl_potential_point_source_consistency():
