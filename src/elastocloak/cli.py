@@ -6,8 +6,10 @@
 Configs are JSON or TOML; every key is optional and defaults to the
 standard verification setup (omega = 1, unit background, h sweep
 0.2/0.1/0.05/0.025, lossy constants alpha = beta = gamma = 1, delta = 0).
-CSV outputs are deterministic for a fixed config and seed and carry a
-header comment with the config hash and library version.
+CSV and JSON outputs are deterministic for a fixed config and seed and
+carry the config hash and library version. What a run measured about
+itself (the wall time of each sweep row) goes to a ``<command>.run.json``
+sidecar beside the results.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ def write_json(path, payload, config):
                           encoding="utf-8")
 
 
+def write_result(out, name, res, config):
+    """``<name>.json`` without the run's ``seconds``, which go to the
+    ``<name>.run.json`` sidecar."""
+    res = dict(res)
+    write_json(out / f"{name}.run.json", {"seconds": res.pop("seconds")}, config)
+    write_json(out / f"{name}.json", res, config)
+
+
 def cmd_design(config, out):
     res = design_table(config)
     cols = ["r", "C_rrrr", "C_tttt", "C_rrtt", "C_ttrr", "C_rttr", "C_trrt",
@@ -95,7 +105,7 @@ def cmd_convergence(config, out):
             rows.append({"content": name, **r})
     cols = ["content", "h", "distance", "tail_ratio", "flag"]
     write_csv(out / "convergence.csv", rows, cols, config)
-    write_json(out / "convergence.json", res, config)
+    write_result(out, "convergence", res, config)
     for name, data in res["contents"].items():
         fit = data["fit"]
         status = "REJECTED" if fit["rejected"] else "ok"
@@ -107,7 +117,7 @@ def cmd_lining(config, out):
     res = lining_sweep(config)
     cols = ["h", "distance", "flag"]
     write_csv(out / "lining.csv", res["rows"], cols, config)
-    write_json(out / "lining.json", res, config)
+    write_result(out, "lining", res, config)
     fit = res["fit"]
     status = "REJECTED" if fit["rejected"] else "ok"
     print(f"lining: slope={fit['slope']:.3f} r2={fit['r2']:.4f} [{status}]")

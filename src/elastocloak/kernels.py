@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special as _sp
 
+from .specfun import hankel1
 from .tensors import IsotropicMedium
 from .wavefields import BASIS_OUTGOING, ModeField, basis_matrix, wavenumbers
 
@@ -150,8 +150,8 @@ def _g2(k, d):
     """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3,
     from one H0 and one H1 evaluation."""
     z = k * d
-    h0 = _sp.hankel1(0, z)
-    h1 = _sp.hankel1(1, z)
+    h0 = hankel1(0, z)
+    h1 = hankel1(1, z)
     return (
         0.25j * h0,
         -0.25j * k * h1,

@@ -445,20 +445,43 @@ class ResonanceResult:
     t_star: float  # root of the outer traction-free condition
     t1: float
     t2: float
-    c: np.ndarray  # nontrivial coefficient pair, unit norm
+    c: np.ndarray  # nontrivial coefficient pair, unit norm, Re c1 >= 0
     det_residual: float
 
 
 def _bracket_roots(fun, lo, hi, steps):
-    from scipy.optimize import brentq  # deferred: only the resonance search needs it
+    """Roots of ``fun`` at the sign changes of its values on ``steps``
+    equispaced points of [lo, hi], in increasing order.
 
+    ``fun`` maps an array of points to an array of values. All brackets
+    are bisected together until each midpoint equals an endpoint, i.e. to
+    adjacent doubles; the endpoint of smaller |fun| is returned.
+    """
     ts = np.linspace(lo, hi, steps)
-    vals = np.array([fun(t) for t in ts])
-    roots = []
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if np.isfinite(fa) and np.isfinite(fb) and np.sign(fa) != np.sign(fb):
-            roots.append(brentq(fun, a, b, xtol=1e-14, rtol=8.9e-16))
-    return roots
+    vals = fun(ts)
+    fa, fb = vals[:-1], vals[1:]
+    keep = np.isfinite(fa) & np.isfinite(fb) & (np.sign(fa) != np.sign(fb))
+    a, b, fa, fb = ts[:-1][keep], ts[1:][keep], fa[keep], fb[keep]
+    while True:
+        m = 0.5 * (a + b)
+        if not ((m != a) & (m != b)).any():
+            break
+        fm = fun(m)
+        right = np.sign(fm) == np.sign(fa)  # the sign change is in [m, b]
+        a, fa = np.where(right, m, a), np.where(right, fm, fa)
+        b, fb = np.where(right, b, m), np.where(right, fb, fm)
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
+
+
+def _j0_derivatives(t):
+    """J0, J0' and J0'' at real points t (an array), from one specfun call.
+
+    J0' = -J1 and J0'' = (J2 - 2 J0 + J2) / 4, the order -2 term of the
+    second-derivative recurrence being J2.
+    """
+    t = np.asarray(t, dtype=float)
+    J0, J1, J2 = specfun.bessel_j(np.arange(3).reshape((3,) + (1,) * t.ndim), t).real
+    return J0, -J1, 0.25 * (J2 - 2.0 * J0 + J2)
 
 
 def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
@@ -475,43 +498,37 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
     if omega <= 0:
         raise ValueError("omega must be positive")
 
-    def J0(t):
-        return specfun.bessel_j(0, t).real
-
-    def J0p(t):
-        return specfun.bessel_j_prime(0, t).real
-
-    def J0pp(t):
-        return specfun.bessel_j_second(0, t).real
-
     def f(t):
-        return 2.0 * mu * J0pp(t) - lam * J0(t)
+        J0, _, J0pp = _j0_derivatives(t)
+        return 2.0 * mu * J0pp - lam * J0
 
     steps = max(400, int(t_max * 40))
     f_roots = _bracket_roots(f, 0.05, t_max, steps)
-    if not f_roots:
+    if not f_roots.size:
         raise SearchWindowError(
             f"no root of the outer traction condition in (0, {t_max}]; enlarge t_max"
         )
-    t_star = f_roots[0]
+    t_star = float(f_roots[0])
     t1 = t_star * r0 / r1
+    _, J0p1, J0pp1 = _j0_derivatives(t1)
 
     def det(t2):
-        return (t1 * J0p(t1) * t2**2 * J0pp(t2)
-                - t2 * J0p(t2) * t1**2 * J0pp(t1))
+        _, J0p2, J0pp2 = _j0_derivatives(t2)
+        return t1 * J0p1 * t2**2 * J0pp2 - t2 * J0p2 * t1**2 * J0pp1
 
-    if abs(J0pp(t1)) < 1e-12:
+    if abs(J0pp1) < 1e-12:
         # degenerate branch: match a zero of J0'' instead
-        cands = _bracket_roots(J0pp, 0.05, t_max, steps)
+        cands = _bracket_roots(lambda t: _j0_derivatives(t)[2], 0.05, t_max, steps)
     else:
         cands = _bracket_roots(det, 0.05, t_max, steps)
-    cands = [t for t in cands if abs(t - t1) > 1e-6 and t > 0.2]
-    if not cands:
+    cands = cands[(np.abs(cands - t1) > 1e-6) & (cands > 0.2)]
+    if not cands.size:
         raise SearchWindowError(
             f"no transmission-matching root distinct from t1={t1:.6g} in (0, {t_max}]; "
             "enlarge t_max"
         )
-    t2 = cands[0]
+    t2 = float(cands[0])
+    _, J0p2, J0pp2 = _j0_derivatives(t2)
 
     kp1 = t_star / r1
     kp2 = t2 / r0
@@ -520,19 +537,23 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
 
     M = np.array(
         [
-            [t1 * J0p(t1), -t2 * J0p(t2)],
-            [t1**2 * J0pp(t1), -(t2**2) * J0pp(t2)],
+            [t1 * J0p1, -t2 * J0p2],
+            [t1**2 * J0pp1, -(t2**2) * J0pp2],
         ]
     )
     _, s, Vh = np.linalg.svd(M)
     c = Vh[-1].conj()
+    # M is singular to rounding, so the sign of its null vector follows
+    # the side of the root t2 lies on; fix it
+    if c[0].real < 0:
+        c = -c
     det_residual = float(s[-1] / s[0])
     return ResonanceResult(
         rho1=float(rho1),
         rho2=float(rho2),
-        t_star=float(t_star),
+        t_star=t_star,
         t1=float(t1),
-        t2=float(t2),
+        t2=t2,
         c=c,
         det_residual=det_residual,
     )

@@ -5,6 +5,13 @@ Thin, contract-checked wrappers around the Amos routines in
 Hankel functions of the first kind, and their first/second derivatives for
 integer order ``n >= 0`` and complex argument ``z``.
 
+This is the only module of the library that imports ``scipy.special``,
+and it loads it on first use. The import costs about 0.3 s, most of it
+scipy's array-API shim (which loads ``numpy.f2py``, ``numpy.testing`` and
+``numpy.ma``); a run that evaluates no cylinder function, such as the
+``design`` command, does not pay it. The kernels take their H0 and H1
+from ``hankel1`` here.
+
 ``bessel_j``, ``bessel_y`` and ``hankel1`` also take an array of orders,
 which broadcasts against ``z``; the order and argument checks then run
 once for the whole array. The mode solver (through
@@ -26,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "CylEval",
@@ -39,6 +45,12 @@ __all__ = [
     "hankel1_prime",
     "cyl_eval",
 ]
+
+
+def _special():
+    from scipy import special  # deferred: loaded on the first evaluation
+
+    return special
 
 
 def _check_args(n, z):
@@ -58,7 +70,8 @@ def _check_args(n, z):
 def bessel_j(n, z, scaled=False):
     """J_n(z) for complex z; ``scaled`` multiplies by exp(-|Im z|)."""
     n, z = _check_args(n, z)
-    out = _sp.jve(n, z) if scaled else _sp.jv(n, z)
+    sp = _special()
+    out = sp.jve(n, z) if scaled else sp.jv(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -67,7 +80,8 @@ def bessel_y(n, z, scaled=False):
     n, z = _check_args(n, z)
     if (z == 0).any():
         raise ValueError("Y_n is singular at z = 0")
-    out = _sp.yve(n, z) if scaled else _sp.yv(n, z)
+    sp = _special()
+    out = sp.yve(n, z) if scaled else sp.yv(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -76,7 +90,8 @@ def hankel1(n, z, scaled=False):
     n, z = _check_args(n, z)
     if (z == 0).any():
         raise ValueError("H^(1)_n is singular at z = 0")
-    out = _sp.hankel1e(n, z) if scaled else _sp.hankel1(n, z)
+    sp = _special()
+    out = sp.hankel1e(n, z) if scaled else sp.hankel1(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -121,7 +136,8 @@ def bessel_j_second(n, z, scaled=False):
 def _signed_j(n, z, scaled):
     # J_{-n} = (-1)^n J_n for integer order
     m = abs(int(n))
-    val = _sp.jve(m, np.asarray(z, dtype=complex)) if scaled else _sp.jv(m, np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    val = _special().jve(m, z) if scaled else _special().jv(m, z)
     out = (-1.0) ** m * val
     return complex(out) if np.isscalar(out) or np.asarray(out).ndim == 0 else out
 

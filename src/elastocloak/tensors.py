@@ -151,7 +151,8 @@ def apply_stiffness(C, A):
 
 
 def _sym_basis(dim):
-    """Orthonormal (Frobenius) basis of symmetric dim x dim matrices."""
+    """Orthonormal (Frobenius) basis of symmetric dim x dim matrices,
+    stacked as an array of shape (dim (dim + 1) / 2, dim, dim)."""
     out = []
     for i in range(dim):
         E = np.zeros((dim, dim))
@@ -163,14 +164,7 @@ def _sym_basis(dim):
             E = np.zeros((dim, dim))
             E[i, j] = E[j, i] = inv_sqrt2
             out.append(E)
-    return out
-
-
-def legendre_quotient(C, A):
-    """Rayleigh quotient sum C_ijkl A_ij A_kl / ||A||_F^2 for symmetric A."""
-    A = np.asarray(A, dtype=float)
-    num = np.einsum("ijkl,ij,kl->", C.entries, A, A)
-    return float(num.real) / float(np.sum(A * A))
+    return np.array(out)
 
 
 def check_legendre(C, samples=4096, tol=1e-12, seed=0):
@@ -178,7 +172,8 @@ def check_legendre(C, samples=4096, tol=1e-12, seed=0):
 
     Minimizes ``(C:A):A / ||A||^2`` over the deterministic orthonormal
     basis of symmetric matrices plus ``samples`` random symmetric
-    unit-norm matrices.
+    matrices (Gaussian coefficients on that basis). All quotients come
+    from one contraction over the stacked matrices.
 
     Returns
     -------
@@ -190,13 +185,13 @@ def check_legendre(C, samples=4096, tol=1e-12, seed=0):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     basis = _sym_basis(C.dim)
-    c0 = min(legendre_quotient(C, E) for E in basis)
-    rng = np.random.default_rng(seed)
-    nsym = len(basis)
-    coeffs = rng.standard_normal((samples, nsym))
-    for row in coeffs:
-        A = sum(c * E for c, E in zip(row, basis))
-        c0 = min(c0, legendre_quotient(C, A))
+    nsym, dd = len(basis), C.dim * C.dim
+    coeffs = np.random.default_rng(seed).standard_normal((samples, nsym))
+    flat = basis.reshape(nsym, dd)
+    A = np.concatenate([flat, coeffs @ flat])  # (nsym + samples, dim^2)
+    Q = C.entries.real.reshape(dd, dd)
+    quotients = np.einsum("si,ij,sj->s", A, Q, A) / np.einsum("si,si->s", A, A)
+    c0 = float(quotients.min())
     return c0 > tol, c0
 
 

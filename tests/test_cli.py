@@ -1,6 +1,10 @@
 """CLI harness: commands, config handling, determinism, fit policy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,10 +59,38 @@ def test_determinism_byte_identical(tmp_path):
     }))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        run(["design", "--config", cfg, "--out", out])
-        run(["convergence", "--config", cfg, "--out", out])
-    assert (out1 / "design.csv").read_bytes() == (out2 / "design.csv").read_bytes()
-    assert (out1 / "convergence.csv").read_bytes() == (out2 / "convergence.csv").read_bytes()
+        for cmd in ("design", "convergence", "lining"):
+            run([cmd, "--config", cfg, "--out", out])
+    for name in ("design.csv", "convergence.csv", "convergence.json",
+                 "lining.csv", "lining.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    # the wall times of the sweep rows are kept in the sidecars
+    run_info = json.loads((out1 / "convergence.run.json").read_text())
+    assert len(run_info["seconds"]["x"]) == 2
+    assert len(json.loads((out1 / "lining.run.json").read_text())["seconds"]) == 2
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _loaded_after(code, tmp_path):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    run_cmd = "from elastocloak.cli import main\nmain([{!r}, '--out', 'out'])"
+    assert not _loaded_after("import elastocloak", tmp_path) & {"scipy.special",
+                                                                "scipy.optimize"}
+    assert not _loaded_after(run_cmd.format("design"), tmp_path) & {"scipy.special",
+                                                                    "scipy.optimize"}
+    loaded = _loaded_after(run_cmd.format("resonance"), tmp_path)
+    assert "scipy.special" in loaded and "scipy.optimize" not in loaded
 
 
 def test_toml_config(tmp_path):

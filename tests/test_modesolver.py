@@ -286,6 +286,23 @@ def test_resonance_residuals(resonance):
     assert abs(np.linalg.norm(res.c) - 1.0) < 1e-12
 
 
+def test_resonance_roots_match_mpmath(resonance):
+    mp = pytest.importorskip("mpmath")
+    lam, mu, r0, r1 = 1, 1, 0.5, 1
+    with mp.workdps(40):
+        def J0(t, k=0):
+            return mp.besselj(0, t, derivative=k)
+
+        t_star = mp.findroot(lambda t: 2 * mu * J0(t, 2) - lam * J0(t), resonance.t_star)
+        t1 = t_star * r0 / r1
+        t2 = mp.findroot(lambda t: t1 * J0(t1, 1) * t**2 * J0(t, 2)
+                         - t * J0(t, 1) * t1**2 * J0(t1, 2), resonance.t2)
+        t_star, t2 = float(t_star), float(t2)
+    assert resonance.t_star == pytest.approx(t_star, rel=1e-13)
+    assert resonance.t2 == pytest.approx(t2, rel=1e-13)
+    assert abs(resonance.t2 - resonance.t1) > 1e-6
+
+
 def test_resonant_config_triggers_near_resonance_error(resonance):
     config = resonant_config(1.0, 1.0, 0.5, 1.0, resonance)
     with pytest.raises(NearResonanceError) as exc:

@@ -161,6 +161,35 @@ def test_check_legendre_identity_pushforward_same_c0():
     assert c0p == pytest.approx(c0, rel=1e-12)
 
 
+def _legendre_reference(C, samples, seed=0):
+    """Per-sample loop over the basis, then the seeded random combinations."""
+    basis = _sym_basis(C.dim)
+
+    def quotient(A):
+        return float(np.einsum("ijkl,ij,kl->", C.entries, A, A).real) / float(np.sum(A * A))
+
+    c0 = min(quotient(E) for E in basis)
+    for row in np.random.default_rng(seed).standard_normal((samples, len(basis))):
+        c0 = min(c0, quotient(sum(c * E for c, E in zip(row, basis))))
+    return c0
+
+
+@pytest.mark.parametrize("which", ["isotropic", "ideal cloak", "push-forward"])
+def test_check_legendre_matches_per_sample_loop(which):
+    med = IsotropicMedium(2.5, 0.7)
+    if which == "isotropic":
+        C = iso_stiffness(med, 3)
+    elif which == "ideal cloak":
+        C, _ = ideal_cloak_polar(IsotropicMedium(1.0, 1.0), 1.02)
+    else:
+        C = pushforward_stiffness(iso_stiffness(med, 2), blowup_map(2), np.array([1.2, 0.5]))
+    for samples, seed in ((1, 0), (300, 5)):
+        elliptic, c0 = check_legendre(C, samples=samples, seed=seed)
+        ref = _legendre_reference(C, samples, seed)
+        assert c0 == pytest.approx(ref, rel=1e-14, abs=1e-300)
+        assert elliptic == (ref > 1e-12)
+
+
 def test_check_legendre_rejects_complex():
     C = iso_stiffness(IsotropicMedium(1.0 + 0.1j, 1.0), 2)
     with pytest.raises(ValueError):
