@@ -64,13 +64,12 @@ from .modesolver import (
     ResonanceResult,
     SearchWindowError,
     assemble_ntd,
+    assemble_ntds,
     energy_identity_check,
     find_resonant_densities,
     free_disk_ntd,
     mode_system_condition,
     ntd_distance,
-    ntd_from_json,
-    ntd_to_json,
     ps_decompose,
     resonant_config,
     solve_mode,

@@ -8,8 +8,8 @@ standard verification setup (omega = 1, unit background, h sweep
 0.2/0.1/0.05/0.025, lossy constants alpha = beta = gamma = 1, delta = 0).
 CSV and JSON outputs are deterministic for a fixed config and seed and
 carry the config hash and library version. What a run measured about
-itself (the wall time of each sweep row) goes to a ``<command>.run.json``
-sidecar beside the results.
+itself (the wall time of each stage of a sweep) goes to a
+``<command>.run.json`` sidecar beside the results.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ raises (degenerate input, nothing to fit).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,11 @@ from .kernels import (
 from .modesolver import (
     LayeredDiskConfig,
     ModeOverflowError,
-    NearResonanceError,
-    assemble_ntd,
+    _weighted_smax,
+    assemble_ntds,
     find_resonant_densities,
-    free_disk_condition_scan,
     free_disk_ntd,
     mode_system_condition,
-    ntd_distance,
-    per_mode_distance,
 )
 from .tensors import IsotropicMedium, check_legendre
 from .wavefields import wavenumbers
@@ -158,27 +156,43 @@ def _flag(exc):
     return f"{kind} mode {exc.mode}"
 
 
-def _sweep_distances(config, reference_op, make_config, n_max, omega):
-    """Distances ||Lambda(h) - reference|| over the h grid; a NaN distance
-    and a flag for an h whose mode solve is near a resonance or overflows.
+@contextmanager
+def _stage(seconds, name):
+    """Add the wall time of the block to ``seconds[name]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
 
-    Returns the rows and, apart from them, the wall time of each row.
+
+def _load_special(seconds):
+    """Load ``scipy.special`` (deferred until the first cylinder function)
+    as a stage of its own, so the first solve does not carry it."""
+    with _stage(seconds, "load_special"):
+        specfun._special()
+
+
+def _h_values(config):
+    return list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
+
+
+def _pair_distances(pairs):
+    """Weighted per-mode distances sqrt(1+n^2) smax(A_n - B_n) of NtD pairs
+    (A, B), from one batched SVD over every pair, and each pair's row flag.
+
+    A side that is a solve's typed error (as ``assemble_ntds`` returns it)
+    gives the pair distances None and the flag of that error, A's first.
     """
-    h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
-    rows, seconds = [], []
-    for h in h_values:
-        t0 = time.perf_counter()
-        try:
-            op = assemble_ntd(make_config(h), omega, n_max)
-            tail = per_mode_distance(op, reference_op)
-            dist = float(tail.max())
-            tail_ratio = float(tail[-2:].max() / max(dist, 1e-300))
-            rows.append({"h": float(h), "distance": dist, "tail_ratio": tail_ratio, "flag": ""})
-        except (NearResonanceError, ModeOverflowError) as exc:
-            rows.append({"h": float(h), "distance": float("nan"),
-                         "tail_ratio": float("nan"), "flag": _flag(exc)})
-        seconds.append(time.perf_counter() - t0)
-    return rows, seconds
+    flags = [next((_flag(x) for x in pair if isinstance(x, Exception)), "") for pair in pairs]
+    ok = [i for i, flag in enumerate(flags) if not flag]
+    per_mode = [None] * len(pairs)
+    if ok:
+        diff = (np.stack([pairs[i][0].blocks for i in ok])
+                - np.stack([pairs[i][1].blocks for i in ok]))
+        for i, d in zip(ok, _weighted_smax(diff)):
+            per_mode[i] = d
+    return per_mode, flags
 
 
 def _fit_rows(rows):
@@ -196,49 +210,64 @@ def convergence_sweep(config):
 
     Runs the h sweep for each configured content (default: soft, stiff,
     heavy), raising n_max automatically while the last two modes carry
-    more than 1% of the distance. Also reports the cross-content spread
-    at each h (content independence) and a frequency preflight. The wall
-    time of each row is kept apart, under ``seconds``, per content.
+    more than 1% of the distance. Every content and h of one n_max is
+    solved in one ``assemble_ntds`` call; a row whose solve is near a
+    resonance or overflows gets a NaN distance and a flag. Also reports
+    the cross-content spread at each h (content independence) and a
+    frequency preflight: the largest free-disk system condition. The
+    wall time of each stage is kept apart, under ``seconds``.
     """
     omega = float(config.get("omega", 1.0))
     n_max = int(config.get("n_max", 16))
     bg = _background(config)
     params = _cloak_params(config)
+    h_values = _h_values(config)
     contents = config.get("convergence", {}).get("contents")
     if contents:
         contents = {c.get("name", f"content{i}"): _content_from(c) for i, c in enumerate(contents)}
     else:
         contents = dict(DEFAULT_CONTENTS)
-
-    preflight = free_disk_condition_scan(bg, 2.0, omega, n_max)
-    results = {}
+    seconds = {}
+    _load_special(seconds)
+    with _stage(seconds, "build"):
+        devices = [build_near_cloak(content=content, background=bg, **{**params, "h": h}).virtual
+                   for content in contents.values() for h in h_values]
+    preflight = None
     while True:
-        ref = free_disk_ntd(bg, 2.0, omega, n_max)
-        results, seconds = {}, {}
-        worst_tail = 0.0
-        for name, content in contents.items():
-            def make(h):
-                p = dict(params)
-                p["h"] = h
-                return build_near_cloak(content=content, background=bg, **p).virtual
-
-            rows, seconds[name] = _sweep_distances(config, ref, make, n_max, omega)
-            worst_tail = max(
-                worst_tail,
-                max((r["tail_ratio"] for r in rows if not r["flag"]), default=0.0),
-            )
-            results[name] = {"rows": rows, "fit": _fit_rows(rows).__dict__}
+        with _stage(seconds, "solve"):
+            ref = free_disk_ntd(bg, 2.0, omega, n_max)
+            ops = assemble_ntds(devices, omega, n_max)
+        if preflight is None:
+            preflight = float(ref.conditions.max())
+        with _stage(seconds, "distances"):
+            tails, flags = _pair_distances([(op, ref) for op in ops])
+            rows = []
+            for h, tail, flag in zip(h_values * len(contents), tails, flags):
+                if flag:
+                    rows.append({"h": float(h), "distance": float("nan"),
+                                 "tail_ratio": float("nan"), "flag": flag})
+                    continue
+                dist = float(tail.max())
+                rows.append({"h": float(h), "distance": dist,
+                             "tail_ratio": float(tail[-2:].max() / max(dist, 1e-300)),
+                             "flag": ""})
+        worst_tail = max((r["tail_ratio"] for r in rows if not r["flag"]), default=0.0)
         if worst_tail <= 0.01 or n_max >= _N_MAX_CEILING:
             break
         n_max = min(n_max + 8, _N_MAX_CEILING)
 
-    # content-independence spread per h
-    h_values = [r["h"] for r in next(iter(results.values()))["rows"]]
-    spreads = []
-    for i, h in enumerate(h_values):
-        ds = [res["rows"][i]["distance"] for res in results.values() if not res["rows"][i]["flag"]]
-        if ds:
-            spreads.append({"h": h, "spread": (max(ds) - min(ds)) / max(ds)})
+    with _stage(seconds, "fit"):
+        results = {}
+        for k, name in enumerate(contents):
+            content_rows = rows[k * len(h_values):(k + 1) * len(h_values)]
+            results[name] = {"rows": content_rows, "fit": _fit_rows(content_rows).__dict__}
+        # content-independence spread per h
+        spreads = []
+        for i, h in enumerate(h_values):
+            ds = [res["rows"][i]["distance"] for res in results.values()
+                  if not res["rows"][i]["flag"]]
+            if ds:
+                spreads.append({"h": float(h), "spread": (max(ds) - min(ds)) / max(ds)})
     return {
         "omega": omega,
         "n_max": n_max,
@@ -256,42 +285,49 @@ def lining_sweep(config):
     the same virtual geometry across the h grid. The report also carries
     two qualitative side scans (not pass/fail gated): the per-h distance
     as damping grows, and the fitted rate with a larger scaling exponent
-    delta (the rate constant does not depend on it). The wall time of
-    each row is kept apart, under ``seconds``.
+    delta (the rate constant does not depend on it). Every distinct
+    system of the rows and side scans is solved once, in one
+    ``assemble_ntds`` call; a row whose solve is near a resonance or
+    overflows gets a NaN distance and a flag. The wall time of each stage
+    is kept apart, under ``seconds``.
     """
     omega = float(config.get("omega", 1.0))
     n_max = int(config.get("n_max", 16))
     bg = _background(config)
     params = _cloak_params(config)
     content = _content_from(config.get("content", {}))
-    h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
-
-    def distance_at(h, p):
-        """Distance and flag at (h, p); NaN and a flag near a resonance or
-        at a mode overflow."""
-        lossy = build_near_cloak(content=content, background=bg, **{**p, "h": h}).virtual
-        cavity = lining_config(h, bg)
-        try:
-            d = ntd_distance(assemble_ntd(lossy, omega, n_max), assemble_ntd(cavity, omega, n_max))
-        except (NearResonanceError, ModeOverflowError) as exc:
-            return {"distance": float("nan"), "flag": _flag(exc)}
-        return {"distance": float(d), "flag": ""}
-
-    rows, seconds = [], []
-    for h in h_values:
-        t0 = time.perf_counter()
-        rows.append({"h": float(h), **distance_at(h, params)})
-        seconds.append(time.perf_counter() - t0)
-    fit = _fit_rows(rows)
-
+    h_values = _h_values(config)
     h_mid = h_values[min(1, len(h_values) - 1)]
-    beta_scan = [
-        {"beta": b, **distance_at(h_mid, {**params, "beta": b})}
-        for b in (params["beta"], 4.0 * params["beta"], 16.0 * params["beta"])
-    ]
-    delta_rows = [{"h": h, **distance_at(h, {**params, "delta": params["delta"] + 0.5})}
-                  for h in h_values]
-    delta_slope = _fit_rows(delta_rows).slope
+    betas = (params["beta"], 4.0 * params["beta"], 16.0 * params["beta"])
+    shifted = {**params, "delta": params["delta"] + 0.5}
+
+    def pair(h, p):
+        """(near-cloak, traction-free cavity) configs at (h, p)."""
+        return (build_near_cloak(content=content, background=bg, **{**p, "h": h}).virtual,
+                lining_config(h, bg))
+
+    seconds = {}
+    _load_special(seconds)
+    with _stage(seconds, "build"):
+        # the rows, then the beta scan at h_mid, then the delta-shifted rows
+        pairs = ([pair(h, params) for h in h_values]
+                 + [pair(h_mid, {**params, "beta": b}) for b in betas]
+                 + [pair(h, shifted) for h in h_values])
+        # the cavity of every h and the beta = beta0 device at h_mid recur
+        distinct = list(dict.fromkeys(c for p in pairs for c in p))
+    with _stage(seconds, "solve"):
+        ops = dict(zip(distinct, assemble_ntds(distinct, omega, n_max)))
+    with _stage(seconds, "distances"):
+        tails, flags = _pair_distances([(ops[a], ops[b]) for a, b in pairs])
+        dists = [{"distance": float("nan") if flag else float(tail.max()), "flag": flag}
+                 for tail, flag in zip(tails, flags)]
+    n_h = len(h_values)
+    with _stage(seconds, "fit"):
+        rows = [{"h": float(h), **d} for h, d in zip(h_values, dists[:n_h])]
+        fit = _fit_rows(rows)
+        beta_scan = [{"beta": b, **d} for b, d in zip(betas, dists[n_h:n_h + len(betas)])]
+        delta_rows = [{"h": h, **d} for h, d in zip(h_values, dists[n_h + len(betas):])]
+        delta_slope = _fit_rows(delta_rows).slope
     return {
         "omega": omega,
         "n_max": n_max,

@@ -9,13 +9,14 @@ coefficients (u_r, u_th).
 The assembled operator blocks are real symmetric for lossless media and
 complex symmetric with damping. Equilibrated global solves (all layer
 interfaces at once) keep the strongly lossy layers well conditioned where
-sequential transfer matrices would overflow.
+sequential transfer matrices would overflow. The systems of every mode,
+and of every config of one layout, are stacked into one array and solved
+in one batched pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "free_disk_block",
     "free_disk_ntd",
     "assemble_ntd",
+    "assemble_ntds",
     "solve_mode",
     "mode_system_condition",
     "ntd_distance",
@@ -42,8 +44,6 @@ __all__ = [
     "ps_decompose",
     "energy_identity_check",
     "find_resonant_densities",
-    "ntd_to_json",
-    "ntd_from_json",
 ]
 
 
@@ -159,12 +159,6 @@ def free_disk_ntd(medium, radius, omega, n_max):
                        conditions=np.linalg.cond(S))
 
 
-def free_disk_condition_scan(medium, radius, omega, n_max):
-    """Max closed-form system condition over modes; large values flag that
-    -omega^2 sits near a traction-free eigenvalue of the disk."""
-    return float(free_disk_ntd(medium, radius, omega, n_max).conditions.max())
-
-
 @dataclass
 class ModeSolution:
     """Solved coefficients of one mode of a layered-disk problem."""
@@ -206,99 +200,142 @@ def _regions(config):
     return out
 
 
-def _interface_systems(config, omega, orders):
-    """Interface systems of all ``orders``, stacked: A (M, m, m) and the
-    outer basis B0 (M, 4, w) whose w columns are the outer region's.
+def _interface_systems(configs, omega, orders):
+    """Interface systems of ``configs`` (one layout) at all ``orders``,
+    stacked: A (C, M, m, m) and the outer basis B0 (C, M, 4, w) whose w
+    columns are the outer region's.
 
     Rows: 2 outer-traction rows, then 4 continuity rows per interior
     interface (2 traction-free rows at a cavity boundary).
     """
-    regions = _regions(config)
-    nun = regions[-1].cols.stop
-    A = np.zeros((len(orders), nun, nun), dtype=complex)
+    regions = [_regions(config) for config in configs]
+    layout = regions[0]
+    nun = layout[-1].cols.stop
+    A = np.zeros((len(configs), len(orders), nun, nun), dtype=complex)
     # each region's basis at its outer and (unless a core) inner radius,
-    # shape (M, 2 or 1, 4, w), in one call
-    B = [basis_matrix(g.medium, orders, [g.r_out, g.r_in] if g.r_in > 0 else [g.r_out],
-                      omega, g.kinds)
-         for g in regions]
-    A[:, 0:2, regions[0].cols] = B[0][:, 0, 2:4]
+    # shape (C, M, 2 or 1, 4, w), in one call per region over all configs;
+    # a region that configs share (the background annulus of the
+    # near-cloaks of one h) is evaluated once
+    B = []
+    for j, g in enumerate(layout):
+        distinct = {}
+        index = [distinct.setdefault((rg[j].medium, rg[j].r_out, rg[j].r_in), len(distinct))
+                 for rg in regions]
+        radii = [[r_out, r_in] if r_in > 0 else [r_out] for _, r_out, r_in in distinct]
+        Bj = basis_matrix([m for m, _, _ in distinct], orders, radii, omega, g.kinds)
+        B.append(Bj[index] if len(distinct) < len(configs) else Bj)
+    A[..., 0:2, layout[0].cols] = B[0][:, :, 0, 2:4]
     row = 2
-    for i in range(len(regions) - 1):
-        A[:, row:row + 4, regions[i].cols] = B[i][:, 1]
-        A[:, row:row + 4, regions[i + 1].cols] = -B[i + 1][:, 0]
+    for i in range(len(layout) - 1):
+        A[..., row:row + 4, layout[i].cols] = B[i][:, :, 1]
+        A[..., row:row + 4, layout[i + 1].cols] = -B[i + 1][:, :, 0]
         row += 4
-    if config.inner == "cavity":  # traction-free inner boundary
-        A[:, row:row + 2, regions[-1].cols] = B[-1][:, 1, 2:4]
+    if configs[0].inner == "cavity":  # traction-free inner boundary
+        A[..., row:row + 2, layout[-1].cols] = B[-1][:, :, 1, 2:4]
         row += 2
     assert row == nun
-    return A, B[0][:, 0]
+    return A, B[0][:, :, 0]
 
 
-def _mode_systems(config, omega, orders, cond_limit=np.inf):
-    """Equilibrated interface systems of ``orders`` and their conditions.
-
-    Returns ``(As, rhs, col, B0, conds)``: the two-sided equilibrated
-    systems ``As = diag(1/rw) A diag(1/col)`` (M, m, m), the scaled
-    right-hand sides (M, m, 2) for unit s_rr and s_rt, the column scales,
-    the outer basis and the condition number of each ``As``.
-
-    Raises :class:`NearResonanceError` for the lowest order whose
-    condition exceeds ``cond_limit``, and :class:`ModeOverflowError` for
-    the lowest order whose system is not representable, whichever is
-    lower.
-    """
-    orders = np.asarray(orders)
-    A, B0 = _interface_systems(config, omega, orders)
-    # two-sided equilibration: columns span J ~ 1e-40 .. H ~ 1e+40 at high
-    # modes and small radii; raw solves would be hopeless. A mode whose
-    # system holds an overflowed entry, or a basis column that underflowed
-    # to zero, has no double-precision solution: only the modes below the
-    # first such one are equilibrated and solved.
-    col = np.abs(A).max(axis=1)
-    usable = (np.isfinite(B0).all(axis=(1, 2)) & np.isfinite(col).all(axis=1)
-              & (col > 0).all(axis=1))
-    n_ok = len(orders) if usable.all() else int(np.argmin(usable))
-    col = col[:n_ok]
-    As = A[:n_ok] / col[:, None, :]
-    rw = np.abs(As).max(axis=2)
-    rw[rw == 0] = 1.0
-    As = As / rw[:, :, None]
-    rhs = np.zeros(As.shape[:2] + (2,), dtype=complex)
-    rhs[:, 0, 0] = 1.0 / rw[:, 0]
-    rhs[:, 1, 1] = 1.0 / rw[:, 1]
-
-    s = np.linalg.svd(As, compute_uv=False)
-    conds = np.full(n_ok, np.inf)
-    np.divide(s[:, 0], s[:, -1], out=conds, where=s[:, -1] > 0)
-    over = np.flatnonzero(conds > cond_limit)
+def _mode_error(orders, conds, n_ok, cond_limit):
+    """The error of one config's mode systems, or None: a
+    :class:`NearResonanceError` for the lowest order whose condition
+    ``conds`` exceeds ``cond_limit`` among the first ``n_ok``
+    (representable) ones, else a :class:`ModeOverflowError` for the first
+    order that is not representable."""
+    over = np.flatnonzero(conds[:n_ok] > cond_limit)
     if over.size:
         n, cond = int(orders[over[0]]), float(conds[over[0]])
-        raise NearResonanceError(
+        return NearResonanceError(
             f"mode {n} system condition {cond:.3e} exceeds {cond_limit:.1e}",
             mode=n,
             condition=cond,
         )
     if n_ok < len(orders):
         n = int(orders[n_ok])
-        raise ModeOverflowError(
+        return ModeOverflowError(
             f"mode {n} system is not representable: a Bessel or Hankel value "
             "overflowed, or a basis column underflowed to zero",
             mode=n,
         )
-    return As, rhs, col, B0, conds
+    return None
 
 
-def _solve_modes(config, omega, orders, cond_limit=np.inf):
-    """Solution coefficients (M, m, 2) for unit s_rr and s_rt tractions of
-    every order in one batched solve, with the outer basis and conditions."""
-    As, rhs, col, B0, conds = _mode_systems(config, omega, orders, cond_limit)
-    return np.linalg.solve(As, rhs) / col[:, :, None], B0, conds
+def _mode_systems(configs, omega, orders, cond_limit=np.inf):
+    """Equilibrated interface systems of ``configs`` (one layout) at
+    ``orders`` and their conditions, stacked over configs and orders.
+
+    Returns ``(As, rhs, col, B0, conds, errors)``: the two-sided
+    equilibrated systems ``As = diag(1/rw) A diag(1/col)`` (C, M, m, m),
+    the scaled right-hand sides (C, M, m, 2) for unit s_rr and s_rt, the
+    column scales, the outer basis, the condition number of each ``As``
+    and, per config, None or the error ``_mode_error`` names for it.
+    """
+    orders = np.asarray(orders)
+    A, B0 = _interface_systems(configs, omega, orders)
+    # two-sided equilibration: columns span J ~ 1e-40 .. H ~ 1e+40 at high
+    # modes and small radii; raw solves would be hopeless. A mode whose
+    # system holds an overflowed entry, or a basis column that underflowed
+    # to zero, has no double-precision solution: from a config's first such
+    # mode on, its systems are replaced by the identity (and its outer basis
+    # by zero) before they reach LAPACK, so they cannot touch the rest of
+    # the stack.
+    col = np.abs(A).max(axis=-2)
+    usable = (np.isfinite(B0).all(axis=(-2, -1)) & np.isfinite(col).all(axis=-1)
+              & (col > 0).all(axis=-1))
+    n_ok = np.where(usable.all(axis=1), len(orders), usable.argmin(axis=1))
+    unusable = np.arange(len(orders)) >= n_ok[:, None]
+    if unusable.any():
+        A[unusable] = np.eye(A.shape[-1])
+        B0[unusable] = 0.0
+        col[unusable] = 1.0
+    As = A  # equilibrated in place: the stack is the largest array of a sweep
+    As /= col[..., None, :]
+    rw = np.abs(As).max(axis=-1)
+    rw[rw == 0] = 1.0
+    As /= rw[..., None]
+    rhs = np.zeros(As.shape[:-1] + (2,), dtype=complex)
+    rhs[..., 0, 0] = 1.0 / rw[..., 0]
+    rhs[..., 1, 1] = 1.0 / rw[..., 1]
+
+    n_svd = int(n_ok.max())  # no config has a representable system past it
+    s = np.linalg.svd(As[:, :n_svd], compute_uv=False)
+    conds = np.full(As.shape[:2], np.inf)
+    np.divide(s[..., 0], s[..., -1], out=conds[:, :n_svd], where=s[..., -1] > 0)
+    errors = [_mode_error(orders, c, n, cond_limit) for c, n in zip(conds, n_ok)]
+    return As, rhs, col, B0, conds, errors
+
+
+def _solve_modes(configs, omega, orders, cond_limit=np.inf):
+    """Solution coefficients (C, M, m, 2) for unit s_rr and s_rt tractions
+    of every config and order in one batched solve, with the outer basis,
+    the conditions and the per-config errors. The systems of a config with
+    an error are replaced by the identity before the solve."""
+    As, rhs, col, B0, conds, errors = _mode_systems(configs, omega, orders, cond_limit)
+    failed = np.array([e is not None for e in errors])
+    if failed.all():  # nothing to solve
+        return np.zeros(rhs.shape, dtype=complex), B0, conds, errors
+    As[failed] = np.eye(As.shape[-1])
+    sol = np.linalg.solve(As, rhs)
+    sol /= col[..., None]
+    return sol, B0, conds, errors
+
+
+def _solve_config(config, omega, orders):
+    """``_solve_modes`` of one config: its (sol, B0, conds); raises its
+    error."""
+    sol, B0, conds, (error,) = _solve_modes([config], omega, orders)
+    if error is not None:
+        raise error
+    return sol[0], B0[0], conds[0]
 
 
 def mode_system_condition(config, omega, n):
     """Condition number of the equilibrated mode-n interface system."""
-    *_, conds = _mode_systems(config, omega, [n])
-    return float(conds[0])
+    *_, conds, (error,) = _mode_systems([config], omega, [n])
+    if error is not None:
+        raise error
+    return float(conds[0, 0])
 
 
 def solve_mode(config, omega, n, traction):
@@ -306,7 +343,7 @@ def solve_mode(config, omega, n, traction):
 
     Returns a :class:`ModeSolution` carrying per-region fields.
     """
-    sol, _, conds = _solve_modes(config, omega, [n])
+    sol, _, conds = _solve_config(config, omega, [n])
     coeffs = sol[0] @ np.asarray(traction, dtype=complex)
     fields = [ModeField(g.medium, omega, n, tuple(
         (kind, pol, c) for (kind, pol), c in zip(g.kinds, coeffs[g.cols])))
@@ -314,21 +351,47 @@ def solve_mode(config, omega, n, traction):
     return ModeSolution(config, omega, n, fields, float(conds[0]))
 
 
-def assemble_ntd(config, omega, n_max, cond_limit=1e14, raise_on_resonance=True):
-    """NtD operator of a layered disk for modes 0..n_max.
+def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
+    """NtD operators of many layered disks for modes 0..n_max.
 
-    All modes are assembled, equilibrated and solved in one batch. Raises
-    :class:`NearResonanceError` when a mode system's condition number
-    exceeds ``cond_limit`` (set ``raise_on_resonance=False`` to keep the
-    blocks and inspect ``conditions`` instead), and
+    The configs of each layout (the same region kinds and inner boundary)
+    are assembled, equilibrated and solved together, in one stacked pass
+    over every config and mode. Returns, for each config in order, its
+    :class:`NtDOperator`, or the :class:`NearResonanceError` or
+    :class:`ModeOverflowError` that :func:`assemble_ntd` would raise for
+    it; one config's error leaves the others untouched.
+    """
+    orders = np.arange(n_max + 1)
+    groups = {}  # layout -> config indices; a layout fixes the regions and unknowns
+    for i, config in enumerate(configs):
+        groups.setdefault((config.inner, len(config.radii)), []).append(i)
+    out = [None] * len(configs)
+    for idx in groups.values():
+        sol, B0, conds, errors = _solve_modes([configs[i] for i in idx], omega, orders,
+                                              cond_limit)
+        w = B0.shape[-1]
+        blocks = B0[..., 0:2, :] @ sol[..., :w, :]
+        for k, i in enumerate(idx):
+            out[i] = errors[k] if errors[k] is not None else NtDOperator(
+                omega=omega, n_max=n_max, radius=configs[i].outer_radius,
+                blocks=blocks[k], conditions=conds[k])
+    return out
+
+
+def assemble_ntd(config, omega, n_max, cond_limit=1e14, raise_on_resonance=True):
+    """NtD operator of a layered disk for modes 0..n_max: the one-config
+    case of :func:`assemble_ntds`.
+
+    Raises :class:`NearResonanceError` when a mode system's condition
+    number exceeds ``cond_limit`` (set ``raise_on_resonance=False`` to
+    keep the blocks and inspect ``conditions`` instead), and
     :class:`ModeOverflowError` when a mode system is not representable.
     """
-    sol, B0, conds = _solve_modes(config, omega, np.arange(n_max + 1),
-                                  cond_limit if raise_on_resonance else np.inf)
-    w = B0.shape[-1]
-    blocks = B0[:, 0:2, :] @ sol[:, :w, :]
-    return NtDOperator(omega=omega, n_max=n_max, radius=config.outer_radius,
-                       blocks=blocks, conditions=conds)
+    (op,) = assemble_ntds([config], omega, n_max,
+                          cond_limit if raise_on_resonance else np.inf)
+    if isinstance(op, Exception):
+        raise op
+    return op
 
 
 def per_mode_distance(A, B):
@@ -339,9 +402,15 @@ def per_mode_distance(A, B):
         raise ValueError("operators must share n_max")
     if A.omega != B.omega:
         raise ValueError("operators must share omega")
-    n = np.arange(A.n_max + 1)
-    smax = np.linalg.svd(A.blocks - B.blocks, compute_uv=False)[:, 0]
-    return np.sqrt(1.0 + n * n) * smax
+    return _weighted_smax(A.blocks - B.blocks)
+
+
+def _weighted_smax(diff):
+    """sqrt(1+n^2) * smax(D_n) of block differences ``diff`` of shape
+    (..., n_max + 1, 2, 2), stacked over any leading axes, from one
+    batched SVD."""
+    n = np.arange(diff.shape[-3])
+    return np.sqrt(1.0 + n * n) * np.linalg.svd(diff, compute_uv=False)[..., 0]
 
 
 def ntd_distance(A, B):
@@ -409,7 +478,7 @@ def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
     orders = np.array(list(tractions), dtype=int)
     tr = np.array(list(tractions.values()), dtype=complex)
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
-    sol, B0, _ = _solve_modes(config, omega, orders)
+    sol, B0, _ = _solve_config(config, omega, orders)
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     x, w = leggauss(n_quad)
     lhs = 0.0
@@ -568,30 +637,4 @@ def resonant_config(lam, mu, r0, r1, result):
             IsotropicMedium(lam, mu, result.rho2),
         ),
         inner="core",
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def ntd_to_json(op):
-    blocks = []
-    for n in range(op.n_max + 1):
-        b = op.blocks[n].reshape(-1)
-        blocks.append([[v.real, v.imag] for v in b])
-    return json.dumps({"omega": op.omega, "n_max": op.n_max, "radius": op.radius,
-                       "blocks": blocks})
-
-
-def ntd_from_json(text):
-    d = json.loads(text)
-    blocks = np.array(
-        [[complex(re, im) for re, im in blk] for blk in d["blocks"]]
-    ).reshape(-1, 2, 2)
-    return NtDOperator(
-        omega=float(d["omega"]),
-        n_max=int(d["n_max"]),
-        radius=float(d.get("radius", 2.0)),
-        blocks=blocks,
     )

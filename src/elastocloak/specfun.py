@@ -17,7 +17,8 @@ which broadcasts against ``z``; the order and argument checks then run
 once for the whole array. The mode solver (through
 ``wavefields.basis_matrix``) calls the unscaled ``bessel_j`` and
 ``hankel1`` this way, once per radial kind over every order, wavenumber
-and radius it needs, and takes derivatives from the same array.
+and radius of a stack of media, and takes derivatives from the same
+array.
 
 The ``scaled`` variants multiply out the exponential growth:
 

@@ -13,8 +13,9 @@ image). Radial factors Z, W are Bessel J (regular) or Hankel H1
 
 ``basis_matrix`` returns the columns (u_r, u_th, s_rr, s_rt) of angular
 coefficients of the basis functions, at one order and radius or stacked
-over arrays of orders and radii, with the Bessel second derivatives
-eliminated through the defining ODE, so all entries use only Z and Z'.
+over arrays of orders and radii, for one medium or a stack of media,
+with the Bessel second derivatives eliminated through the defining ODE,
+so all entries use only Z and Z'.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def wavenumbers(medium, omega):
 
 
 def _radial(kind, orders, z):
-    """Z_n(z) and Z_n'(z) for the 1-D ``orders`` against ``z``, each of
-    shape orders.shape + z.shape.
+    """Z_n(z) and Z_n'(z) for the 1-D ``orders`` against ``z`` of shape
+    (C,) + zs, each of shape (C, len(orders)) + zs.
 
     One specfun call evaluates every order needed;
     Z_n' = (Z_{n-1} - Z_{n+1}) / 2, with Z_{-1} = -Z_1 for J and H1.
@@ -64,34 +65,68 @@ def _radial(kind, orders, z):
     # reaches specfun, which rejects it
     low = orders.min()
     lo = low - 1 if low > 0 else low
-    table = fun(np.arange(lo, orders.max() + 2).reshape((-1,) + (1,) * z.ndim), z)
+    table = fun(np.arange(lo, orders.max() + 2).reshape((1, -1) + (1,) * (z.ndim - 1)),
+                z[:, None])
     i = orders - lo
-    below = table[np.abs(orders - 1) - lo]
+    below = table[:, np.abs(orders - 1) - lo]
     if low == 0:
-        below[orders == 0] *= -1.0
-    return table[i], 0.5 * (below - table[i + 1])
+        below[:, orders == 0] *= -1.0
+    return table[:, i], 0.5 * (below - table[:, i + 1])
+
+
+def _medium_constants(media, omega):
+    """Per-medium constants of the basis formulas, each of shape (C,).
+
+    They are formed in scalar arithmetic, one medium at a time: a complex
+    power such as ks**2 rounds differently on an array.
+    """
+    rows = []
+    for medium in media:
+        mu, rho = complex(medium.mu), complex(medium.rho)
+        kp, ks = wavenumbers(medium, omega)
+        rows.append((kp, ks, mu, 2.0 * mu, -2.0 * mu, rho * omega**2, 2.0 * mu * kp,
+                     -ks, ks**2, 2.0 * ks))
+    return np.array(rows, dtype=complex).T
 
 
 def basis_matrix(medium, n, r, omega, kinds):
     """Basis columns (u_r, u_th, sigma_rr, sigma_rth), shape (4, len(kinds)).
 
     ``n`` may be a 1-D array of orders and ``r`` an array of radii; the
-    result then has shape n.shape + r.shape + (4, len(kinds)), evaluated
-    with one specfun call per radial kind (J, H). Angular dependence: u_r,
+    result then has shape n.shape + r.shape + (4, len(kinds)). ``medium``
+    may also be a list or tuple of C media, with ``r`` of shape
+    (C,) + rs holding each medium's radii; the result then has shape
+    (C,) + n.shape + rs + (4, len(kinds)). Either way one specfun call per
+    radial kind (J, H) evaluates everything. Angular dependence: u_r,
     sigma_rr carry cos(n th); u_th, sigma_rth carry sin(n th).
     """
+    stacked = isinstance(medium, (list, tuple))
+    media = medium if stacked else (medium,)
     r = np.asarray(r, dtype=float)
+    if not stacked:
+        r = r[None]  # a single medium is the C = 1 stack
     if (r <= 0).any():
         raise ValueError("radius must be positive")
+    if r.shape[0] != len(media):
+        raise ValueError("one row of radii per medium required")
     orders = np.asarray(n).astype(int)
-    shape = orders.shape + r.shape + (4, len(kinds))
+    shape = (len(media),) + orders.shape + r.shape[1:] + (4, len(kinds))
     orders = orders.reshape(-1)
-    n_r = orders.reshape((-1,) + (1,) * r.ndim) / r
-    mu, rho = complex(medium.mu), complex(medium.rho)
-    kp, ks = wavenumbers(medium, omega)
-    kr = np.array([kp, ks]).reshape((2,) + (1,) * r.ndim) * r  # P and S arguments
-    radial = {}  # kind -> (Z, Z'), shape (M, 2) + r.shape
-    out = np.empty((orders.size,) + r.shape + (4, len(kinds)), dtype=complex)
+    # every array below has shape (C, M) + rs, or broadcasts to it; for one
+    # medium the stack axis is dropped (indexed by ``at``), so that numpy
+    # works on 1-D arrays and scalars, its fastest case
+    if len(media) > 1:
+        at, radii, per_medium = slice(None), r[:, None], (len(media),) + (1,) * r.ndim
+    else:
+        at, radii, per_medium = 0, r[0], ()
+    n_r = (orders.reshape((1, -1) + (1,) * (r.ndim - 1)) / radii)[at]
+    const = _medium_constants(media, omega)
+    # P and S arguments, (C, 2) + rs
+    kr = const[:2].T.reshape((len(media), 2) + (1,) * (r.ndim - 1)) * radii
+    kp, ks, mu, mu2, mu2_neg, rho_w2, mu2_kp, ks_neg, ks_sq, ks2 = const.reshape(
+        (-1,) + per_medium)
+    radial = {}  # kind -> (Z, Z'), shape (C, M, 2) + rs
+    out = np.empty((len(media), orders.size) + r.shape[1:] + (4, len(kinds)), dtype=complex)
     # an unscaled Hankel value that overflows comes back as nan; the
     # arithmetic on it stays quiet, as Python complex arithmetic is, and
     # the mode solver reports non-finite systems with a typed error
@@ -101,21 +136,20 @@ def basis_matrix(medium, n, r, omega, kinds):
                 radial[kind] = _radial(kind, orders, kr)
             values, derivs = radial[kind]
             if pol == "P":
-                k, Z, Zp = kp, values[:, 0], derivs[:, 0]
-                out[..., 0, c] = k * Zp
-                out[..., 1, c] = -n_r * Z
-                out[..., 2, c] = ((2.0 * mu * n_r**2 - rho * omega**2) * Z
-                                  - (2.0 * mu * k / r) * Zp)
-                out[..., 3, c] = -2.0 * mu * n_r * (k * Zp - Z / r)
+                Z, Zp = values[at, :, 0], derivs[at, :, 0]
+                out[at, ..., 0, c] = kp * Zp
+                out[at, ..., 1, c] = -n_r * Z
+                out[at, ..., 2, c] = (mu2 * n_r**2 - rho_w2) * Z - (mu2_kp / radii) * Zp
+                out[at, ..., 3, c] = mu2_neg * n_r * (kp * Zp - Z / radii)
             elif pol == "S":
-                k, W, Wp = ks, values[:, 1], derivs[:, 1]
-                out[..., 0, c] = n_r * W
-                out[..., 1, c] = -k * Wp
-                out[..., 2, c] = 2.0 * mu * n_r * (k * Wp - W / r)
-                out[..., 3, c] = mu * ((ks**2 - 2.0 * n_r**2) * W + (2.0 * ks / r) * Wp)
+                W, Wp = values[at, :, 1], derivs[at, :, 1]
+                out[at, ..., 0, c] = n_r * W
+                out[at, ..., 1, c] = ks_neg * Wp
+                out[at, ..., 2, c] = mu2 * n_r * (ks * Wp - W / radii)
+                out[at, ..., 3, c] = mu * ((ks_sq - 2.0 * n_r**2) * W + (ks2 / radii) * Wp)
             else:
                 raise ValueError(f"unknown polarization {pol!r}")
-    return out.reshape(shape)
+    return out.reshape(shape if stacked else shape[1:])
 
 
 def basis_column(medium, n, r, omega, kind, pol):

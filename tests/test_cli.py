@@ -64,10 +64,12 @@ def test_determinism_byte_identical(tmp_path):
     for name in ("design.csv", "convergence.csv", "convergence.json",
                  "lining.csv", "lining.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    # the wall times of the sweep rows are kept in the sidecars
-    run_info = json.loads((out1 / "convergence.run.json").read_text())
-    assert len(run_info["seconds"]["x"]) == 2
-    assert len(json.loads((out1 / "lining.run.json").read_text())["seconds"]) == 2
+    # the sidecars hold the wall time of each stage of the sweeps
+    for name in ("convergence", "lining"):
+        seconds = json.loads((out1 / f"{name}.run.json").read_text())["seconds"]
+        assert set(seconds) == {"load_special", "build", "solve", "distances",
+                                "fit"}, name
+        assert all(t >= 0.0 for t in seconds.values()), name
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -198,33 +200,38 @@ def test_fit_rows_with_one_unflagged_row_is_rejected():
 
 
 @pytest.mark.parametrize("failing, delta_slope", [
-    ({3}, "fitted"),  # the first beta side-scan point
-    ({7}, "fitted"),  # one delta side-scan point: two rows remain
-    ({6, 8}, None),  # all but one delta side-scan point
+    ({3}, "fitted"),  # the beta = 4 beta0 side-scan point
+    ({6}, "fitted"),  # one delta side-scan point: two rows remain
+    ({5, 7}, None),  # all but one delta side-scan point
 ])
 def test_lining_side_scans_survive_near_resonance(monkeypatch, failing, delta_slope):
-    # the near-cloak solves run in order: the main rows (h = 0.2, 0.1,
-    # 0.05), the beta scan at h = 0.1, then the delta scan over h
-    real = harness.assemble_ntd
-    near_cloak_calls = []
+    # the distinct near-cloak systems, in stack order: the main rows (h =
+    # 0.2, 0.1, 0.05), the beta scan at h = 0.1 past beta0 (whose device is
+    # the main row's), then the delta scan over h
+    real = harness.assemble_ntds
+    near_cloaks = []
 
-    def flaky(config, omega, n_max, **kw):
-        if config.inner == "core":
-            near_cloak_calls.append(None)
-            if len(near_cloak_calls) - 1 in failing:
-                raise NearResonanceError("forced", mode=3, condition=1e15)
-        return real(config, omega, n_max, **kw)
+    def flaky(configs, omega, n_max, **kw):
+        out = real(configs, omega, n_max, **kw)
+        for i, config in enumerate(configs):
+            if config.inner == "core":
+                near_cloaks.append(config)
+                if len(near_cloaks) - 1 in failing:
+                    out[i] = NearResonanceError("forced", mode=3, condition=1e15)
+        return out
 
-    monkeypatch.setattr(harness, "assemble_ntd", flaky)
+    monkeypatch.setattr(harness, "assemble_ntds", flaky)
     rep = harness.lining_sweep({"n_max": 8, "convergence": {"h_values": [0.2, 0.1, 0.05]}})
-    assert len(near_cloak_calls) == 9
+    assert len(near_cloaks) == 8
     assert all(not r["flag"] for r in rep["rows"])
     beta_flags = [r["flag"] for r in rep["beta_scan"]]
     if 3 in failing:
-        assert beta_flags == ["near-resonance mode 3", "", ""]
-        assert np.isnan(rep["beta_scan"][0]["distance"])
+        assert beta_flags == ["", "near-resonance mode 3", ""]
+        assert np.isnan(rep["beta_scan"][1]["distance"])
     else:
         assert beta_flags == ["", "", ""]
+    # the beta0 point is the main row at h = 0.1
+    assert rep["beta_scan"][0]["distance"] == rep["rows"][1]["distance"]
     if delta_slope is None:
         assert rep["delta_shift_slope"] is None
     else:

@@ -16,6 +16,7 @@ from elastocloak import (
     ModeOverflowError,
     NearResonanceError,
     assemble_ntd,
+    assemble_ntds,
     build_near_cloak,
     energy_identity_check,
     lining_config,
@@ -23,8 +24,6 @@ from elastocloak import (
     free_disk_ntd,
     mode_system_condition,
     ntd_distance,
-    ntd_from_json,
-    ntd_to_json,
     ps_decompose,
     resonant_config,
     solve_mode,
@@ -37,6 +36,7 @@ from elastocloak.wavefields import ModeField, wavenumbers
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 OMEGA = 1.0
+H_SWEEP = (0.2, 0.1, 0.05, 0.025)
 
 
 def fd_traction_cartesian(field, point, normal, h=1e-5, law_medium=None):
@@ -146,6 +146,42 @@ def test_batched_ntd_matches_one_mode_solves(kind):
         assert np.abs(op.blocks[n] @ tr - u).max() <= 1e-12 * np.abs(u).max()
         assert op.conditions[n] == pytest.approx(mode_system_condition(config, OMEGA, n),
                                                  rel=1e-10)
+
+
+@pytest.mark.parametrize("n_max, cond_limit, errors", [
+    # the h = 0.005 device (condition 1.4e8 at mode 16) is pushed over the
+    # limit; the H_SWEEP devices (at most 9.2e6) and cavities stay healthy
+    (16, 3e7, {(0.005, "NearResonanceError")}),
+    # every h below 0.2 overflows, each at its own mode
+    (100, 1e14, {(0.1, "ModeOverflowError"), (0.05, "ModeOverflowError"),
+                 (0.025, "ModeOverflowError"), (0.005, "ModeOverflowError")}),
+])
+def test_assemble_ntds_matches_per_config(n_max, cond_limit, errors):
+    # one stack of two layouts (near-cloaks and lining cavities) against
+    # one assemble_ntd call per config
+    configs = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=c, background=BG).virtual
+               for c in DEFAULT_CONTENTS.values() for h in H_SWEEP]
+    configs += [lining_config(h, BG) for h in H_SWEEP]
+    configs.append(build_near_cloak(0.005, 1.0, 1.0, 1.0, 0.0,
+                                    content=DEFAULT_CONTENTS["stiff"], background=BG).virtual)
+    stacked = assemble_ntds(configs, OMEGA, n_max, cond_limit=cond_limit)
+    seen = set()
+    for config, got in zip(configs, stacked):
+        try:
+            alone = assemble_ntd(config, OMEGA, n_max, cond_limit=cond_limit)
+        except (NearResonanceError, ModeOverflowError) as exc:
+            assert type(got) is type(exc) and got.mode == exc.mode
+            assert str(got) == str(exc)
+            seen.add((config.radii[1], type(exc).__name__))
+            continue
+        assert got.blocks.tobytes() == alone.blocks.tobytes()
+        assert got.conditions.tobytes() == alone.conditions.tobytes()
+        assert got.radius == alone.radius and got.n_max == n_max
+        assert np.isfinite(got.blocks).all()
+    assert seen == errors
+    overflow = stacked[-1]
+    if isinstance(overflow, ModeOverflowError):
+        assert overflow.mode == 71
 
 
 @pytest.mark.parametrize("h, mode", [(0.05, 90), (0.005, 71)])
@@ -452,15 +488,3 @@ def test_wavenumber_ratio():
     for med in (BG, IsotropicMedium(2.0, 0.5, 3.0)):
         kp, ks = wavenumbers(med, OMEGA)
         assert kp / ks == pytest.approx(np.sqrt(med.mu / (med.lam + 2 * med.mu)), rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_ntd_json_roundtrip():
-    nc = build_near_cloak(0.1, 1.0, 1.0, 1.0, 0.0, content=BG)
-    op = assemble_ntd(nc.virtual, OMEGA, 4)
-    op2 = ntd_from_json(ntd_to_json(op))
-    assert op2.omega == op.omega and op2.n_max == op.n_max
-    np.testing.assert_allclose(op2.blocks, op.blocks, rtol=0, atol=0)
