@@ -70,11 +70,7 @@ class _EvenSeries:
         self.c = np.asarray(coeffs, dtype=complex)
 
     def __call__(self, d):
-        x = np.asarray(d) ** 2
-        out = np.zeros_like(x, dtype=complex)
-        for cm in self.c[::-1]:
-            out = out * x + cm
-        return out
+        return _horner(self.c[None], d)[0, ...]
 
     def dlog(self):
         """Series of f'(d)/d."""
@@ -115,6 +111,38 @@ class _EvenSeries:
     @property
     def const(self):
         return complex(self.c[0])
+
+
+def _stack(*series):
+    """Coefficient rows of ``series``, zero-padded at the top degree."""
+    c = np.zeros((len(series), max(f.c.size for f in series)), dtype=complex)
+    for row, f in zip(c, series):
+        row[: f.c.size] = f.c
+    c.flags.writeable = False
+    return c
+
+
+def _horner(c, d):
+    """Every row of c[i, m] as an even series sum_m c[i, m] d^(2m): out[i, ...].
+
+    One Horner recurrence runs over all rows; a row zero-padded at the
+    top degree stays exactly zero until its own leading coefficient, so
+    each row equals its own recurrence bit for bit.
+    """
+    x = np.asarray(d) ** 2
+    col = c.reshape(c.shape + (1,) * x.ndim)
+    out = np.zeros(c.shape[:1] + x.shape, dtype=complex)
+    for m in range(c.shape[1] - 1, -1, -1):
+        out *= x
+        out += col[:, m]
+    return out
+
+
+def _log_plus_smooth(c, d):
+    """log ln d + smooth for the row pairs (log, smooth) of c, at d."""
+    v = _horner(c, d)
+    L = np.log(d)
+    return tuple(v[i] * L + v[i + 1] for i in range(0, len(v), 2))
 
 
 def _j0_series(k, M=_SERIES_TERMS):
@@ -213,24 +241,30 @@ class _Series2D:
 
     c2 and c4 carry in addition the singular terms s2/d^2 and s4/d^2.
     Subclasses set the ten even series ``_<factor>_log``/``_<factor>_smooth``
-    and s2, s4; ``log`` exposes the ln d coefficients as a pack of their own
-    for the Nystrom split.
+    and s2, s4, then call ``_stack_groups``; ``log`` exposes the ln d
+    coefficients as a pack of their own for the Nystrom split.
     """
 
+    def _stack_groups(self):
+        """Stack the series each evaluator needs, for one Horner pass each."""
+        self._ab = _stack(self._alpha_log, self._alpha_smooth,
+                          self._beta_log, self._beta_smooth)
+        self._cs = _stack(self._c2_log, self._c2_smooth, self._c3_log,
+                          self._c3_smooth, self._c4_log, self._c4_smooth)
+        self._ab_log = _stack(self._alpha_log, self._beta_log)
+        self._cs_log = _stack(self._c2_log, self._c3_log, self._c4_log)
+
     def _series_alpha_beta(self, d):
-        L = np.log(d)
-        return (
-            self._alpha_log(d) * L + self._alpha_smooth(d),
-            self._beta_log(d) * L + self._beta_smooth(d),
-        )
+        return _log_plus_smooth(self._ab, d)
 
     def _series_cs(self, d):
+        c2L, c2S, c3L, c3S, c4L, c4S = _horner(self._cs, d)
         L = np.log(d)
         inv2 = 1.0 / d**2
         return (
-            self.s2 * inv2 + self._c2_log(d) * L + self._c2_smooth(d),
-            self._c3_log(d) * L + self._c3_smooth(d),
-            self.s4 * inv2 + self._c4_log(d) * L + self._c4_smooth(d),
+            self.s2 * inv2 + c2L * L + c2S,
+            c3L * L + c3S,
+            self.s4 * inv2 + c4L * L + c4S,
         )
 
     @property
@@ -245,10 +279,10 @@ class _LogPart:
         self.p = pack
 
     def alpha_beta(self, d):
-        return self.p._alpha_log(d), self.p._beta_log(d)
+        return _horner(self.p._ab_log, d)
 
     def cs(self, d):
-        return self.p._c2_log(d), self.p._c3_log(d), self.p._c4_log(d)
+        return _horner(self.p._cs_log, d)
 
 
 class _Radial2D(_Series2D, _Direct):
@@ -297,6 +331,12 @@ class _Radial2D(_Series2D, _Direct):
         self._c4_log = self._beta_log.div_d2()
         self._c4_smooth = self._beta_smooth.shift_const(-bA0).div_d2()
         self.eta = self._alpha_smooth.const
+        self._stack_groups()
+        # Pi_omega - Pi_0 - eta I: the static tensor is s2 ln d I + s4 uhat uhat
+        self._gap = _stack(
+            self._alpha_log.shift_const(-aL0), self._alpha_smooth.shift_const(-self.eta),
+            self._beta_log, self._beta_smooth.shift_const(-bA0),
+        )
 
     def _by_regime(self, d, series, direct, n):
         d = np.asarray(d, dtype=float)
@@ -332,6 +372,7 @@ class _Static2D(_Series2D):
         self._alpha_smooth = self._beta_log = zero
         self._c2_log = self._c3_log = self._c4_log = zero
         self._c2_smooth = self._c3_smooth = self._c4_smooth = zero
+        self._stack_groups()
 
     alpha_beta = _Series2D._series_alpha_beta
     cs = _Series2D._series_cs
@@ -456,14 +497,18 @@ def eta_constant(omega, medium):
 def asymptotic_gap_2d(x, y, omega, medium):
     """Remainder Pi_omega - Pi_0 - eta I at small separations (2D).
 
-    Decays like d^2 log d; evaluated through the cancellation-free series
-    split so the decay is resolved far below double-precision rounding of
-    the naive difference.
+    Decays like d^2 log d. Below the series switch it is evaluated from
+    the series split with its constant terms removed, so no O(ln d) terms
+    cancel; above it, as the difference of the two tensors.
     """
     if omega <= 0:
         raise ValueError("omega must be positive for the dynamic kernel")
     u, d = _sep(x, y, 2)
     pack = _radial_pack(omega, medium, 2)
+    if abs(pack.ks) * d < _SERIES_SWITCH:
+        alpha, beta = _log_plus_smooth(pack._gap, d)
+        uh = u / d
+        return alpha * np.eye(2) + beta * np.outer(uh, uh)
     gap = _pi(u, d, pack) - _pi(u, d, _radial_pack(0.0, medium, 2))
     return gap - pack.eta * np.eye(2)
 
@@ -523,13 +568,19 @@ def _circulant(v):
     return sliding_window_view(twice, N, axis=-1)[..., N - 1::-1, :]
 
 
+def _row_block(N):
+    """Node rows that ``_rotated_gather`` fills at a time."""
+    return max(16, 16384 // N)
+
+
 def _rotated_gather(B, t):
     """Dense interleaved matrix whose block (i, j) is Q(t_j) B[(i-j) mod N] Q(t_j)^T.
 
     Q(t) rotates by the angle t. Each block splits as p I + q J + r F + s G
     with J = [[0, 1], [-1, 0]], F = diag(1, -1) and G = [[0, 1], [1, 0]];
     the rotation leaves p and q alone and turns (r, s) by the angle 2 t_j,
-    so four circulant gathers by offset give every block.
+    so four circulant gathers by offset give every block. The matrix is
+    filled a few node rows at a time, so no temporary is N x N.
     """
     N = B.shape[0]
     p, q, r, s = _circulant(0.5 * np.stack([
@@ -537,13 +588,18 @@ def _rotated_gather(B, t):
         B[:, 0, 0] - B[:, 1, 1], B[:, 0, 1] + B[:, 1, 0],
     ]))
     c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
-    f = r * c2 - s * s2
-    g = r * s2 + s * c2
     M = np.empty((2 * N, 2 * N), dtype=complex)
-    M[0::2, 0::2] = p + f
-    M[1::2, 1::2] = p - f
-    M[0::2, 1::2] = q + g
-    M[1::2, 0::2] = g - q
+    blocks = M.reshape(N, 2, N, 2)  # blocks[i, a, j, b] = M[2i + a, 2j + b]
+    step = _row_block(N)
+    for i in range(0, N, step):
+        rows = slice(i, i + step)
+        f = r[rows] * c2 - s[rows] * s2
+        g = r[rows] * s2 + s[rows] * c2
+        out = blocks[rows]
+        np.add(p[rows], f, out=out[:, 0, :, 0])
+        np.subtract(p[rows], f, out=out[:, 1, :, 1])
+        np.add(q[rows], g, out=out[:, 0, :, 1])
+        np.subtract(g, q[rows], out=out[:, 1, :, 0])
     return M
 
 

@@ -16,6 +16,7 @@ in one batched pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -454,6 +455,14 @@ def ps_decompose(fld):
     return fld.restrict({"P"}), fld.restrict({"S"})
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n):
+    """Read-only Gauss-Legendre nodes and weights of order n on [-1, 1]."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
     """Damping-balance residual for a layered disk.
 
@@ -480,7 +489,7 @@ def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
     sol, B0, _ = _solve_config(config, omega, orders)
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
-    x, w = leggauss(n_quad)
+    x, w = _gauss_legendre(n_quad)
     lhs = 0.0
     for g in _regions(config):
         im_rho = complex(g.medium.rho).imag

@@ -7,6 +7,7 @@ and the interior Calderon identity for the assembled operators.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,97 @@ def test_gap_diagonal_entries_equal_at_tiny_separation():
     assert abs(gap_full[0, 0] - gap_full[1, 1]) < 1e-10
 
 
+def mpmath_gap_2d(x, y, omega, medium, digits=50):
+    """Oracle: Pi_omega - Pi_0 - eta I from mpmath Hankel functions.
+
+    The dynamic tensor is the Hankel form of ``hankel_pi_2d``, the static
+    one -(b1/(4 pi)) ln d I + (b2/(4 pi)) uhat uhat, and eta the closed form
+    of ``eta_constant``'s docstring; the O(ln d) cancellation costs far
+    fewer than the 50 digits carried. Returns (gap, eta).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        lam, mu, rho = (mp.mpf(v) for v in (medium.lam, medium.mu, medium.rho))
+        w = mp.mpf(omega)
+        kp, ks = w * mp.sqrt(rho / (lam + 2 * mu)), w * mp.sqrt(rho / mu)
+        u = [mp.mpf(float(a)) - mp.mpf(float(b)) for a, b in zip(x, y)]
+        d = mp.sqrt(u[0] ** 2 + u[1] ** 2)
+
+        def f1(k):
+            return -0.25j * k * mp.hankel1(1, k * d)
+
+        def f2(k):
+            return -0.25j * k * k * (mp.hankel1(0, k * d) - mp.hankel1(1, k * d) / (k * d))
+
+        g1, g2 = f1(ks) - f1(kp), f2(ks) - f2(kp)
+        b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
+        b2 = (lam + mu) / (mu * (lam + 2 * mu))
+        eta = -(b1 * (mp.log(w * mp.sqrt(rho) / 2) + mp.euler - 0.5j * mp.pi) + b2 / 2
+                - (mp.log(mu) / mu + mp.log(lam + 2 * mu) / (lam + 2 * mu)) / 2) / (4 * mp.pi)
+        gap = np.empty((2, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                P, eye = u[i] * u[j] / d**2, float(i == j)
+                dyn = (0.25j * mp.hankel1(0, ks * d) / mu * eye
+                       + (g2 * P + g1 / d * (eye - P)) / (rho * w * w))
+                static = -b1 / (4 * mp.pi) * mp.log(d) * eye + b2 / (4 * mp.pi) * P
+                gap[i, j] = complex(dyn - static - eta * eye)
+        return gap, complex(eta)
+
+
+@pytest.mark.parametrize("omega,medium", [(0.7, BG), (1.3, IsotropicMedium(2.5, 0.7, 1.8))],
+                         ids=["unit", "rho1.8"])
+@pytest.mark.parametrize("d", [1e-3, 1e-4])
+def test_gap_remainder_matches_mpmath(omega, medium, d):
+    # the remainder is O(d^2 ln d), so an O(ln d) difference of two
+    # tensors would leave rounding noise of order eps |eta| in it
+    x = np.array([0.3, 0.4])
+    y = x - d * np.array([np.cos(0.5), np.sin(0.5)])
+    want, eta = mpmath_gap_2d(x, y, omega, medium)
+    err = float(np.abs(asymptotic_gap_2d(x, y, omega, medium) - want).max())
+    assert err <= np.finfo(float).eps * abs(eta)
+    assert err <= 1e-12 * np.abs(want).max()
+
+
+def _horner_per_series(c, d):
+    """The per-series Horner loop that the stacked evaluator replaced."""
+    x = np.asarray(d) ** 2
+    out = np.zeros_like(x, dtype=complex)
+    for cm in c[::-1]:
+        out = out * x + cm
+    return out
+
+
+_SERIES_GROUPS = {
+    "_ab": ("_alpha_log", "_alpha_smooth", "_beta_log", "_beta_smooth"),
+    "_cs": ("_c2_log", "_c2_smooth", "_c3_log", "_c3_smooth", "_c4_log", "_c4_smooth"),
+    "_ab_log": ("_alpha_log", "_beta_log"),
+    "_cs_log": ("_c2_log", "_c3_log", "_c4_log"),
+}
+
+
+@pytest.mark.parametrize("omega,medium", [
+    (1.0, BG), (3.0, IsotropicMedium(2.5, 0.7, 1.8)),
+    (0.7, IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)), (0.0, HEAVY),
+], ids=["unit", "rho1.8", "lossy", "static"])
+def test_stacked_horner_matches_per_series_loop(omega, medium):
+    from elastocloak.kernels import _SERIES_SWITCH, _horner, _radial_pack
+
+    pack = _radial_pack(omega, medium, 2)
+    scale = _SERIES_SWITCH / abs(pack.ks) if omega > 0 else 1.0
+    ds = [np.array(0.5 * scale),
+          scale * np.array([1e-4, 0.1, 0.5, 0.999, 1.001, 2.0, 4.0])]
+    for group, names in _SERIES_GROUPS.items():
+        for d in ds:
+            stacked = _horner(getattr(pack, group), d)
+            assert stacked.shape == (len(names),) + d.shape
+            for row, name in zip(stacked, names):
+                series = getattr(pack, name)
+                want = _horner_per_series(series.c, d)
+                assert row.tobytes() == want.tobytes(), (group, name)
+                assert series(d).tobytes() == want.tobytes(), name
+
+
 def test_series_and_direct_paths_agree_in_overlap():
     # the series path (used near the diagonal) must join the Hankel path
     from elastocloak.kernels import _Radial2D
@@ -403,6 +495,59 @@ def test_double_layer_jump_relation():
         errs.append(float(np.abs(jump - density[i0]).max()))
     assert errs[1] < errs[0]  # first-order approach to the jump
     assert errs[1] < 0.05
+
+
+def _gather_whole_matrix(B, t):
+    """The whole-matrix form of ``_rotated_gather``: N x N temporaries."""
+    from elastocloak.kernels import _circulant
+
+    N = B.shape[0]
+    p, q, r, s = _circulant(0.5 * np.stack([
+        B[:, 0, 0] + B[:, 1, 1], B[:, 0, 1] - B[:, 1, 0],
+        B[:, 0, 0] - B[:, 1, 1], B[:, 0, 1] + B[:, 1, 0],
+    ]))
+    c2, s2 = np.cos(2.0 * t), np.sin(2.0 * t)
+    f = r * c2 - s * s2
+    g = r * s2 + s * c2
+    M = np.empty((2 * N, 2 * N), dtype=complex)
+    M[0::2, 0::2] = p + f
+    M[1::2, 1::2] = p - f
+    M[0::2, 1::2] = q + g
+    M[1::2, 0::2] = g - q
+    return M
+
+
+@pytest.mark.parametrize("N", [4, 6, 130])
+def test_rotated_gather_blocks(N):
+    from elastocloak.kernels import _rotated_gather, _row_block
+
+    if N == 130:  # several row blocks, the last one partial
+        assert _row_block(N) < N and N % _row_block(N) != 0
+    rng = np.random.default_rng(N)
+    B = rng.normal(size=(N, 2, 2)) + 1j * rng.normal(size=(N, 2, 2))
+    t = 2.0 * np.pi * np.arange(N) / N
+    M = _rotated_gather(B, t)
+    assert M.tobytes() == _gather_whole_matrix(B, t).tobytes()
+    blocks = M.reshape(N, 2, N, 2).transpose(0, 2, 1, 3)
+    for j in range(N):
+        Q = np.array([[np.cos(t[j]), -np.sin(t[j])], [np.sin(t[j]), np.cos(t[j])]])
+        for i in range(N):
+            want = Q @ B[(i - j) % N] @ Q.T
+            assert np.abs(blocks[i, j] - want).max() <= 1e-14
+
+
+def test_layer_operators_memory_floor():
+    # S and K are the only N x N arrays: the gather fills them by row blocks
+    layer_operators(circle_quadrature(2.0, 16), OMEGA, BG)  # imports, radial pack
+    q = circle_quadrature(2.0, 512)
+    tracemalloc.start()
+    try:
+        ops = layer_operators(q, OMEGA, BG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / (ops.S.nbytes + ops.K.nbytes)
+    assert ratio <= 1.10
 
 
 @pytest.mark.parametrize("omega", [1.0, 2.5, 5.0])
