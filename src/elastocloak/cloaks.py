@@ -38,6 +38,7 @@ __all__ = [
     "NearCloak",
     "PhysicalCloakConfig",
     "build_near_cloak",
+    "lining_config",
     "SingularityProfile",
     "singularity_scan",
 ]

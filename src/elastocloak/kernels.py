@@ -531,6 +531,8 @@ class CircleQuadrature:
 
 
 def circle_quadrature(radius, n_points):
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if n_points % 2 != 0 or n_points < 4:
         raise ValueError("n_points must be even and >= 4")
     t = 2.0 * np.pi * np.arange(n_points) / n_points

@@ -22,7 +22,6 @@ closed-form cloak tables arise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -35,13 +34,9 @@ __all__ = [
     "blowup_map",
     "regularized_blowup_map",
     "identity_map",
-    "compose_maps",
     "jacobian",
     "pushforward_stiffness",
     "pushforward_density",
-    "compose_pushforward_check",
-    "map_to_json",
-    "map_from_json",
 ]
 
 
@@ -81,54 +76,8 @@ class RadialMap:
             raise ValueError("blow-up map is singular at the origin")
         return float(self.g(r))
 
-    def derivative(self, r):
-        return float(self.g_prime(r))
-
     def inverse_radius(self, rr):
         return float(self.g_inverse(rr))
-
-    def invert(self):
-        """Map with source and image roles exchanged."""
-        lo, hi = self.domain
-        img = (self.g(lo) if lo > 0 else self._image_lo(), self.g(hi))
-        fwd = self
-
-        def gi(r):
-            return fwd.g_inverse(r)
-
-        def gpi(r):
-            return 1.0 / fwd.g_prime(fwd.g_inverse(r))
-
-        return RadialMap(
-            kind=f"inverse:{self.kind}",
-            params=dict(self.params),
-            dim=self.dim,
-            domain=img,
-            g=gi,
-            g_prime=gpi,
-            g_inverse=fwd.g,
-            joints=tuple(float(self.g(j)) for j in self.joints),
-        )
-
-    def _image_lo(self):
-        # limit of g at an open lower endpoint (blow-up: image radius 1)
-        eps = 1e-12
-        return float(self.g(self.domain[0] + eps) - eps * self.g_prime(self.domain[0] + eps))
-
-    def validate_monotone(self, samples=512):
-        """Sampled monotonicity / orientation check; raises on failure."""
-        lo, hi = self.domain
-        rs = np.linspace(lo + 1e-9 * (hi - lo), hi, samples)
-        gs = np.array([self.g(r) for r in rs])
-        if np.any(np.diff(gs) <= 0):
-            raise ValueError(f"map {self.kind} is not strictly increasing")
-        gp = np.array([self.g_prime(r) for r in rs if not self._near_joint(r)])
-        if np.any(gp <= 0):
-            raise ValueError(f"map {self.kind} is not orientation preserving")
-        return True
-
-    def _near_joint(self, r, tol=1e-9):
-        return any(abs(r - j) <= tol for j in self.joints)
 
 
 @dataclass(frozen=True)
@@ -206,23 +155,6 @@ def identity_map(dim, r_max=2.0):
         g=lambda r: r,
         g_prime=lambda r: 1.0,
         g_inverse=lambda rr: rr,
-    )
-
-
-def compose_maps(first, then):
-    """Composite map r -> then(first(r))."""
-    if first.dim != then.dim:
-        raise ValueError("maps must share dim")
-    return RadialMap(
-        kind="composite",
-        params={"first": _map_dict(first), "then": _map_dict(then)},
-        dim=first.dim,
-        domain=first.domain,
-        g=lambda r: then.g(first.g(r)),
-        g_prime=lambda r: then.g_prime(first.g(r)) * first.g_prime(r),
-        g_inverse=lambda rr: first.g_inverse(then.g_inverse(rr)),
-        joints=tuple(first.joints)
-        + tuple(first.g_inverse(j) for j in then.joints),
     )
 
 
@@ -313,46 +245,3 @@ def pushforward_density(rho, rmap, point):
     if jd.det <= 0:
         raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
     return complex(rho) / jd.det
-
-
-def compose_pushforward_check(C, map_a, map_b, point):
-    """Max entrywise deviation between (B o A)_* C and B_* (A_* C).
-
-    ``point`` is an image point of the composite map. Smooth radial maps
-    should agree to ~1e-10; this is a consistency diagnostic for the
-    chain rule through the push-forward.
-    """
-    comp = compose_maps(map_a, map_b)
-    direct = pushforward_stiffness(C, comp, point)
-    r, direction, frame = _split_point(point, comp.dim)
-    mid_r = map_b.inverse_radius(r)
-    mid_point = mid_r if direction is None else mid_r * direction
-    staged = pushforward_stiffness(pushforward_stiffness(C, map_a, mid_point), map_b, point)
-    return float(np.abs(direct.entries - staged.entries).max())
-
-
-def _map_dict(rmap):
-    if rmap.kind == "composite":
-        return {"kind": "composite", "params": rmap.params, "dim": rmap.dim}
-    return {"kind": rmap.kind, "params": rmap.params, "dim": rmap.dim}
-
-
-def map_to_json(rmap):
-    return json.dumps(_map_dict(rmap))
-
-
-def _map_from_dict(d):
-    kind, dim, params = d["kind"], int(d["dim"]), d.get("params", {})
-    if kind == "blowup":
-        return blowup_map(dim)
-    if kind == "regularized":
-        return regularized_blowup_map(params["h"], dim)
-    if kind == "identity":
-        return identity_map(dim, params.get("r_max", 2.0))
-    if kind == "composite":
-        return compose_maps(_map_from_dict(params["first"]), _map_from_dict(params["then"]))
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
-def map_from_json(text):
-    return _map_from_dict(json.loads(text))

@@ -41,10 +41,9 @@ __all__ = [
     "solve_mode",
     "mode_system_condition",
     "ntd_distance",
-    "traction_coeffs",
-    "ps_decompose",
     "energy_identity_check",
     "find_resonant_densities",
+    "resonant_config",
 ]
 
 
@@ -92,8 +91,8 @@ class LayeredDiskConfig:
         object.__setattr__(self, "media", tuple(self.media))
         if self.inner not in ("core", "cavity"):
             raise ValueError("inner must be 'core' or 'cavity'")
-        if any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
+        if not all(0 < r < np.inf for r in radii):
+            raise ValueError(f"radii must be positive and finite, got {radii}")
         if any(b <= a for a, b in zip(radii[1:], radii[:-1])):
             raise ValueError("radii must be strictly decreasing")
         expected = len(radii) if self.inner == "core" else len(radii) - 1
@@ -123,11 +122,6 @@ class LayeredDiskConfig:
         return self.media[-1]
 
 
-def uniform_disk(medium, radius=2.0):
-    """Single-medium disk (the reference configuration)."""
-    return LayeredDiskConfig(radii=(radius,), media=(medium,), inner="core")
-
-
 @dataclass(frozen=True)
 class NtDOperator:
     """Per-mode 2x2 traction-to-displacement blocks on the outer circle."""
@@ -137,9 +131,6 @@ class NtDOperator:
     radius: float
     blocks: np.ndarray  # (n_max + 1, 2, 2) complex
     conditions: np.ndarray = None  # per-mode system condition numbers
-
-    def block(self, n):
-        return self.blocks[n]
 
 
 def free_disk_block(medium, n, radius, omega):
@@ -379,17 +370,16 @@ def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
     return out
 
 
-def assemble_ntd(config, omega, n_max, cond_limit=1e14, raise_on_resonance=True):
+def assemble_ntd(config, omega, n_max, cond_limit=1e14):
     """NtD operator of a layered disk for modes 0..n_max: the one-config
     case of :func:`assemble_ntds`.
 
     Raises :class:`NearResonanceError` when a mode system's condition
-    number exceeds ``cond_limit`` (set ``raise_on_resonance=False`` to
-    keep the blocks and inspect ``conditions`` instead), and
-    :class:`ModeOverflowError` when a mode system is not representable.
+    number exceeds ``cond_limit`` (``cond_limit=np.inf`` keeps the blocks
+    for inspecting ``conditions`` instead), and :class:`ModeOverflowError`
+    when a mode system is not representable.
     """
-    (op,) = assemble_ntds([config], omega, n_max,
-                          cond_limit if raise_on_resonance else np.inf)
+    (op,) = assemble_ntds([config], omega, n_max, cond_limit)
     if isinstance(op, Exception):
         raise op
     return op
@@ -399,10 +389,9 @@ def per_mode_distance(A, B):
     """Array of weighted per-mode deviations sqrt(1+n^2) * smax(A_n - B_n)
     (the max of which is ``ntd_distance``); used for truncation-tail
     checks."""
-    if A.n_max != B.n_max:
-        raise ValueError("operators must share n_max")
-    if A.omega != B.omega:
-        raise ValueError("operators must share omega")
+    for name in ("n_max", "omega", "radius"):
+        if getattr(A, name) != getattr(B, name):
+            raise ValueError(f"operators must share {name}")
     return _weighted_smax(A.blocks - B.blocks)
 
 
@@ -423,47 +412,15 @@ def ntd_distance(A, B):
     return float(per_mode_distance(A, B).max())
 
 
-def traction_coeffs(medium, n, r, omega, coefficients, kinds=BASIS_FULL):
-    """Traction and displacement coefficients of a potential combination.
-
-    Parameters
-    ----------
-    coefficients : sequence of complex
-        One coefficient per basis function in ``kinds``.
-
-    Returns
-    -------
-    (sigma, u) : pair of ndarrays
-        ``sigma = (s_rr, s_rt)`` and ``u = (u_r, u_th)`` angular
-        coefficients at radius ``r``.
-    """
-    if len(coefficients) != len(kinds):
-        raise ValueError("one coefficient per basis function required")
-    if r == 0 and any(kind == "H" for kind, _ in kinds):
-        raise ValueError("outgoing basis is singular at r = 0")
-    B = basis_matrix(medium, n, r, omega, kinds)
-    v = B @ np.asarray(coefficients, dtype=complex)
-    return v[2:4], v[0:2]
-
-
-def ps_decompose(fld):
-    """Split a mode field into compressional and shear parts.
-
-    The split is exact in the potential representation: the P part is
-    curl free, the S part divergence free, and they sum to the field.
-    """
-    return fld.restrict({"P"}), fld.restrict({"S"})
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n):
-    """Read-only Gauss-Legendre nodes and weights of order n on [-1, 1]."""
-    x, w = leggauss(n)
+@functools.cache
+def _gauss_legendre():
+    """Read-only 64-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = leggauss(64)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
+def energy_identity_check(config, omega, tractions):
     """Damping-balance residual for a layered disk.
 
     Checks that the absorbed power equals the boundary flux deficit:
@@ -471,9 +428,10 @@ def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
         omega^2 * sum_regions Im(rho) Int |u|^2
             = -Im Int_boundary psi . conj(u - u0),
 
-    with ``u0`` the response of the uniform disk made of ``u0_medium``
-    (default: the outermost medium). ``tractions`` maps mode index to
-    (s_rr, s_rt) coefficients; all modes are solved in one batch.
+    with ``u0`` the response of the uniform disk made of the outermost
+    medium and the region integrals taken by 64-point Gauss-Legendre
+    quadrature. ``tractions`` maps mode index to (s_rr, s_rt)
+    coefficients; all modes are solved in one batch.
 
     Returns
     -------
@@ -483,13 +441,12 @@ def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
     if not tractions:
         return 0.0, 0.0, 0.0
     R = config.outer_radius
-    med0 = u0_medium if u0_medium is not None else config.media[0]
     orders = np.array(list(tractions), dtype=int)
     tr = np.array(list(tractions.values()), dtype=complex)
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
     sol, B0, _ = _solve_config(config, omega, orders)
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
-    x, w = _gauss_legendre(n_quad)
+    x, w = _gauss_legendre()
     lhs = 0.0
     for g in _regions(config):
         im_rho = complex(g.medium.rho).imag
@@ -497,14 +454,14 @@ def energy_identity_check(config, omega, tractions, n_quad=64, u0_medium=None):
             continue
         rr = 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x
         ww = 0.5 * (g.r_out - g.r_in) * w
-        # (M, n_quad, 2): u_r and u_th of every mode at every node
+        # (M, 64, 2): u_r and u_th of every mode at every node
         u = (basis_matrix(g.medium, orders, rr, omega, g.kinds)[..., 0:2, :]
              @ coeffs[:, None, g.cols])[..., 0]
         tot = (np.abs(u) ** 2).sum(axis=-1) @ (ww * rr)
         lhs += omega**2 * im_rho * float(fac @ tot)
     w0 = B0.shape[-1]
     u = (B0[:, 0:2, :] @ coeffs[:, :w0])[..., 0]
-    u0 = (free_disk_block(med0, orders, R, omega) @ tr[:, :, None])[..., 0]
+    u0 = (free_disk_block(config.media[0], orders, R, omega) @ tr[:, :, None])[..., 0]
     rhs = float(-R * fac @ np.imag(tr * np.conj(u - u0)).sum(axis=1))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale, lhs, rhs

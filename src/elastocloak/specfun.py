@@ -2,8 +2,9 @@
 
 Thin, contract-checked wrappers around the Amos routines in
 ``scipy.special`` providing Bessel functions of the first and second kind,
-Hankel functions of the first kind, and their first/second derivatives for
-integer order ``n >= 0`` and complex argument ``z``.
+Hankel functions of the first kind for integer order ``n >= 0`` and
+complex argument ``z``, with the first derivatives of J and Y and the
+second derivative of J.
 
 This is the only module of the library that imports ``scipy.special``,
 and it loads it on first use. The import costs about 0.3 s, most of it
@@ -31,20 +32,15 @@ far above ``|z|``; nothing in the library calls the scaled forms yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "CylEval",
     "bessel_j",
     "bessel_j_prime",
     "bessel_j_second",
     "bessel_y",
     "bessel_y_prime",
     "hankel1",
-    "hankel1_prime",
-    "cyl_eval",
 ]
 
 
@@ -119,14 +115,6 @@ def bessel_y_prime(n, z, scaled=False):
     return _prime(bessel_y, n, z, scaled)
 
 
-def hankel1_prime(n, z, scaled=False):
-    """d/dz H^(1)_n(z)."""
-    n, z = _check_args(n, z)
-    if (z == 0).any():
-        raise ValueError("H^(1)_n is singular at z = 0")
-    return _prime(hankel1, n, z, scaled)
-
-
 def bessel_j_second(n, z, scaled=False):
     """d^2/dz^2 J_n(z) = (J_{n-2} - 2 J_n + J_{n+2}) / 4."""
     n, z = _check_args(n, z)
@@ -141,37 +129,3 @@ def _signed_j(n, z, scaled):
     val = _special().jve(m, z) if scaled else _special().jv(m, z)
     out = (-1.0) ** m * val
     return complex(out) if np.isscalar(out) or np.asarray(out).ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class CylEval:
-    """Bundle of cylinder-function values at a single (order, argument)."""
-
-    n: int
-    z: complex
-    scaled: bool
-    J: complex
-    Y: complex
-    H1: complex
-    J_prime: complex
-    H1_prime: complex
-    J_second: complex
-
-
-def cyl_eval(n, z, scaled=False):
-    """Evaluate the full J/Y/H1 bundle with derivatives at one point."""
-    n, zz = _check_args(n, z)
-    z = complex(zz)
-    if z == 0:
-        raise ValueError("cyl_eval requires z != 0 (Y and H1 are singular)")
-    return CylEval(
-        n=n,
-        z=z,
-        scaled=scaled,
-        J=bessel_j(n, z, scaled),
-        Y=bessel_y(n, z, scaled),
-        H1=hankel1(n, z, scaled),
-        J_prime=bessel_j_prime(n, z, scaled),
-        H1_prime=hankel1_prime(n, z, scaled),
-        J_second=bessel_j_second(n, z, scaled),
-    )

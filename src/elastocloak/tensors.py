@@ -8,8 +8,7 @@ real-valued tensors.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "check_legendre",
     "symmetry_report",
     "voigt_matrix",
-    "tensor_to_json",
-    "tensor_from_json",
 ]
 
 # Voigt index pairs, (i, j) per slot, 0-based; order 11,22,(33),23,13,12.
@@ -45,36 +42,6 @@ class IsotropicMedium:
     lam: complex
     mu: complex
     rho: complex = 1.0
-
-    def is_regular_real(self, dim):
-        """Admissibility for real media: mu > 0 and dim*lam + 2*mu > 0."""
-        if any(abs(complex(v).imag) > 0 for v in (self.lam, self.mu, self.rho)):
-            return False
-        return self.mu.real > 0 and dim * self.lam.real + 2 * self.mu.real > 0
-
-    def as_dict(self):
-        return {
-            "lambda": _c2pair(self.lam),
-            "mu": _c2pair(self.mu),
-            "rho": _c2pair(self.rho),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return IsotropicMedium(
-            lam=_pair2c(d["lambda"]), mu=_pair2c(d["mu"]), rho=_pair2c(d.get("rho", 1.0))
-        )
-
-
-def _c2pair(v):
-    v = complex(v)
-    return [v.real, v.imag]
-
-
-def _pair2c(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
 
 
 @dataclass
@@ -105,9 +72,6 @@ class StiffnessTensor:
             raise ValueError(
                 f"entries must have shape {(self.dim,)*4}, got {self.entries.shape}"
             )
-
-    def copy(self):
-        return replace(self, entries=self.entries.copy())
 
     @property
     def is_real(self):
@@ -234,32 +198,3 @@ def voigt_matrix(C, tol=1e-9):
         for b, (k, l) in enumerate(pairs):
             V[a, b] = C.entries[i, j, k, l]
     return V
-
-
-def tensor_to_json(C):
-    """Serialize to the interchange form {dim, entries, flags}."""
-    flat = C.entries.reshape(-1)
-    return json.dumps(
-        {
-            "dim": C.dim,
-            "entries": [[v.real, v.imag] for v in flat],
-            "flags": {
-                "major_symmetric": C.major_symmetric,
-                "minor_symmetric": C.minor_symmetric,
-            },
-        }
-    )
-
-
-def tensor_from_json(text):
-    d = json.loads(text)
-    dim = int(d["dim"])
-    flat = np.array([complex(re, im) for re, im in d["entries"]])
-    if flat.size != dim**4:
-        raise ValueError(f"expected {dim**4} entries, got {flat.size}")
-    return StiffnessTensor(
-        dim=dim,
-        entries=flat.reshape((dim,) * 4),
-        major_symmetric=bool(d["flags"]["major_symmetric"]),
-        minor_symmetric=bool(d["flags"]["minor_symmetric"]),
-    )

@@ -26,14 +26,7 @@ import numpy as np
 
 from . import specfun
 
-__all__ = [
-    "wavenumbers",
-    "basis_column",
-    "ModeField",
-    "BASIS_FULL",
-    "BASIS_REGULAR",
-    "BASIS_OUTGOING",
-]
+__all__ = ["wavenumbers", "ModeField"]
 
 BASIS_FULL = (("J", "P"), ("H", "P"), ("J", "S"), ("H", "S"))
 BASIS_REGULAR = (("J", "P"), ("J", "S"))
@@ -150,11 +143,6 @@ def basis_matrix(medium, n, r, omega, kinds):
             else:
                 raise ValueError(f"unknown polarization {pol!r}")
     return out.reshape(shape if stacked else shape[1:])
-
-
-def basis_column(medium, n, r, omega, kind, pol):
-    """Boundary column (u_r, u_th, sigma_rr, sigma_rth) at radius r."""
-    return basis_matrix(medium, n, r, omega, ((kind, pol),))[..., 0]
 
 
 @dataclass(frozen=True)

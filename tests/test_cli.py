@@ -12,6 +12,7 @@ import pytest
 from elastocloak import harness
 from elastocloak.cli import main
 from elastocloak.harness import kernel_check, loglog_fit
+from elastocloak.kernels import eta_constant
 from elastocloak.modesolver import NearResonanceError
 
 
@@ -111,6 +112,19 @@ def test_loglog_fit_rejects_degenerate_data():
         loglog_fit([0.2, 0.1, 0.05], [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("h, d", [
+    ([0.2, 0.1, 0.05], [1e-2, np.nan, 2e-3]),
+    ([0.2, 0.1, 0.05], [1e-2, np.inf, 2e-3]),
+    ([0.2, -0.1, 0.05], [1e-2, 5e-3, 2e-3]),
+    ([0.2, 0.0, 0.05], [1e-2, 5e-3, 2e-3]),
+    ([0.2, np.inf, 0.05], [1e-2, 5e-3, 2e-3]),
+    ([0.2, np.nan, 0.05], [1e-2, 5e-3, 2e-3]),
+])
+def test_loglog_fit_rejects_non_finite_data(h, d):
+    with pytest.raises(ValueError, match="finite"):
+        loglog_fit(h, d)
+
+
 def test_loglog_fit_r2_policy():
     h = np.array([0.2, 0.1, 0.05, 0.025])
     noisy = 7.0 * h**2 * np.array([1.0, 3.5, 0.3, 2.0])
@@ -138,10 +152,14 @@ def test_resonance_rejects_bad_radii(tmp_path):
         run(["resonance", "--config", cfg, "--out", tmp_path])
 
 
-def test_kernelcheck_passes_and_detects_corruption(tmp_path):
+def test_kernelcheck_passes_and_detects_corruption(tmp_path, monkeypatch):
     res = kernel_check({"kernelcheck": {"n_pairs": 60}})
     assert res["passed"]
-    bad = kernel_check({"kernelcheck": {"n_pairs": 10}}, corrupt_eta=True)
+    # a gap constant of the wrong sign: Pi - Pi_0 + eta I in place of Pi - Pi_0 - eta I
+    gap = harness.asymptotic_gap_2d
+    monkeypatch.setattr(harness, "asymptotic_gap_2d", lambda x, y, omega, medium: (
+        gap(x, y, omega, medium) + 2.0 * eta_constant(omega, medium) * np.eye(2)))
+    bad = kernel_check({"kernelcheck": {"n_pairs": 10}})
     names = {c["name"]: c["passed"] for c in bad["checks"]}
     assert not names["gap_rate"]
 

@@ -421,6 +421,12 @@ def test_circle_quadrature_invariants():
         circle_quadrature(2.0, 33)
 
 
+@pytest.mark.parametrize("radius", [-2.0, 0.0, np.inf, np.nan])
+def test_circle_quadrature_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        circle_quadrature(radius, 8)
+
+
 def test_single_layer_row_against_adaptive_quadrature():
     N = 64
     q = circle_quadrature(2.0, N)

@@ -4,8 +4,6 @@ Finite-difference Jacobians and chain-rule compositions serve as the
 independent oracles for the analytic formulas.
 """
 
-import json
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -16,13 +14,9 @@ from elastocloak import (
     RadialMap,
     blowup_map,
     check_legendre,
-    compose_maps,
-    compose_pushforward_check,
     identity_map,
     iso_stiffness,
     jacobian,
-    map_from_json,
-    map_to_json,
     pushforward_density,
     pushforward_stiffness,
     regularized_blowup_map,
@@ -65,6 +59,28 @@ def smooth_test_map(dim, a=0.15, seed=None):
                      domain=(0.0, 2.0), g=g, g_prime=gp, g_inverse=gi)
 
 
+def inverse_map(rmap):
+    """The inverse of a radial map, built from its profile functions."""
+    lo, hi = rmap.domain
+    return RadialMap(kind="test-inverse", params={}, dim=rmap.dim,
+                     domain=(rmap.g(lo), rmap.g(hi)), g=rmap.g_inverse,
+                     g_prime=lambda r: 1.0 / rmap.g_prime(rmap.g_inverse(r)),
+                     g_inverse=rmap.g, joints=tuple(rmap.g(j) for j in rmap.joints))
+
+
+def chain_rule_gap(C, map_a, map_b, r):
+    """Max entrywise deviation between (B o A)_* C and B_* (A_* C) at the
+    image radius r of the composite map, built by the chain rule."""
+    composite = RadialMap(kind="test-composite", params={}, dim=map_a.dim,
+                          domain=map_a.domain, g=lambda s: map_b.g(map_a.g(s)),
+                          g_prime=lambda s: map_b.g_prime(map_a.g(s)) * map_a.g_prime(s),
+                          g_inverse=lambda rr: map_a.g_inverse(map_b.g_inverse(rr)))
+    direct = pushforward_stiffness(C, composite, r)
+    staged = pushforward_stiffness(
+        pushforward_stiffness(C, map_a, map_b.inverse_radius(r)), map_b, r)
+    return float(np.abs(direct.entries - staged.entries).max())
+
+
 # ---------------------------------------------------------------------------
 # map profiles
 
@@ -100,11 +116,6 @@ def test_regularized_domain_errors():
     for bad in (0.0, -0.2, 1.0, 1.5):
         with pytest.raises(ValueError):
             regularized_blowup_map(bad, 2)
-
-
-def test_monotonicity_validation():
-    for m in (blowup_map(2), regularized_blowup_map(0.07, 3), identity_map(2)):
-        assert m.validate_monotone()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +166,7 @@ def test_analytic_jacobian_matches_finite_differences():
 def test_forward_times_inverse_jacobian_is_identity():
     rng = np.random.default_rng(1)
     Fh = regularized_blowup_map(0.12, 2)
-    Fi = Fh.invert()
+    Fi = inverse_map(Fh)
     for _ in range(10):
         r = rng.uniform(0.2, 1.9)
         if abs(r - 0.12) < 0.02:
@@ -211,9 +222,9 @@ def test_pushforward_density_vanishes_at_inner_boundary():
 def test_compose_pushforward_trivial_and_inverse_pairs():
     C = iso_stiffness(IsotropicMedium(1.0, 2.0), 2)
     ident = identity_map(2)
-    assert compose_pushforward_check(C, ident, ident, 1.2) == 0.0
+    assert chain_rule_gap(C, ident, ident, 1.2) == 0.0
     Fh = regularized_blowup_map(0.2, 2)
-    dev = compose_pushforward_check(C, Fh, Fh.invert(), 1.2)
+    dev = chain_rule_gap(C, Fh, inverse_map(Fh), 1.2)
     assert dev < 1e-10
 
 
@@ -223,7 +234,7 @@ def test_compose_pushforward_random_smooth_maps():
         A = smooth_test_map(2, seed=seed)
         B = smooth_test_map(2, seed=seed + 100)
         point = B.g(A.g(1.1))
-        assert compose_pushforward_check(C, A, B, point) < 1e-10
+        assert chain_rule_gap(C, A, B, point) < 1e-10
 
 
 def test_pushforward_preserves_major_breaks_minor():
@@ -272,14 +283,3 @@ def test_orientation_error():
     C = iso_stiffness(IsotropicMedium(1.0, 1.0), 2)
     with pytest.raises(ValueError):
         pushforward_stiffness(C, bad, 1.2)
-
-
-def test_map_serialization_roundtrip():
-    for m in (blowup_map(3), regularized_blowup_map(0.05, 2), identity_map(2)):
-        m2 = map_from_json(map_to_json(m))
-        assert m2.kind == m.kind and m2.dim == m.dim
-        for r in (0.4, 1.1, 1.9):
-            assert m2(r) == pytest.approx(m(r), rel=1e-15)
-    comp = compose_maps(regularized_blowup_map(0.2, 2).invert(), blowup_map(2))
-    d = json.loads(map_to_json(compose_maps(identity_map(2), blowup_map(2))))
-    assert d["kind"] == "composite"

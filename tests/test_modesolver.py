@@ -24,15 +24,12 @@ from elastocloak import (
     free_disk_ntd,
     mode_system_condition,
     ntd_distance,
-    ps_decompose,
     resonant_config,
     solve_mode,
-    traction_coeffs,
-    uniform_disk,
 )
 from elastocloak.modesolver import free_disk_block
 from elastocloak.specfun import bessel_j, bessel_j_prime, bessel_j_second
-from elastocloak.wavefields import ModeField, wavenumbers
+from elastocloak.wavefields import BASIS_FULL, ModeField, wavenumbers
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 OMEGA = 1.0
@@ -60,7 +57,7 @@ def fd_traction_cartesian(field, point, normal, h=1e-5, law_medium=None):
 
 
 # ---------------------------------------------------------------------------
-# traction coefficients
+# traction and displacement coefficients of mode fields
 
 
 def test_mode0_pressure_matches_radial_gradient_field():
@@ -68,19 +65,20 @@ def test_mode0_pressure_matches_radial_gradient_field():
     c = 0.8
     kp, _ = wavenumbers(BG, OMEGA)
     r = 0.9
-    sigma, u = traction_coeffs(BG, 0, r, OMEGA, [c, 0.0], kinds=(("J", "P"), ("J", "S")))
-    assert u[0] == pytest.approx(c * kp * bessel_j_prime(0, kp * r), rel=1e-13)
-    assert u[1] == 0.0
+    field = ModeField(BG, OMEGA, 0, (("J", "P", c), ("J", "S", 0.0)))
+    ur, ut, srr, srt = field.boundary_values(r)
+    assert ur == pytest.approx(c * kp * bessel_j_prime(0, kp * r), rel=1e-13)
+    assert ut == 0.0
     # sigma_rr equals kp^2 (2 mu J0'' - lam J0) c for the pure mode-0 field
     expected = c * kp**2 * (2 * BG.mu * bessel_j_second(0, kp * r)
                             - BG.lam * bessel_j(0, kp * r))
-    assert sigma[0] == pytest.approx(expected, rel=1e-12)
-    assert sigma[1] == 0.0
+    assert srr == pytest.approx(expected, rel=1e-12)
+    assert srt == 0.0
 
 
 def test_zero_coefficients_give_zero():
-    sigma, u = traction_coeffs(BG, 3, 1.1, OMEGA, [0, 0, 0, 0])
-    assert np.all(sigma == 0) and np.all(u == 0)
+    field = ModeField(BG, OMEGA, 3, tuple((kind, pol, 0.0) for kind, pol in BASIS_FULL))
+    assert np.all(field.boundary_values(1.1) == 0)
 
 
 def test_polar_traction_matches_cartesian_fd_oracle():
@@ -106,13 +104,19 @@ def test_polar_traction_matches_cartesian_fd_oracle():
 
 def test_h_basis_at_origin_rejected():
     with pytest.raises(ValueError):
-        traction_coeffs(BG, 1, 0.0, OMEGA, [1, 0, 0, 0])
+        ModeField(BG, OMEGA, 1, (("H", "P", 1.0),)).boundary_values(0.0)
 
 
 @pytest.mark.parametrize("n", [-1, -3])
 def test_negative_order_rejected(n):
     with pytest.raises(ValueError, match="order must be >= 0"):
-        traction_coeffs(BG, n, 1.0, OMEGA, [1, 0, 0, 0])
+        ModeField(BG, OMEGA, n, (("H", "P", 1.0),)).boundary_values(1.0)
+
+
+@pytest.mark.parametrize("radii", [(np.nan, 1.0), (2.0, np.nan), (np.inf, 1.0)])
+def test_config_rejects_non_finite_radii(radii):
+    with pytest.raises(ValueError, match="radii"):
+        LayeredDiskConfig(radii=radii, media=(BG, BG))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ def test_overflowed_mode_raises_typed_error(h, mode):
 
 
 def test_mode_decoupling_structure():
-    sol = solve_mode(uniform_disk(BG), OMEGA, 4, (1.0, 0.5))
+    sol = solve_mode(LayeredDiskConfig(radii=(2.0,), media=(BG,)), OMEGA, 4, (1.0, 0.5))
     assert all(f.n == 4 for f in sol.fields)
 
 
@@ -385,6 +389,11 @@ def test_ntd_distance_definition():
     assert ntd_distance(op, other) == pytest.approx(np.sqrt(1 + n_hit**2) * eps, rel=1e-12)
 
 
+def test_ntd_distance_rejects_operators_on_different_circles():
+    with pytest.raises(ValueError, match="radius"):
+        ntd_distance(free_disk_ntd(BG, 2.0, OMEGA, 5), free_disk_ntd(BG, 1.0, OMEGA, 5))
+
+
 def test_energy_identity_lossless_is_zero():
     config = LayeredDiskConfig(
         radii=(2.0, 0.1, 0.05),
@@ -444,22 +453,23 @@ def test_energy_identity_quadratic_scaling():
 
 
 # ---------------------------------------------------------------------------
-# P/S decomposition
+# P/S decomposition: the P terms of a field are curl free, the S terms
+# divergence free, and the two sum to the field
 
 
-def test_ps_decompose_pure_pressure():
+def test_restrict_pure_pressure():
     field = ModeField(BG, OMEGA, 2, (("J", "P", 1.0), ("J", "S", 0.0)))
-    p, s = ps_decompose(field)
+    p, s = field.restrict({"P"}), field.restrict({"S"})
     assert len(s.terms) == 1 and s.terms[0][2] == 0.0
     r = 1.1
     np.testing.assert_allclose(p.boundary_values(r), field.boundary_values(r))
 
 
-def test_ps_decompose_fd_grad_div_oracle():
+def test_restrict_fd_grad_div_oracle():
     # reconstruct v_p as -(1/kp^2) grad div v by finite differences and
     # compare with the potential split
     field = ModeField(BG, OMEGA, 1, (("J", "P", 0.6 + 0.2j), ("J", "S", -0.4 + 0.9j)))
-    p, s = ps_decompose(field)
+    p, s = field.restrict({"P"}), field.restrict({"S"})
     kp, ks = wavenumbers(BG, OMEGA)
     x = np.array([0.8, 0.5])
     h = 1e-4

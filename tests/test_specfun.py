@@ -15,9 +15,7 @@ from elastocloak import (
     bessel_j_prime,
     bessel_j_second,
     bessel_y,
-    cyl_eval,
     hankel1,
-    hankel1_prime,
 )
 
 EULER = 0.5772156649015328606
@@ -180,9 +178,6 @@ def test_derivative_matches_central_differences():
             fd = (bessel_j(n, z + h) - bessel_j(n, z - h)) / (2 * h)
             an = bessel_j_prime(n, z)
             assert abs(fd - an) <= 1e-6 * max(1.0, abs(an))
-            fdh = (hankel1(n, z + h) - hankel1(n, z - h)) / (2 * h)
-            anh = hankel1_prime(n, z)
-            assert abs(fdh - anh) <= 1e-6 * max(1.0, abs(anh))
 
 
 def test_hankel_asymptotic_matching_beyond_30():
@@ -204,11 +199,3 @@ def test_domain_errors():
         bessel_y(1, 0.0)
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
-
-
-def test_cyl_eval_bundle_consistency():
-    ev = cyl_eval(2, 1.5 + 0.5j)
-    assert ev.H1 == pytest.approx(ev.J + 1j * ev.Y, rel=1e-13)
-    assert ev.J == pytest.approx(bessel_j(2, 1.5 + 0.5j), rel=1e-14)
-    with pytest.raises(ValueError):
-        cyl_eval(0, 0.0)

@@ -19,8 +19,6 @@ from elastocloak import (
     iso_stiffness,
     pushforward_stiffness,
     symmetry_report,
-    tensor_from_json,
-    tensor_to_json,
     voigt_matrix,
 )
 from elastocloak.tensors import StiffnessTensor, _sym_basis
@@ -259,11 +257,3 @@ def test_voigt_eigenvalues_in_tensor_metric(dim):
     eig = np.sort(np.linalg.eigvalsh(Vm))
     expected = np.sort([dim * lam + 2 * mu] + [2 * mu] * (m - 1))
     np.testing.assert_allclose(eig, expected, atol=1e-12)
-
-
-def test_json_roundtrip():
-    C = iso_stiffness(IsotropicMedium(1.0 + 0.5j, 2.0), 3)
-    C2 = tensor_from_json(tensor_to_json(C))
-    assert C2.dim == 3
-    assert C2.major_symmetric and C2.minor_symmetric
-    np.testing.assert_array_equal(C2.entries, C.entries)
