@@ -58,67 +58,32 @@ _SERIES_SWITCH = 1.0  # |ks d| below which the series path is used
 
 
 # ---------------------------------------------------------------------------
-# even power series utilities
+# even power series: coefficient arrays c of length _SERIES_TERMS + 1 for
+# f(d) = sum_m c[m] d^(2m), zero-padded at the top degree
+
+_DEG = np.arange(1, _SERIES_TERMS + 1)  # m = 1 .. _SERIES_TERMS
 
 
-class _EvenSeries:
-    """Polynomial in d^2: f(d) = sum_m c[m] d^(2m)."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = np.asarray(coeffs, dtype=complex)
-
-    def __call__(self, d):
-        return _horner(self.c[None], d)[0, ...]
-
-    def dlog(self):
-        """Series of f'(d)/d."""
-        m = np.arange(1, self.c.size)
-        return _EvenSeries(2.0 * m * self.c[1:])
-
-    def d2(self):
-        """Series of f''(d)."""
-        m = np.arange(1, self.c.size)
-        return _EvenSeries(2.0 * m * (2.0 * m - 1.0) * self.c[1:])
-
-    def div_d2(self):
-        """Series of f(d)/d^2; requires a vanishing constant term."""
-        if abs(self.c[0]) > 1e-13 * max(1.0, abs(self.c).max()):
-            raise ValueError("division by d^2 requires zero constant term")
-        return _EvenSeries(self.c[1:])
-
-    def shift_const(self, v):
-        c = self.c.copy()
-        c[0] += v
-        return _EvenSeries(c)
-
-    def __add__(self, other):
-        n = max(self.c.size, other.c.size)
-        a = np.zeros(n, dtype=complex)
-        a[: self.c.size] += self.c
-        a[: other.c.size] += other.c
-        return _EvenSeries(a)
-
-    def __sub__(self, other):
-        return self + other * (-1.0)
-
-    def __mul__(self, scalar):
-        return _EvenSeries(self.c * scalar)
-
-    __rmul__ = __mul__
-
-    @property
-    def const(self):
-        return complex(self.c[0])
+def _dlog(c):
+    """Series of f'(d)/d."""
+    return np.append(2.0 * _DEG * c[1:], 0.0)
 
 
-def _stack(*series):
-    """Coefficient rows of ``series``, zero-padded at the top degree."""
-    c = np.zeros((len(series), max(f.c.size for f in series)), dtype=complex)
-    for row, f in zip(c, series):
-        row[: f.c.size] = f.c
-    c.flags.writeable = False
+def _d2(c):
+    """Series of f''(d)."""
+    return np.append(2.0 * _DEG * (2.0 * _DEG - 1.0) * c[1:], 0.0)
+
+
+def _div_d2(c):
+    """Series of f(d)/d^2; requires a vanishing constant term."""
+    if abs(c[0]) > 1e-13 * max(1.0, abs(c).max()):
+        raise ValueError("division by d^2 requires zero constant term")
+    return np.append(c[1:], 0.0)
+
+
+def _shift_const(c, v):
+    c = c.copy()
+    c[0] += v
     return c
 
 
@@ -145,20 +110,20 @@ def _log_plus_smooth(c, d):
     return tuple(v[i] * L + v[i + 1] for i in range(0, len(v), 2))
 
 
-def _j0_series(k, M=_SERIES_TERMS):
-    m = np.arange(M + 1)
+def _j0_series(k):
+    m = np.arange(_SERIES_TERMS + 1)
     fact = np.array([math.factorial(int(i)) for i in m], dtype=float)
-    return _EvenSeries((-1.0) ** m * k ** (2 * m) / (4.0**m * fact**2))
+    return (-1.0) ** m * k ** (2 * m) / (4.0**m * fact**2)
 
 
-def _w_series(k, M=_SERIES_TERMS):
+def _w_series(k):
     # W(z) = sum_{m>=1} (-1)^(m+1) h_m (z/2)^(2m) / (m!)^2, h_m harmonic
-    c = np.zeros(M + 1, dtype=complex)
+    c = np.zeros(_SERIES_TERMS + 1, dtype=complex)
     h = 0.0
-    for m in range(1, M + 1):
+    for m in range(1, _SERIES_TERMS + 1):
         h += 1.0 / m
         c[m] = (-1.0) ** (m + 1) * h * k ** (2 * m) / (4.0**m * math.factorial(m) ** 2)
-    return _EvenSeries(c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +182,14 @@ class _Direct:
         gp = self.g(self.kp, d)
         return gs, gs[1] - gp[1], gs[2] - gp[2], gs[3] - gp[3]
 
-    def _direct_alpha_beta(self, d):
+    def alpha_beta(self, d):
         gs, d1, d2, _ = self._kernels(d)
         w2 = self.w2
         alpha = gs[0] / self.mu + d1 / (w2 * d)
         beta = (d2 - d1 / d) / w2
         return alpha, beta
 
-    def _direct_cs(self, d):
+    def cs(self, d):
         gs, d1, d2, d3 = self._kernels(d)
         w2 = self.w2
         alpha_p = gs[1] / self.mu + (d2 * d - d1) / (w2 * d * d)
@@ -232,33 +197,93 @@ class _Direct:
         beta_p = (d3 - d2 / d + d1 / d**2) / w2
         return alpha_p / d, beta_p / d, beta / d**2
 
-    alpha_beta = _direct_alpha_beta
-    cs = _direct_cs
+
+# Rows of the 2D series table: 2 f holds the ln d series and 2 f + 1 the
+# smooth series of factor f = alpha, beta, c2, c3, c4.
+_AB, _CS = slice(0, 4), slice(4, 10)
+_AB_LOG, _CS_LOG = slice(0, 4, 2), slice(4, 10, 2)
 
 
-class _Series2D:
-    """2D radial factors as (log series) ln d + (smooth series).
+class _Radial2D:
+    """2D radial factors, each (log series) ln d + (smooth series).
 
     c2 and c4 carry in addition the singular terms s2/d^2 and s4/d^2.
-    Subclasses set the ten even series ``_<factor>_log``/``_<factor>_smooth``
-    and s2, s4, then call ``_stack_groups``; ``log`` exposes the ln d
-    coefficients as a pack of their own for the Nystrom split.
+    For omega > 0 the Hankel form ``direct`` serves |ks d| >= _SERIES_SWITCH
+    and the cancellation-free series ``table`` the smaller arguments;
+    ``gap`` holds the alpha and beta rows of Pi_omega - Pi_0 - eta I. At
+    omega = 0 the table holds only the constants s2 and s4 and serves
+    every d.
     """
 
-    def _stack_groups(self):
-        """Stack the series each evaluator needs, for one Horner pass each."""
-        self._ab = _stack(self._alpha_log, self._alpha_smooth,
-                          self._beta_log, self._beta_smooth)
-        self._cs = _stack(self._c2_log, self._c2_smooth, self._c3_log,
-                          self._c3_smooth, self._c4_log, self._c4_smooth)
-        self._ab_log = _stack(self._alpha_log, self._beta_log)
-        self._cs_log = _stack(self._c2_log, self._c3_log, self._c4_log)
+    def __init__(self, omega, medium):
+        lam, mu = complex(medium.lam), complex(medium.mu)
+        self.b1, self.b2, self.kappa1 = _lame_constants(lam, mu)
+        if omega <= 0:
+            self.direct = None
+            self.s2 = -self.b1 / (4 * np.pi)
+            self.s4 = self.b2 / (4 * np.pi)
+            self.eta = 0.0 + 0.0j
+            # constant series: one column, so Horner takes one step
+            self.table = np.zeros((10, 1), dtype=complex)
+            self.table[0, 0], self.table[3, 0] = self.s2, self.s4
+            self.table.flags.writeable = False
+            return
+        self.direct = p = _Direct(_g2, omega, medium)
+        iw2 = 1.0 / p.w2
+
+        def lam_log(k):
+            return np.log(k / 2.0) + _EULER - 0.5j * np.pi
+
+        # G = G_L ln d + G_A with entire even G_L, G_A
+        f = -1.0 / (2 * np.pi)
+        j0s, j0p = _j0_series(p.ks), _j0_series(p.kp)
+        GLs, GLp = j0s * f, j0p * f
+        GAs = (j0s * lam_log(p.ks) + _w_series(p.ks)) * f
+        GAp = (j0p * lam_log(p.kp) + _w_series(p.kp)) * f
+        dL = GLs - GLp
+        dA = GAs - GAp
+        aL = GLs * (1.0 / mu) + _dlog(dL) * iw2
+        aS = GAs * (1.0 / mu) + (_dlog(dA) + _div_d2(dL)) * iw2
+        bL = (_d2(dL) - _dlog(dL)) * iw2
+        bS = (2.0 * _dlog(dL) - 2.0 * _div_d2(dL) + _d2(dA) - _dlog(dA)) * iw2
+
+        # c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2 decompose as
+        # s/d^2 + (log series) ln d + (smooth series)
+        self.s2 = complex(aL[0])  # = -b1/(4 pi)
+        self.s4 = complex(bS[0])  # = +b2/(4 pi)
+        self.eta = complex(aS[0])
+        self.table = np.stack([
+            aL, aS, bL, bS,
+            _dlog(aL), _div_d2(_shift_const(aL, -self.s2)) + _dlog(aS),
+            _dlog(bL), _div_d2(bL) + _dlog(bS),
+            _div_d2(bL), _div_d2(_shift_const(bS, -self.s4)),
+        ])
+        # Pi_omega - Pi_0 - eta I: the static tensor is s2 ln d I + s4 uhat uhat
+        self.gap = np.stack([
+            _shift_const(aL, -self.s2), _shift_const(aS, -self.eta),
+            bL, _shift_const(bS, -self.s4),
+        ])
+        self.table.flags.writeable = self.gap.flags.writeable = False
+
+    def _by_regime(self, d, series, direct, n):
+        """The n factors from series(d) below the switch and at omega = 0,
+        from direct(self.direct, d) elsewhere."""
+        d = np.asarray(d, dtype=float)
+        if self.direct is None:
+            return series(d)
+        small = np.abs(self.direct.ks) * d < _SERIES_SWITCH
+        out = [np.empty(d.shape, dtype=complex) for _ in range(n)]
+        for mask, f in ((small, series), (~small, functools.partial(direct, self.direct))):
+            if np.any(mask):
+                for o, v in zip(out, f(d[mask])):
+                    o[mask] = v
+        return out
 
     def _series_alpha_beta(self, d):
-        return _log_plus_smooth(self._ab, d)
+        return _log_plus_smooth(self.table[_AB], d)
 
     def _series_cs(self, d):
-        c2L, c2S, c3L, c3S, c4L, c4S = _horner(self._cs, d)
+        c2L, c2S, c3L, c3S, c4L, c4S = _horner(self.table[_CS], d)
         L = np.log(d)
         inv2 = 1.0 / d**2
         return (
@@ -267,115 +292,29 @@ class _Series2D:
             self.s4 * inv2 + c4L * L + c4S,
         )
 
-    @property
-    def log(self):
-        return _LogPart(self)
-
-
-class _LogPart:
-    """The ln d coefficients of a 2D pack, with the pack interface."""
-
-    def __init__(self, pack):
-        self.p = pack
-
     def alpha_beta(self, d):
-        return _horner(self.p._ab_log, d)
-
-    def cs(self, d):
-        return _horner(self.p._cs_log, d)
-
-
-class _Radial2D(_Series2D, _Direct):
-    """Dynamic 2D radial factors.
-
-    The Hankel form is used away from the diagonal and the
-    cancellation-free log/smooth series split for small arguments.
-    """
-
-    def __init__(self, omega, medium):
-        _Direct.__init__(self, _g2, omega, medium)
-        self.b1, self.b2, self.kappa1 = _lame_constants(self.lam, self.mu)
-        w2 = self.w2
-
-        def lam_log(k):
-            return np.log(k / 2.0) + _EULER - 0.5j * np.pi
-
-        # G = G_L ln d + G_A with entire even G_L, G_A
-        GLs = _j0_series(self.ks) * (-1.0 / (2 * np.pi))
-        GLp = _j0_series(self.kp) * (-1.0 / (2 * np.pi))
-        GAs = (_j0_series(self.ks) * lam_log(self.ks) + _w_series(self.ks)) * (
-            -1.0 / (2 * np.pi)
-        )
-        GAp = (_j0_series(self.kp) * lam_log(self.kp) + _w_series(self.kp)) * (
-            -1.0 / (2 * np.pi)
-        )
-        dL = GLs - GLp
-        dA = GAs - GAp
-        self._alpha_log = GLs * (1.0 / self.mu) + dL.dlog() * (1.0 / w2)
-        self._alpha_smooth = GAs * (1.0 / self.mu) + (dA.dlog() + dL.div_d2()) * (1.0 / w2)
-        self._beta_log = (dL.d2() - dL.dlog()) * (1.0 / w2)
-        self._beta_smooth = (
-            2.0 * dL.dlog() - 2.0 * dL.div_d2() + dA.d2() - dA.dlog()
-        ) * (1.0 / w2)
-
-        # c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2 decompose as
-        # s/d^2 + (log series) ln d + (smooth series)
-        aL0 = self._alpha_log.const
-        bA0 = self._beta_smooth.const
-        self.s2 = aL0  # = -b1/(4 pi)
-        self.s4 = bA0  # = +b2/(4 pi)
-        self._c2_log = self._alpha_log.dlog()
-        self._c2_smooth = self._alpha_log.shift_const(-aL0).div_d2() + self._alpha_smooth.dlog()
-        self._c3_log = self._beta_log.dlog()
-        self._c3_smooth = self._beta_log.div_d2() + self._beta_smooth.dlog()
-        self._c4_log = self._beta_log.div_d2()
-        self._c4_smooth = self._beta_smooth.shift_const(-bA0).div_d2()
-        self.eta = self._alpha_smooth.const
-        self._stack_groups()
-        # Pi_omega - Pi_0 - eta I: the static tensor is s2 ln d I + s4 uhat uhat
-        self._gap = _stack(
-            self._alpha_log.shift_const(-aL0), self._alpha_smooth.shift_const(-self.eta),
-            self._beta_log, self._beta_smooth.shift_const(-bA0),
-        )
-
-    def _by_regime(self, d, series, direct, n):
-        d = np.asarray(d, dtype=float)
-        small = np.abs(self.ks) * d < _SERIES_SWITCH
-        out = [np.empty(d.shape, dtype=complex) for _ in range(n)]
-        for mask, f in ((small, series), (~small, direct)):
-            if np.any(mask):
-                for o, v in zip(out, f(d[mask])):
-                    o[mask] = v
-        return out
-
-    def alpha_beta(self, d):
-        return self._by_regime(d, self._series_alpha_beta, self._direct_alpha_beta, 2)
+        return self._by_regime(d, self._series_alpha_beta, _Direct.alpha_beta, 2)
 
     def cs(self, d):
         """(c2, c3, c4) with c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2."""
-        return self._by_regime(d, self._series_cs, self._direct_cs, 3)
+        return self._by_regime(d, self._series_cs, _Direct.cs, 3)
+
+    @property
+    def log(self):
+        return _LogPart(self.table)
 
 
-class _Static2D(_Series2D):
-    """Static (omega = 0) 2D factors: the series split with constant series."""
+class _LogPart:
+    """The ln d rows of a 2D series table, with the pack interface."""
 
-    def __init__(self, medium):
-        self.b1, self.b2, self.kappa1 = _lame_constants(
-            complex(medium.lam), complex(medium.mu)
-        )
-        self.s2 = -self.b1 / (4 * np.pi)
-        self.s4 = self.b2 / (4 * np.pi)
-        self.eta = 0.0 + 0.0j
-        zero = _EvenSeries([0.0])
-        self._alpha_log = _EvenSeries([self.s2])
-        self._beta_smooth = _EvenSeries([self.s4])
-        self._alpha_smooth = self._beta_log = zero
-        self._c2_log = self._c3_log = self._c4_log = zero
-        self._c2_smooth = self._c3_smooth = self._c4_smooth = zero
-        self._stack_groups()
+    def __init__(self, table):
+        self.table = table
 
-    alpha_beta = _Series2D._series_alpha_beta
-    cs = _Series2D._series_cs
+    def alpha_beta(self, d):
+        return _horner(self.table[_AB_LOG], d)
+
+    def cs(self, d):
+        return _horner(self.table[_CS_LOG], d)
 
 
 class _Static3D:
@@ -399,9 +338,9 @@ def _radial_pack(omega, medium, dim):
     """Radial factors for (omega, medium) in ``dim`` 2 or 3; omega <= 0 is static."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
-    if omega <= 0:
-        return _Static2D(medium) if dim == 2 else _Static3D(medium)
-    return _Radial2D(omega, medium) if dim == 2 else _Direct(_g3, omega, medium)
+    if dim == 2:
+        return _Radial2D(omega, medium)
+    return _Static3D(medium) if omega <= 0 else _Direct(_g3, omega, medium)
 
 
 def _outer(a, b):
@@ -505,8 +444,8 @@ def asymptotic_gap_2d(x, y, omega, medium):
         raise ValueError("omega must be positive for the dynamic kernel")
     u, d = _sep(x, y, 2)
     pack = _radial_pack(omega, medium, 2)
-    if abs(pack.ks) * d < _SERIES_SWITCH:
-        alpha, beta = _log_plus_smooth(pack._gap, d)
+    if abs(pack.direct.ks) * d < _SERIES_SWITCH:
+        alpha, beta = _log_plus_smooth(pack.gap, d)
         uh = u / d
         return alpha * np.eye(2) + beta * np.outer(uh, uh)
     gap = _pi(u, d, pack) - _pi(u, d, _radial_pack(0.0, medium, 2))

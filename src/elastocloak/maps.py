@@ -59,7 +59,6 @@ class RadialMap:
     """
 
     kind: str
-    params: dict
     dim: int
     domain: tuple
     g: callable
@@ -82,12 +81,10 @@ class RadialMap:
 
 @dataclass(frozen=True)
 class JacobianData:
-    """Jacobian matrix, its determinant, and where it was evaluated."""
+    """Jacobian matrix and its determinant."""
 
     M: np.ndarray
     det: float
-    at_point: object
-    frame: str
 
 
 def blowup_map(dim):
@@ -100,7 +97,6 @@ def blowup_map(dim):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     return RadialMap(
         kind="blowup",
-        params={},
         dim=dim,
         domain=(0.0, 2.0),
         g=lambda r: 1.0 + 0.5 * r,
@@ -134,7 +130,6 @@ def regularized_blowup_map(h, dim):
 
     return RadialMap(
         kind="regularized",
-        params={"h": float(h)},
         dim=dim,
         domain=(0.0, 2.0),
         g=g,
@@ -149,7 +144,6 @@ def identity_map(dim, r_max=2.0):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     return RadialMap(
         kind="identity",
-        params={"r_max": float(r_max)},
         dim=dim,
         domain=(0.0, float(r_max)),
         g=lambda r: r,
@@ -196,15 +190,15 @@ def jacobian(rmap, point, inverse=False, joint_tol=1e-12):
         raise ValueError("blow-up map Jacobian is singular at the origin")
     for j in rmap.joints:
         if abs(r_src - j) <= joint_tol:
-            left = _jac_at(rmap, j - 1e-9, direction, frame, point)
-            right = _jac_at(rmap, j + 1e-9, direction, frame, point)
+            left = _jac_at(rmap, j - 1e-9, direction, frame)
+            right = _jac_at(rmap, j + 1e-9, direction, frame)
             raise JointError(
                 f"map {rmap.kind} is non-differentiable at r = {j}", left, right
             )
-    return _jac_at(rmap, r_src, direction, frame, point)
+    return _jac_at(rmap, r_src, direction, frame)
 
 
-def _jac_at(rmap, r_src, direction, frame, at_point):
+def _jac_at(rmap, r_src, direction, frame):
     gp, gt = _principal_stretches(rmap, r_src)
     dim = rmap.dim
     if frame == "polar":
@@ -213,7 +207,7 @@ def _jac_at(rmap, r_src, direction, frame, at_point):
         P = np.outer(direction, direction)
         M = gp * P + gt * (np.eye(dim) - P)
     det = gp * gt ** (dim - 1)
-    return JacobianData(M=M, det=float(det), at_point=at_point, frame=frame)
+    return JacobianData(M=M, det=float(det))
 
 
 def pushforward_stiffness(C, rmap, point):
@@ -228,7 +222,7 @@ def pushforward_stiffness(C, rmap, point):
         raise ValueError("tensor and map dims differ")
     r, direction, frame = _split_point(point, rmap.dim)
     r_src = rmap.inverse_radius(r)
-    jd = _jac_at(rmap, r_src, direction, frame, point)
+    jd = _jac_at(rmap, r_src, direction, frame)
     if jd.det <= 0:
         raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
     Ct = np.einsum("ijkl,pl,qj->iqkp", C.entries, jd.M, jd.M) / jd.det
@@ -241,7 +235,7 @@ def pushforward_density(rho, rmap, point):
     """Density transform rho / det(M), evaluated at an image-space point."""
     r, direction, frame = _split_point(point, rmap.dim)
     r_src = rmap.inverse_radius(r)
-    jd = _jac_at(rmap, r_src, direction, frame, point)
+    jd = _jac_at(rmap, r_src, direction, frame)
     if jd.det <= 0:
         raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
     return complex(rho) / jd.det

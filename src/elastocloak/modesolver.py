@@ -437,7 +437,17 @@ def energy_identity_check(config, omega, tractions):
     -------
     (residual, lhs, rhs)
         ``residual`` is relative to the larger magnitude side.
+
+    Only Im(rho) enters the absorbed power, so a region with complex lam
+    or mu is refused with ``ValueError``.
     """
+    regions = _regions(config)
+    for i, g in enumerate(regions):
+        if complex(g.medium.lam).imag or complex(g.medium.mu).imag:
+            raise ValueError(
+                f"region {i} (r in [{g.r_in}, {g.r_out}]) has complex lam or mu; "
+                "energy_identity_check counts only Im(rho) as dissipation"
+            )
     if not tractions:
         return 0.0, 0.0, 0.0
     R = config.outer_radius
@@ -448,7 +458,7 @@ def energy_identity_check(config, omega, tractions):
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     x, w = _gauss_legendre()
     lhs = 0.0
-    for g in _regions(config):
+    for g in regions:
         im_rho = complex(g.medium.rho).imag
         if im_rho == 0.0:
             continue

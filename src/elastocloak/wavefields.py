@@ -98,8 +98,8 @@ def basis_matrix(medium, n, r, omega, kinds):
     r = np.asarray(r, dtype=float)
     if not stacked:
         r = r[None]  # a single medium is the C = 1 stack
-    if (r <= 0).any():
-        raise ValueError("radius must be positive")
+    if not ((r > 0) & (r < np.inf)).all():
+        raise ValueError("radius must be positive and finite")
     if r.shape[0] != len(media):
         raise ValueError("one row of radii per medium required")
     orders = np.asarray(n).astype(int)

@@ -359,11 +359,16 @@ def _horner_per_series(c, d):
     return out
 
 
+# rows of the 2D series table, and the rows each evaluator slice selects
+_ROWS = {name: i for i, name in enumerate((
+    "alpha_log", "alpha_smooth", "beta_log", "beta_smooth", "c2_log",
+    "c2_smooth", "c3_log", "c3_smooth", "c4_log", "c4_smooth",
+))}
 _SERIES_GROUPS = {
-    "_ab": ("_alpha_log", "_alpha_smooth", "_beta_log", "_beta_smooth"),
-    "_cs": ("_c2_log", "_c2_smooth", "_c3_log", "_c3_smooth", "_c4_log", "_c4_smooth"),
-    "_ab_log": ("_alpha_log", "_beta_log"),
-    "_cs_log": ("_c2_log", "_c3_log", "_c4_log"),
+    "_AB": ("alpha_log", "alpha_smooth", "beta_log", "beta_smooth"),
+    "_CS": ("c2_log", "c2_smooth", "c3_log", "c3_smooth", "c4_log", "c4_smooth"),
+    "_AB_LOG": ("alpha_log", "beta_log"),
+    "_CS_LOG": ("c2_log", "c3_log", "c4_log"),
 }
 
 
@@ -372,21 +377,26 @@ _SERIES_GROUPS = {
     (0.7, IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)), (0.0, HEAVY),
 ], ids=["unit", "rho1.8", "lossy", "static"])
 def test_stacked_horner_matches_per_series_loop(omega, medium):
+    from elastocloak import kernels
     from elastocloak.kernels import _SERIES_SWITCH, _horner, _radial_pack
 
     pack = _radial_pack(omega, medium, 2)
-    scale = _SERIES_SWITCH / abs(pack.ks) if omega > 0 else 1.0
+    assert pack.table.shape == (10, kernels._SERIES_TERMS + 1 if omega > 0 else 1)
+    scale = _SERIES_SWITCH / abs(pack.direct.ks) if omega > 0 else 1.0
     ds = [np.array(0.5 * scale),
           scale * np.array([1e-4, 0.1, 0.5, 0.999, 1.001, 2.0, 4.0])]
-    for group, names in _SERIES_GROUPS.items():
+    groups = [(group, pack.table[getattr(kernels, group)],
+               [pack.table[_ROWS[name]] for name in names])
+              for group, names in _SERIES_GROUPS.items()]
+    if omega > 0:
+        groups.append(("gap", pack.gap, list(pack.gap)))
+    for group, stack, rows in groups:
         for d in ds:
-            stacked = _horner(getattr(pack, group), d)
-            assert stacked.shape == (len(names),) + d.shape
-            for row, name in zip(stacked, names):
-                series = getattr(pack, name)
-                want = _horner_per_series(series.c, d)
-                assert row.tobytes() == want.tobytes(), (group, name)
-                assert series(d).tobytes() == want.tobytes(), name
+            stacked = _horner(stack, d)
+            assert stacked.shape == (len(rows),) + d.shape
+            for i, (row, coeffs) in enumerate(zip(stacked, rows)):
+                want = _horner_per_series(coeffs, d)
+                assert row.tobytes() == want.tobytes(), (group, i)
 
 
 def test_series_and_direct_paths_agree_in_overlap():
@@ -395,18 +405,11 @@ def test_series_and_direct_paths_agree_in_overlap():
 
     pack = _Radial2D(OMEGA, BG)
     for d in (0.05, 0.2, 0.5, 0.9):
-        a_s = pack._alpha_log(np.array(d)) * np.log(d) + pack._alpha_smooth(np.array(d))
-        b_s = pack._beta_log(np.array(d)) * np.log(d) + pack._beta_smooth(np.array(d))
-        a_d, b_d = pack._direct_alpha_beta(np.array(d))
-        assert abs(a_s - a_d) < 1e-12
-        assert abs(b_s - b_d) < 1e-12
-        for cs, cd in zip(
-            (pack.s2 / d**2 + pack._c2_log(np.array(d)) * np.log(d) + pack._c2_smooth(np.array(d)),
-             pack._c3_log(np.array(d)) * np.log(d) + pack._c3_smooth(np.array(d)),
-             pack.s4 / d**2 + pack._c4_log(np.array(d)) * np.log(d) + pack._c4_smooth(np.array(d))),
-            pack._direct_cs(np.array(d)),
-        ):
-            assert abs(cs - cd) < 1e-10
+        d = np.array(d)
+        for s, h in zip(pack._series_alpha_beta(d), pack.direct.alpha_beta(d)):
+            assert abs(s - h) < 1e-12
+        for s, h in zip(pack._series_cs(d), pack.direct.cs(d)):
+            assert abs(s - h) < 1e-10
 
 
 # ---------------------------------------------------------------------------

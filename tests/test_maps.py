@@ -55,14 +55,14 @@ def smooth_test_map(dim, a=0.15, seed=None):
     def gi(rr):
         return brentq(lambda r: g(r) - rr, 0.0, 2.5, xtol=1e-15)
 
-    return RadialMap(kind="test-smooth", params={"a": a}, dim=dim,
+    return RadialMap(kind="test-smooth", dim=dim,
                      domain=(0.0, 2.0), g=g, g_prime=gp, g_inverse=gi)
 
 
 def inverse_map(rmap):
     """The inverse of a radial map, built from its profile functions."""
     lo, hi = rmap.domain
-    return RadialMap(kind="test-inverse", params={}, dim=rmap.dim,
+    return RadialMap(kind="test-inverse", dim=rmap.dim,
                      domain=(rmap.g(lo), rmap.g(hi)), g=rmap.g_inverse,
                      g_prime=lambda r: 1.0 / rmap.g_prime(rmap.g_inverse(r)),
                      g_inverse=rmap.g, joints=tuple(rmap.g(j) for j in rmap.joints))
@@ -71,7 +71,7 @@ def inverse_map(rmap):
 def chain_rule_gap(C, map_a, map_b, r):
     """Max entrywise deviation between (B o A)_* C and B_* (A_* C) at the
     image radius r of the composite map, built by the chain rule."""
-    composite = RadialMap(kind="test-composite", params={}, dim=map_a.dim,
+    composite = RadialMap(kind="test-composite", dim=map_a.dim,
                           domain=map_a.domain, g=lambda s: map_b.g(map_a.g(s)),
                           g_prime=lambda s: map_b.g_prime(map_a.g(s)) * map_a.g_prime(s),
                           g_inverse=lambda rr: map_a.g_inverse(map_b.g_inverse(rr)))
@@ -277,7 +277,7 @@ def test_polar_and_cartesian_frames_agree_by_rotation():
 
 
 def test_orientation_error():
-    bad = RadialMap(kind="test-bad", params={}, dim=2, domain=(0.0, 2.0),
+    bad = RadialMap(kind="test-bad", dim=2, domain=(0.0, 2.0),
                     g=lambda r: 2.0 - 0.5 * r, g_prime=lambda r: -0.5,
                     g_inverse=lambda rr: 2 * (2.0 - rr))
     C = iso_stiffness(IsotropicMedium(1.0, 1.0), 2)

@@ -119,6 +119,12 @@ def test_config_rejects_non_finite_radii(radii):
         LayeredDiskConfig(radii=radii, media=(BG, BG))
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_free_disk_ntd_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        free_disk_ntd(BG, radius, OMEGA, 4)
+
+
 # ---------------------------------------------------------------------------
 # assembly anchors
 
@@ -403,6 +409,16 @@ def test_energy_identity_lossless_is_zero():
     resid, lhs, rhs = energy_identity_check(config, OMEGA, {1: (0.7, 0.3)})
     assert lhs == 0.0
     assert abs(rhs) < 1e-12
+
+
+@pytest.mark.parametrize("core", [IsotropicMedium(1.0, 0.8 + 0.2j, 1.0),
+                                  IsotropicMedium(2.0 + 0.3j, 1.0, 1.0)],
+                         ids=["complex-mu", "complex-lam"])
+def test_energy_identity_refuses_complex_moduli(core):
+    # only Im(rho) enters the absorbed power: a lossy modulus would read lhs 0
+    config = LayeredDiskConfig(radii=(2.0, 0.5), media=(BG, core), inner="core")
+    with pytest.raises(ValueError, match=r"region 1 .*complex lam or mu"):
+        energy_identity_check(config, OMEGA, {1: (0.7, 0.3)})
 
 
 def test_energy_identity_near_cloak():
