@@ -218,9 +218,11 @@ def convergence_sweep(config):
     heavy), raising n_max automatically while the last two modes carry
     more than 1% of the distance. Every content and h of one n_max is
     solved in one ``assemble_ntds`` call; a row whose solve is near a
-    resonance or overflows gets a NaN distance and a flag. Also reports
+    resonance or overflows gets a NaN distance and a flag, and so does
+    every row when the free-disk reference overflows. Also reports
     the cross-content spread at each h (content independence) and a
-    frequency preflight: the largest free-disk system condition. The
+    frequency preflight: the largest free-disk system condition (NaN when
+    the reference overflows). The
     wall time of each stage is kept apart, under ``seconds``.
     """
     omega = float(config.get("omega", 1.0))
@@ -241,10 +243,13 @@ def convergence_sweep(config):
     preflight = None
     while True:
         with _stage(seconds, "solve"):
-            ref = free_disk_ntd(bg, 2.0, omega, n_max)
+            try:
+                ref = free_disk_ntd(bg, 2.0, omega, n_max)
+            except ModeOverflowError as exc:  # flags every row, as a device's error does
+                ref = exc
             ops = assemble_ntds(devices, omega, n_max)
         if preflight is None:
-            preflight = float(ref.conditions.max())
+            preflight = float("nan") if isinstance(ref, Exception) else float(ref.conditions.max())
         with _stage(seconds, "distances"):
             tails, flags = _pair_distances([(op, ref) for op in ops])
             rows = []
@@ -414,8 +419,6 @@ def kernel_check(config):
     checks = []
 
     static_only = omega == 0.0
-    if omega < 0:
-        raise ValueError("omega must be positive, or 0 for the static kernels")
 
     # reciprocity: Pi(x, y) == Pi(y, x)^T; the pairs are drawn as x, y in turn
     n_pairs = int(config.get("kernelcheck", {}).get("n_pairs", 200))

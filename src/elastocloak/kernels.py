@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import hankel1
+from .specfun import _hankel1_pair
 from .tensors import IsotropicMedium
 from .wavefields import BASIS_OUTGOING, ModeField, basis_matrix, wavenumbers
 
@@ -141,10 +141,10 @@ def _lame_constants(lam, mu):
 
 def _g2(k, d):
     """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3,
-    from one H0 and one H1 evaluation."""
-    z = k * d
-    h0 = hankel1(0, z)
-    h1 = hankel1(1, z)
+    from one (H0, H1) pair. A real wavenumber (a lossless medium) passes
+    a real argument, which takes the real Bessel routines."""
+    z = (k.real if k.imag == 0 else k) * d
+    h0, h1 = _hankel1_pair(z)
     return (
         0.25j * h0,
         -0.25j * k * h1,
@@ -218,7 +218,7 @@ class _Radial2D:
     def __init__(self, omega, medium):
         lam, mu = complex(medium.lam), complex(medium.mu)
         self.b1, self.b2, self.kappa1 = _lame_constants(lam, mu)
-        if omega <= 0:
+        if omega == 0:
             self.direct = None
             self.s2 = -self.b1 / (4 * np.pi)
             self.s4 = self.b2 / (4 * np.pi)
@@ -335,12 +335,16 @@ class _Static3D:
 
 @functools.lru_cache(maxsize=8)
 def _radial_pack(omega, medium, dim):
-    """Radial factors for (omega, medium) in ``dim`` 2 or 3; omega <= 0 is static."""
+    """Radial factors for (omega, medium) in ``dim`` 2 or 3; omega = 0 is
+    static. Every kernel goes through here, so this is the one check of
+    omega."""
+    if not 0 <= omega < np.inf:
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if dim == 2:
         return _Radial2D(omega, medium)
-    return _Static3D(medium) if omega <= 0 else _Direct(_g3, omega, medium)
+    return _Static3D(medium) if omega == 0 else _Direct(_g3, omega, medium)
 
 
 def _outer(a, b):

@@ -145,8 +145,14 @@ def free_disk_block(medium, n, radius, omega):
 
 
 def free_disk_ntd(medium, radius, omega, n_max):
+    """NtD map of a uniform disk, modes 0..n_max; a
+    :class:`ModeOverflowError` for the first mode whose system is not
+    representable."""
     B = basis_matrix(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR)
     U, S = B[:, 0:2], B[:, 2:4]
+    usable = _representable(B, np.abs(S).max(axis=-2))
+    if not usable.all():
+        raise _overflow_error(int(usable.argmin()))
     return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=U @ np.linalg.inv(S),
                        conditions=np.linalg.cond(S))
 
@@ -244,13 +250,24 @@ def _mode_error(orders, conds, n_ok, cond_limit):
             condition=cond,
         )
     if n_ok < len(orders):
-        n = int(orders[n_ok])
-        return ModeOverflowError(
-            f"mode {n} system is not representable: a Bessel or Hankel value "
-            "overflowed, or a basis column underflowed to zero",
-            mode=n,
-        )
+        return _overflow_error(int(orders[n_ok]))
     return None
+
+
+def _overflow_error(n):
+    return ModeOverflowError(
+        f"mode {n} system is not representable: a Bessel or Hankel value "
+        "overflowed, or a basis column underflowed to zero",
+        mode=n,
+    )
+
+
+def _representable(B0, col):
+    """Per mode system: True unless its outer basis ``B0`` or its column
+    scales ``col`` (the largest magnitude of each column) hold a
+    non-finite value, or a column is all zero."""
+    return (np.isfinite(B0).all(axis=(-2, -1)) & np.isfinite(col).all(axis=-1)
+            & (col > 0).all(axis=-1))
 
 
 def _mode_systems(configs, omega, orders, cond_limit=np.inf):
@@ -273,8 +290,7 @@ def _mode_systems(configs, omega, orders, cond_limit=np.inf):
     # by zero) before they reach LAPACK, so they cannot touch the rest of
     # the stack.
     col = np.abs(A).max(axis=-2)
-    usable = (np.isfinite(B0).all(axis=(-2, -1)) & np.isfinite(col).all(axis=-1)
-              & (col > 0).all(axis=-1))
+    usable = _representable(B0, col)
     n_ok = np.where(usable.all(axis=1), len(orders), usable.argmin(axis=1))
     unusable = np.arange(len(orders)) >= n_ok[:, None]
     if unusable.any():

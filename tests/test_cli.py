@@ -276,6 +276,23 @@ def test_sweeps_flag_mode_overflow(tmp_path):
     assert "mode overflow mode 98" in (tmp_path / "lining.csv").read_text()
 
 
+def test_convergence_flags_rows_past_the_free_disk_overflow(tmp_path):
+    # n_max 150 is past the free-disk reference's last representable mode
+    # (147); the rows are flagged, as lining flags them, instead of raising
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_max": 150, "convergence": {"h_values": [0.1, 0.05]}}))
+    for cmd in ("convergence", "lining"):
+        assert run([cmd, "--config", cfg, "--out", tmp_path]) == 0
+    conv = json.loads((tmp_path / "convergence.json").read_text())
+    assert np.isnan(conv["preflight_max_condition"])
+    for res in conv["contents"].values():
+        assert [r["flag"] for r in res["rows"]] == ["mode overflow mode 98",
+                                                    "mode overflow mode 90"]
+        assert res["fit"]["rejected"]
+    lin = json.loads((tmp_path / "lining.json").read_text())
+    assert [r["flag"] for r in lin["rows"]] == ["mode overflow mode 98", "mode overflow mode 90"]
+
+
 def test_n_max_override_and_background_content(tmp_path):
     # content defaulting to the background ("cloaking nothing") still
     # converges at the same rate

@@ -658,6 +658,77 @@ def test_radial_pack_built_once_per_omega_and_medium(monkeypatch):
     assert 1 <= len(built) <= 3
 
 
+LOSSY = IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)
+
+
+def _every_2d_kernel(medium, omega=OMEGA, N=32):
+    """Call each 2D dynamic kernel once: the layer operators, both layer
+    potentials, the Green tensor, the traction kernel and the kernel check."""
+    from elastocloak import kernel_check
+
+    q = circle_quadrature(2.0, N)
+    density = np.ones(2 * N)
+    x, y = np.array([0.3, -0.2]), np.array([1.1, 0.4])
+    return [
+        lambda: layer_operators(q, omega, medium),
+        lambda: sl_potential(q, density, x, omega, medium),
+        lambda: dl_potential(q, density, x, omega, medium),
+        lambda: green_omega(x, y, omega, medium),
+        lambda: green_traction(x, y, np.array([0.6, 0.8]), omega, medium),
+        lambda: kernel_check({"omega": omega, "kernelcheck": {"n_pairs": 50}}),
+    ]
+
+
+def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
+    from elastocloak import harness, specfun
+
+    class AmosCalled(Exception):
+        pass
+
+    def amos(*args, **kwargs):
+        raise AmosCalled
+
+    monkeypatch.setattr(specfun, "hankel1", amos)
+    for call in _every_2d_kernel(BG):
+        call()
+    # a config cannot name a complex background: hand kernel_check the medium
+    monkeypatch.setattr(harness, "_background", lambda config: LOSSY)
+    for call in _every_2d_kernel(LOSSY):
+        with pytest.raises(AmosCalled):
+            call()
+
+
+@pytest.mark.parametrize("medium", [BG, IsotropicMedium(2.5, 0.7, 1.8)], ids=["unit", "stiff"])
+@pytest.mark.parametrize("omega", [0.7, 3.0])
+@pytest.mark.parametrize("N", [16, 128])
+def test_real_hankel_pair_matches_amos_in_operators(monkeypatch, medium, omega, N):
+    from elastocloak import kernels, specfun
+
+    q = circle_quadrature(2.0, N)
+    rng = np.random.default_rng(N)
+    density = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
+    pts = 2.0 * rng.uniform(-0.6, 0.6, (5, 2))
+
+    def values():
+        ops = layer_operators(q, omega, medium)
+        return (ops.S, ops.K, sl_potential(q, density, pts, omega, medium),
+                dl_potential(q, density, pts, omega, medium))
+
+    fast = values()
+    # the same pair on its Amos branch: a complex argument
+    monkeypatch.setattr(kernels, "_hankel1_pair",
+                        lambda z: specfun._hankel1_pair(np.asarray(z, dtype=complex)))
+    for got, want in zip(fast, values()):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("omega", [-1.0, np.nan, np.inf, -np.inf])
+def test_negative_or_nonfinite_omega_is_refused(omega):
+    for call in _every_2d_kernel(BG, omega):
+        with pytest.raises(ValueError, match="omega"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # exterior cavity
 

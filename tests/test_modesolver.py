@@ -125,6 +125,16 @@ def test_free_disk_ntd_rejects_bad_radius(radius):
         free_disk_ntd(BG, radius, OMEGA, 4)
 
 
+def test_free_disk_ntd_names_the_first_unrepresentable_mode():
+    # the J column of mode 148 underflows to zero at omega R = 2
+    medium = IsotropicMedium(1.0, 1.0, 1.0)
+    assert np.isfinite(free_disk_ntd(medium, 2.0, 1.0, 147).blocks).all()
+    with pytest.raises(ModeOverflowError) as exc:
+        free_disk_ntd(medium, 2.0, 1.0, 148)
+    assert exc.value.mode == 148
+    assert "mode 148" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # assembly anchors
 

@@ -2,7 +2,8 @@
 
 Oracles are independent of scipy: truncated power series (with Euler's
 constant for Y_0), bisection on the series for the first J_0 zero, and
-the large-argument asymptotic expansion for H_n.
+the large-argument asymptotic expansion for H_n, and mpmath at 30 digits
+for the real-argument (H0, H1) pair of the point kernels.
 """
 
 import math
@@ -17,6 +18,7 @@ from elastocloak import (
     bessel_y,
     hankel1,
 )
+from elastocloak.specfun import _hankel1_pair
 
 EULER = 0.5772156649015328606
 
@@ -199,3 +201,33 @@ def test_domain_errors():
         bessel_y(1, 0.0)
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
+
+
+# real arguments of the (H0, H1) pair: log-spaced over the whole range the
+# kernels reach, plus the k d of typical layer operators and potentials
+PAIR_GRID = np.concatenate([np.geomspace(1e-3, 300.0, 600), np.linspace(0.3, 12.0, 600)])
+
+
+def test_hankel_pair_real_argument_accuracy():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        want = np.array([[complex(mp.besselj(n, mp.mpf(x)) + 1j * mp.bessely(n, mp.mpf(x)))
+                          for x in PAIR_GRID] for n in (0, 1)])
+    got = np.array(_hankel1_pair(PAIR_GRID))
+    err = np.abs(got - want) / np.abs(want)
+    assert err[:, PAIR_GRID <= 50.0].max() <= 5e-15
+    assert err.max() <= 5e-14
+
+
+@pytest.mark.parametrize("z", [complex_grid(300), 0.9 + 0.05j, complex_grid(12).reshape(3, 4)],
+                         ids=["grid", "scalar", "2d"])
+def test_hankel_pair_complex_argument_is_amos_bit_for_bit(z):
+    h0, h1 = _hankel1_pair(z)
+    assert np.array_equal(h0, hankel1(0, z)) and np.array_equal(h1, hankel1(1, z))
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, np.nan, np.inf, np.array([1.0, -2.0]),
+                               np.array([1.0, np.nan]), 0j, complex(np.inf, 1.0)])
+def test_hankel_pair_domain_errors(z):
+    with pytest.raises(ValueError):
+        _hankel1_pair(z)
