@@ -185,7 +185,8 @@ def _h_values(config):
 
 def _pair_distances(pairs):
     """Weighted per-mode distances sqrt(1+n^2) smax(A_n - B_n) of NtD pairs
-    (A, B), from one batched SVD over every pair, and each pair's row flag.
+    (A, B), in one closed-form pass over every pair, and each pair's row
+    flag.
 
     A side that is a solve's typed error (as ``assemble_ntds`` returns it)
     gives the pair distances None and the flag of that error, A's first.
@@ -221,9 +222,9 @@ def convergence_sweep(config):
     resonance or overflows gets a NaN distance and a flag, and so does
     every row when the free-disk reference overflows. Also reports
     the cross-content spread at each h (content independence) and a
-    frequency preflight: the largest free-disk system condition (NaN when
-    the reference overflows). The
-    wall time of each stage is kept apart, under ``seconds``.
+    frequency preflight: the largest 1-norm condition ||S||_1 ||S^-1||_1
+    of the free-disk traction systems S (NaN when the reference overflows).
+    The wall time of each stage is kept apart, under ``seconds``.
     """
     omega = float(config.get("omega", 1.0))
     n_max = int(config.get("n_max", 16))

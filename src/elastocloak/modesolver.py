@@ -10,8 +10,16 @@ The assembled operator blocks are real symmetric for lossless media and
 complex symmetric with damping. Equilibrated global solves (all layer
 interfaces at once) keep the strongly lossy layers well conditioned where
 sequential transfer matrices would overflow. The systems of every mode,
-and of every config of one layout, are stacked into one array and solved
-in one batched pass.
+and of every config of one layout, are stacked into one array and
+inverted in one batched LU pass, which gives both the solutions and the
+conditions.
+
+A mode system's condition is its 1-norm condition number
+kappa_1(A) = ||A||_1 ||A^-1||_1, with ||A||_1 the largest column sum of
+|A| (LAPACK's xGECON convention; Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 2002, ch. 15). For an m x m system it lies
+within a factor m of the 2-norm condition s_max / s_min. An exactly
+singular system has condition inf and is always an error.
 """
 
 from __future__ import annotations
@@ -124,13 +132,19 @@ class LayeredDiskConfig:
 
 @dataclass(frozen=True)
 class NtDOperator:
-    """Per-mode 2x2 traction-to-displacement blocks on the outer circle."""
+    """Per-mode 2x2 traction-to-displacement blocks on the outer circle.
+
+    ``conditions`` holds, per mode, the 1-norm condition
+    ||A||_1 ||A^-1||_1 (||A||_1 the largest column sum of |A|) of the
+    equilibrated interface system A, or of the traction system S for
+    :func:`free_disk_ntd`.
+    """
 
     omega: float
     n_max: int
     radius: float
     blocks: np.ndarray  # (n_max + 1, 2, 2) complex
-    conditions: np.ndarray = None  # per-mode system condition numbers
+    conditions: np.ndarray = None  # (n_max + 1,) 1-norm conditions
 
 
 def free_disk_block(medium, n, radius, omega):
@@ -145,16 +159,55 @@ def free_disk_block(medium, n, radius, omega):
 
 
 def free_disk_ntd(medium, radius, omega, n_max):
-    """NtD map of a uniform disk, modes 0..n_max; a
-    :class:`ModeOverflowError` for the first mode whose system is not
-    representable."""
+    """NtD map of a uniform disk, modes 0..n_max, with the 1-norm
+    condition of each traction system S; a :class:`ModeOverflowError` for
+    the first mode whose system is not representable, else a
+    :class:`NearResonanceError` for the first exactly singular one."""
+    _check_n_max(n_max)
     B = basis_matrix(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR)
     U, S = B[:, 0:2], B[:, 2:4]
     usable = _representable(B, np.abs(S).max(axis=-2))
     if not usable.all():
         raise _overflow_error(int(usable.argmin()))
-    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=U @ np.linalg.inv(S),
-                       conditions=np.linalg.cond(S))
+    Sinv, singular = _inverses(S)
+    if singular.any():
+        raise _singular_error(int(singular.argmax()))
+    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=U @ Sinv,
+                       conditions=_norm1(S) * _norm1(Sinv))
+
+
+def _check_n_max(n_max):
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+
+
+def _norm1(A):
+    """1-norm of each matrix of the stack ``A``: its largest column sum of
+    |A|."""
+    with np.errstate(over="ignore"):  # an inverse past ~1e308 gives inf
+        return np.abs(A).sum(axis=-2).max(axis=-1)
+
+
+def _inverses(A):
+    """Inverses of the stack ``A`` and the mask of its exactly singular
+    matrices, whose inverses are left as the identity.
+
+    numpy's batched inverse refuses the whole stack for one singular
+    matrix; only then are the matrices inverted one at a time.
+    """
+    singular = np.zeros(A.shape[:-2], dtype=bool)
+    try:
+        return np.linalg.inv(A), singular
+    except np.linalg.LinAlgError:
+        pass
+    inv = np.empty_like(A)
+    for i in np.ndindex(singular.shape):
+        try:
+            inv[i] = np.linalg.inv(A[i])
+        except np.linalg.LinAlgError:
+            inv[i] = np.eye(A.shape[-1])
+            singular[i] = True
+    return inv, singular
 
 
 @dataclass
@@ -165,7 +218,7 @@ class ModeSolution:
     omega: float
     n: int
     fields: list  # ModeField per region, outside-in
-    condition: float
+    condition: float  # 1-norm condition of the equilibrated mode system
 
     def boundary_displacement(self):
         ur, ut = self.fields[0].displacement_polar(self.config.outer_radius)
@@ -238,12 +291,17 @@ def _interface_systems(configs, omega, orders):
 def _mode_error(orders, conds, n_ok, cond_limit):
     """The error of one config's mode systems, or None: a
     :class:`NearResonanceError` for the lowest order whose condition
-    ``conds`` exceeds ``cond_limit`` among the first ``n_ok``
-    (representable) ones, else a :class:`ModeOverflowError` for the first
-    order that is not representable."""
-    over = np.flatnonzero(conds[:n_ok] > cond_limit)
+    ``conds`` exceeds ``cond_limit`` or is inf (an exactly singular system)
+    among the first ``n_ok`` (representable) ones, else a
+    :class:`ModeOverflowError` for the first order that is not
+    representable."""
+    c = conds[:n_ok]
+    over = np.flatnonzero((c > cond_limit) | (c == np.inf))
     if over.size:
-        n, cond = int(orders[over[0]]), float(conds[over[0]])
+        n = int(orders[over[0]])
+        if c[over[0]] == np.inf:
+            return _singular_error(n)
+        cond = float(c[over[0]])
         return NearResonanceError(
             f"mode {n} system condition {cond:.3e} exceeds {cond_limit:.1e}",
             mode=n,
@@ -252,6 +310,10 @@ def _mode_error(orders, conds, n_ok, cond_limit):
     if n_ok < len(orders):
         return _overflow_error(int(orders[n_ok]))
     return None
+
+
+def _singular_error(n):
+    return NearResonanceError(f"mode {n} system is singular", mode=n, condition=np.inf)
 
 
 def _overflow_error(n):
@@ -270,15 +332,17 @@ def _representable(B0, col):
             & (col > 0).all(axis=-1))
 
 
-def _mode_systems(configs, omega, orders, cond_limit=np.inf):
-    """Equilibrated interface systems of ``configs`` (one layout) at
-    ``orders`` and their conditions, stacked over configs and orders.
+def _solve_modes(configs, omega, orders, cond_limit=np.inf):
+    """Solutions of the interface systems of ``configs`` (one layout) at
+    ``orders`` for unit s_rr and s_rt tractions, and the systems'
+    conditions, stacked over configs and orders, from one batched inverse.
 
-    Returns ``(As, rhs, col, B0, conds, errors)``: the two-sided
-    equilibrated systems ``As = diag(1/rw) A diag(1/col)`` (C, M, m, m),
-    the scaled right-hand sides (C, M, m, 2) for unit s_rr and s_rt, the
-    column scales, the outer basis, the condition number of each ``As``
-    and, per config, None or the error ``_mode_error`` names for it.
+    Returns ``(sol, B0, conds, errors)``: the solution coefficients
+    (C, M, m, 2), the outer basis, the 1-norm condition
+    ``||As||_1 ||As^-1||_1`` of each two-sided equilibrated system
+    ``As = diag(1/rw) A diag(1/col)`` and, per config, None or the error
+    ``_mode_error`` names for it. The solutions of a config with an error
+    are zero.
     """
     orders = np.asarray(orders)
     A, B0 = _interface_systems(configs, omega, orders)
@@ -302,29 +366,15 @@ def _mode_systems(configs, omega, orders, cond_limit=np.inf):
     rw = np.abs(As).max(axis=-1)
     rw[rw == 0] = 1.0
     As /= rw[..., None]
-    rhs = np.zeros(As.shape[:-1] + (2,), dtype=complex)
-    rhs[..., 0, 0] = 1.0 / rw[..., 0]
-    rhs[..., 1, 1] = 1.0 / rw[..., 1]
-
-    n_svd = int(n_ok.max())  # no config has a representable system past it
-    s = np.linalg.svd(As[:, :n_svd], compute_uv=False)
-    conds = np.full(As.shape[:2], np.inf)
-    np.divide(s[..., 0], s[..., -1], out=conds[:, :n_svd], where=s[..., -1] > 0)
+    norm = _norm1(As)
+    inv, singular = _inverses(As)
+    del A, As  # not kept alive beside its inverse
+    conds = norm * _norm1(inv)
+    conds[singular] = np.inf
     errors = [_mode_error(orders, c, n, cond_limit) for c, n in zip(conds, n_ok)]
-    return As, rhs, col, B0, conds, errors
-
-
-def _solve_modes(configs, omega, orders, cond_limit=np.inf):
-    """Solution coefficients (C, M, m, 2) for unit s_rr and s_rt tractions
-    of every config and order in one batched solve, with the outer basis,
-    the conditions and the per-config errors. The systems of a config with
-    an error are replaced by the identity before the solve."""
-    As, rhs, col, B0, conds, errors = _mode_systems(configs, omega, orders, cond_limit)
-    failed = np.array([e is not None for e in errors])
-    if failed.all():  # nothing to solve
-        return np.zeros(rhs.shape, dtype=complex), B0, conds, errors
-    As[failed] = np.eye(As.shape[-1])
-    sol = np.linalg.solve(As, rhs)
+    # A x = e_j is As (col x) = e_j / rw: x = inv[:, j] / (rw_j col)
+    inv[[e is not None for e in errors]] = 0.0
+    sol = inv[..., :, 0:2] / rw[..., None, 0:2]
     sol /= col[..., None]
     return sol, B0, conds, errors
 
@@ -339,11 +389,10 @@ def _solve_config(config, omega, orders):
 
 
 def mode_system_condition(config, omega, n):
-    """Condition number of the equilibrated mode-n interface system."""
-    *_, conds, (error,) = _mode_systems([config], omega, [n])
-    if error is not None:
-        raise error
-    return float(conds[0, 0])
+    """1-norm condition ||A||_1 ||A^-1||_1 of the equilibrated mode-n
+    interface system A, where ||A||_1 is the largest column sum of |A|."""
+    _, _, conds = _solve_config(config, omega, [n])
+    return float(conds[0])
 
 
 def solve_mode(config, omega, n, traction):
@@ -369,6 +418,7 @@ def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
     :class:`ModeOverflowError` that :func:`assemble_ntd` would raise for
     it; one config's error leaves the others untouched.
     """
+    _check_n_max(n_max)
     orders = np.arange(n_max + 1)
     groups = {}  # layout -> config indices; a layout fixes the regions and unknowns
     for i, config in enumerate(configs):
@@ -390,10 +440,11 @@ def assemble_ntd(config, omega, n_max, cond_limit=1e14):
     """NtD operator of a layered disk for modes 0..n_max: the one-config
     case of :func:`assemble_ntds`.
 
-    Raises :class:`NearResonanceError` when a mode system's condition
-    number exceeds ``cond_limit`` (``cond_limit=np.inf`` keeps the blocks
-    for inspecting ``conditions`` instead), and :class:`ModeOverflowError`
-    when a mode system is not representable.
+    Raises :class:`NearResonanceError` when a mode system's 1-norm
+    condition exceeds ``cond_limit`` (``cond_limit=np.inf`` keeps the
+    blocks for inspecting ``conditions`` instead) or the system is exactly
+    singular, and :class:`ModeOverflowError` when a mode system is not
+    representable.
     """
     (op,) = assemble_ntds([config], omega, n_max, cond_limit)
     if isinstance(op, Exception):
@@ -413,10 +464,24 @@ def per_mode_distance(A, B):
 
 def _weighted_smax(diff):
     """sqrt(1+n^2) * smax(D_n) of block differences ``diff`` of shape
-    (..., n_max + 1, 2, 2), stacked over any leading axes, from one
-    batched SVD."""
+    (..., n_max + 1, 2, 2), stacked over any leading axes.
+
+    smax(D)^2 is the largest eigenvalue of D^H D = [[p, r], [conj(r), q]],
+    (p + q)/2 + hypot((p - q)/2, |r|), a sum of two non-negative terms.
+    Each block is first scaled exactly, by a power of two, to a largest
+    |entry| in [1/2, 1), so nothing overflows or underflows; a zero block
+    gives 0.
+    """
     n = np.arange(diff.shape[-3])
-    return np.sqrt(1.0 + n * n) * np.linalg.svd(diff, compute_uv=False)[..., 0]
+    _, e = np.frexp(np.abs(diff).max(axis=(-2, -1)))
+    k = -e[..., None, None]
+    d = np.ldexp(diff.real, k) + 1j * np.ldexp(diff.imag, k)
+    a = d.real**2 + d.imag**2
+    p = a[..., 0, 0] + a[..., 1, 0]
+    q = a[..., 0, 1] + a[..., 1, 1]
+    r = np.abs(d[..., 0, 0].conj() * d[..., 0, 1] + d[..., 1, 0].conj() * d[..., 1, 1])
+    smax = np.ldexp(np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), r)), e)
+    return np.sqrt(1.0 + n * n) * smax
 
 
 def ntd_distance(A, B):

@@ -93,6 +93,8 @@ def basis_matrix(medium, n, r, omega, kinds):
     radial kind (J, H) evaluates everything. Angular dependence: u_r,
     sigma_rr carry cos(n th); u_th, sigma_rth carry sin(n th).
     """
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     stacked = isinstance(medium, (list, tuple))
     media = medium if stacked else (medium,)
     r = np.asarray(r, dtype=float)

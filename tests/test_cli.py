@@ -293,6 +293,17 @@ def test_convergence_flags_rows_past_the_free_disk_overflow(tmp_path):
     assert [r["flag"] for r in lin["rows"]] == ["mode overflow mode 98", "mode overflow mode 90"]
 
 
+def test_sweeps_refuse_a_bad_omega_or_n_max(tmp_path):
+    with pytest.raises(ValueError, match="n_max"):
+        run(["convergence", "--n-max", "-1", "--out", tmp_path])
+    for omega in (-1, 0):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"omega": omega}))
+        for cmd in ("convergence", "lining"):
+            with pytest.raises(ValueError, match="omega"):
+                run([cmd, "--config", cfg, "--out", tmp_path])
+
+
 def test_n_max_override_and_background_content(tmp_path):
     # content defaulting to the background ("cloaking nothing") still
     # converges at the same rate

@@ -6,9 +6,12 @@ Cartesian finite-difference stress evaluation of reconstructed fields,
 and the normal/tangential stress decomposition identity.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from elastocloak import modesolver
 from elastocloak import (
     DEFAULT_CONTENTS,
     IsotropicMedium,
@@ -20,14 +23,16 @@ from elastocloak import (
     build_near_cloak,
     energy_identity_check,
     lining_config,
+    convergence_sweep,
     find_resonant_densities,
     free_disk_ntd,
     mode_system_condition,
     ntd_distance,
+    lining_sweep,
     resonant_config,
     solve_mode,
 )
-from elastocloak.modesolver import free_disk_block
+from elastocloak.modesolver import _weighted_smax, free_disk_block
 from elastocloak.specfun import bessel_j, bessel_j_prime, bessel_j_second
 from elastocloak.wavefields import BASIS_FULL, ModeField, wavenumbers
 
@@ -169,8 +174,8 @@ def test_batched_ntd_matches_one_mode_solves(kind):
 
 
 @pytest.mark.parametrize("n_max, cond_limit, errors", [
-    # the h = 0.005 device (condition 1.4e8 at mode 16) is pushed over the
-    # limit; the H_SWEEP devices (at most 9.2e6) and cavities stay healthy
+    # the h = 0.005 device (condition 1.75e8 at mode 16) is pushed over the
+    # limit; the H_SWEEP devices (at most 1.04e7) and cavities stay healthy
     (16, 3e7, {(0.005, "NearResonanceError")}),
     # every h below 0.2 overflows, each at its own mode
     (100, 1e14, {(0.1, "ModeOverflowError"), (0.05, "ModeOverflowError"),
@@ -220,6 +225,125 @@ def test_overflowed_mode_raises_typed_error(h, mode):
     assert exc.value.mode < mode
     assert exc.value.condition == pytest.approx(
         mode_system_condition(config, OMEGA, exc.value.mode), rel=1e-10)
+
+
+@pytest.mark.parametrize("n_max", [-1, 2.5, np.float64(3.0), True])
+def test_n_max_that_is_not_a_non_negative_integer_is_refused(n_max):
+    config = _near_cloak_or_cavity("stiff")
+    for call in (lambda: assemble_ntd(config, OMEGA, n_max),
+                 lambda: assemble_ntds([config], OMEGA, n_max),
+                 lambda: free_disk_ntd(BG, 2.0, OMEGA, n_max)):
+        with pytest.raises(ValueError, match="n_max"):
+            call()
+
+
+@pytest.mark.parametrize("omega", [-1.0, 0.0, np.nan, np.inf])
+def test_omega_that_is_not_positive_and_finite_is_refused(omega):
+    config = _near_cloak_or_cavity("stiff")
+    for call in (lambda: assemble_ntd(config, omega, 4),
+                 lambda: free_disk_ntd(BG, 2.0, omega, 4),
+                 lambda: solve_mode(config, omega, 1, (1.0, 0.0)),
+                 lambda: mode_system_condition(config, omega, 1),
+                 lambda: energy_identity_check(config, omega, {1: (1.0, 0.0)})):
+        with pytest.raises(ValueError, match="omega"):
+            call()
+
+
+def test_exactly_singular_system_fails_only_its_config(monkeypatch):
+    # numpy's batched inverse refuses a whole stack for one exactly
+    # singular matrix; the solver inverts that stack matrix by matrix, so
+    # only the config holding it fails, with condition inf
+    configs = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
+                                background=BG).virtual for h in (0.1, 0.05, 0.025)]
+    alone = [assemble_ntd(config, OMEGA, 16) for config in configs]
+    interface_systems = modesolver._interface_systems
+
+    def singular_middle(cfgs, omega, orders):
+        A, B0 = interface_systems(cfgs, omega, orders)
+        # mode 5 of the middle config: the identity with column 3 repeating
+        # column 2, singular in exact arithmetic and to LAPACK
+        for c, n in np.ndindex(A.shape[:2]):
+            if cfgs[c] == configs[1] and orders[n] == 5:
+                A[c, n] = np.eye(A.shape[-1])
+                A[c, n, :, 3] = A[c, n, :, 2]
+        return A, B0
+
+    monkeypatch.setattr(modesolver, "_interface_systems", singular_middle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = assemble_ntds(configs, OMEGA, 16)
+        with pytest.raises(NearResonanceError) as exc:
+            mode_system_condition(configs[1], OMEGA, 5)
+    assert exc.value.condition == np.inf
+    assert isinstance(got[1], NearResonanceError)
+    assert got[1].mode == 5 and got[1].condition == np.inf
+    for k in (0, 2):
+        assert got[k].blocks.tobytes() == alone[k].blocks.tobytes()
+        assert got[k].conditions.tobytes() == alone[k].conditions.tobytes()
+
+
+def test_free_disk_ntd_names_an_exactly_singular_mode(monkeypatch):
+    basis_matrix = modesolver.basis_matrix
+
+    def singular_mode_3(*args):
+        B = basis_matrix(*args)
+        B[3, 3] = 0.0  # the s_rt row of mode 3: S singular, its columns nonzero
+        return B
+
+    monkeypatch.setattr(modesolver, "basis_matrix", singular_mode_3)
+    with pytest.raises(NearResonanceError) as exc:
+        free_disk_ntd(BG, 2.0, OMEGA, 8)
+    assert exc.value.mode == 3 and exc.value.condition == np.inf
+
+
+def test_conditions_are_exact_one_norm_conditions():
+    # oracle: ||As||_1 ||As^-1||_1 with the inverse of the equilibrated
+    # system taken by mpmath at 30 digits
+    mp = pytest.importorskip("mpmath")
+    config = _near_cloak_or_cavity("stiff")
+    orders = np.array([0, 5, 16, 24])
+    op = assemble_ntd(config, OMEGA, 24)
+    A, _ = modesolver._interface_systems([config], OMEGA, orders)
+    As = A[0] / np.abs(A[0]).max(axis=-2)[:, None, :]
+    As /= np.abs(As).max(axis=-1)[..., None]
+    with mp.workdps(30):
+        for n, a in zip(orders, As):
+            inv = mp.inverse(mp.matrix(a.tolist()))
+            inv_norm = max(mp.fsum(abs(inv[i, j]) for i in range(inv.rows))
+                           for j in range(inv.cols))
+            want = float(np.abs(a).sum(axis=0).max() * inv_norm)
+            assert op.conditions[n] == pytest.approx(want, rel=1e-8), n
+
+
+def test_closed_form_smax_matches_svd():
+    rng = np.random.default_rng(13)
+    blocks = rng.standard_normal((100_000, 2, 2)) + 1j * rng.standard_normal((100_000, 2, 2))
+    u = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
+    v = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
+    for D in (blocks, u[:, :, None] * v[:, None, :], 1e150 * blocks[:10_000],
+              1e-150 * blocks[:10_000]):
+        want = np.linalg.svd(D, compute_uv=False)[:, 0]
+        got = _weighted_smax(D[:, None])[:, 0]  # mode 0 carries weight 1
+        assert (np.abs(got - want) <= 8 * np.spacing(want)).all()
+    assert _weighted_smax(np.zeros((2, 3, 2, 2), dtype=complex)).tobytes() == bytes(48)
+
+
+def test_sweep_paths_take_no_svd(monkeypatch):
+    # conditions and distances come from inverses and closed forms; the
+    # only SVD left in the solver is find_resonant_densities' null vector
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD on a sweep path")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)  # what np.linalg.cond calls
+    config = _near_cloak_or_cavity("stiff")
+    convergence_sweep({})
+    lining_sweep({})
+    assemble_ntds([config, _near_cloak_or_cavity("cavity")], OMEGA, 16)
+    free_disk_ntd(BG, 2.0, OMEGA, 16)
+    energy_identity_check(config, OMEGA, {0: (1.0, 0.0), 3: (0.2, 0.5j)})
+    solve_mode(config, OMEGA, 3, (1.0, 0.0))
+    mode_system_condition(config, OMEGA, 3)
 
 
 def test_mode_decoupling_structure():
