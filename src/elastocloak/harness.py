@@ -32,6 +32,7 @@ from .kernels import (
 from .modesolver import (
     LayeredDiskConfig,
     ModeOverflowError,
+    _check_n_max,
     _weighted_smax,
     assemble_ntds,
     find_resonant_densities,
@@ -73,8 +74,9 @@ class FitResult:
 def loglog_fit(h_values, distances):
     """Least-squares slope of log(distance) against log(h).
 
-    Raises ``ValueError`` for fewer than two points, and for an h or a
-    distance that is not positive and finite.
+    The line comes in closed form from centered sums. Raises
+    ``ValueError`` for fewer than two points, for h values that are all
+    equal, and for an h or a distance that is not positive and finite.
     """
     h = np.asarray(h_values, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -85,13 +87,25 @@ def loglog_fit(h_values, distances):
     if np.any(d <= 0):
         raise ValueError("degenerate data: distances must be positive to fit a rate")
     x, y = np.log(h), np.log(d)
-    slope, intercept = np.polyfit(x, y, 1)
+    xm, ym = float(x.mean()), float(y.mean())
+    dx, dy = x - xm, y - ym
+    sxx = float(dx @ dx)
+    if sxx == 0:
+        raise ValueError("degenerate data: h values must not all be equal")
+    slope = float(dx @ dy) / sxx
+    intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return FitResult(
-        slope=float(slope), intercept=float(intercept), r2=r2, rejected=r2 < _R2_MIN
-    )
+    ss_tot = float(dy @ dy)
+    r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 0.0
+    return FitResult(slope=slope, intercept=intercept, r2=r2, rejected=r2 < _R2_MIN)
+
+
+def _n_max(config):
+    """The configured mode cutoff (default 16); a value that is not a
+    non-negative integer is refused, not truncated."""
+    n_max = config.get("n_max", 16)
+    _check_n_max(n_max)
+    return int(n_max)
 
 
 def _background(config):
@@ -227,7 +241,7 @@ def convergence_sweep(config):
     The wall time of each stage is kept apart, under ``seconds``.
     """
     omega = float(config.get("omega", 1.0))
-    n_max = int(config.get("n_max", 16))
+    n_max = _n_max(config)
     bg = _background(config)
     params = _cloak_params(config)
     h_values = _h_values(config)
@@ -304,7 +318,7 @@ def lining_sweep(config):
     is kept apart, under ``seconds``.
     """
     omega = float(config.get("omega", 1.0))
-    n_max = int(config.get("n_max", 16))
+    n_max = _n_max(config)
     bg = _background(config)
     params = _cloak_params(config)
     content = _content_from(config.get("content", {}))

@@ -154,7 +154,11 @@ def free_disk_block(medium, n, radius, omega):
     This is the solver's ground-truth anchor; multi-layer assemblies with
     identical media must reduce to it exactly.
     """
-    B = basis_matrix(medium, n, radius, omega, BASIS_REGULAR)
+    return _disk_blocks(basis_matrix(medium, n, radius, omega, BASIS_REGULAR))
+
+
+def _disk_blocks(B):
+    """U S^{-1} of regular basis columns ``B`` of shape (..., 4, 2)."""
     return B[..., 0:2, :] @ np.linalg.inv(B[..., 2:4, :])
 
 
@@ -552,7 +556,9 @@ def energy_identity_check(config, omega, tractions):
         lhs += omega**2 * im_rho * float(fac @ tot)
     w0 = B0.shape[-1]
     u = (B0[:, 0:2, :] @ coeffs[:, :w0])[..., 0]
-    u0 = (free_disk_block(config.media[0], orders, R, omega) @ tr[:, :, None])[..., 0]
+    # the uniform disk of the outermost medium has the J columns of B0
+    regular = [k for k, (kind, _) in enumerate(regions[0].kinds) if kind == "J"]
+    u0 = (_disk_blocks(B0[..., regular]) @ tr[:, :, None])[..., 0]
     rhs = float(-R * fac @ np.imag(tr * np.conj(u - u0)).sum(axis=1))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale, lhs, rhs

@@ -27,10 +27,11 @@ z <= 50 and within 5e-14 for z <= 300 (Amos: 1e-15). A complex argument
 ``bessel_j``, ``bessel_y`` and ``hankel1`` also take an array of orders,
 which broadcasts against ``z``; the order and argument checks then run
 once for the whole array. The mode solver (through
-``wavefields.basis_matrix``) calls the unscaled ``bessel_j`` and
-``hankel1`` this way, once per radial kind over every order, wavenumber
-and radius of a stack of media, and takes derivatives from the same
-array.
+``wavefields.basis_matrix``) calls the unscaled functions this way, once
+per radial kind over every wavenumber and radius of a stack of media:
+``bessel_j`` over every order, ``hankel1`` over the two lowest orders
+only, which seed the forward order recurrence of the rest of the H1
+table. It takes derivatives from the same tables.
 
 The ``scaled`` variants multiply out the exponential growth:
 

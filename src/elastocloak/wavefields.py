@@ -45,21 +45,33 @@ def _radial(kind, orders, z):
     """Z_n(z) and Z_n'(z) for the 1-D ``orders`` against ``z`` of shape
     (C,) + zs, each of shape (C, len(orders)) + zs.
 
-    One specfun call evaluates every order needed;
+    One specfun call evaluates the table of orders lo .. max+1: every
+    order for J, the two lowest for H1. H1 is the dominant solution of
+    Z_{n+1} = (2n/z) Z_n - Z_{n-1} (Abramowitz & Stegun 9.1.27), so the
+    rest of its table comes from that forward recurrence, which is stable
+    (Gautschi, SIAM Rev. 9, 1967). An H1 value past ~1e308 comes back as
+    inf or nan, and so does every higher order.
     Z_n' = (Z_{n-1} - Z_{n+1}) / 2, with Z_{-1} = -Z_1 for J and H1.
     """
-    if kind == "J":
-        fun = specfun.bessel_j
-    elif kind == "H":
-        fun = specfun.hankel1
-    else:
+    if kind not in ("J", "H"):
         raise ValueError(f"unknown radial kind {kind!r}")
     # orders lo .. max+1 cover every Z_{n-1} and Z_{n+1}; a negative order
     # reaches specfun, which rejects it
     low = orders.min()
     lo = low - 1 if low > 0 else low
-    table = fun(np.arange(lo, orders.max() + 2).reshape((1, -1) + (1,) * (z.ndim - 1)),
-                z[:, None])
+    nu = np.arange(lo, orders.max() + 2)
+    if kind == "J":
+        table = specfun.bessel_j(nu.reshape((1, -1) + (1,) * (z.ndim - 1)), z[:, None])
+    else:
+        # the recurrence steps over the leading axis of ``rows``, one vector
+        # operation per order over the whole stack
+        rows = np.empty(nu.shape + z.shape, dtype=complex)
+        rows[:2] = specfun.hankel1(nu[:2].reshape((2,) + (1,) * z.ndim), z)
+        h = list(rows)
+        for k, ratio in enumerate(2.0 * nu[1:-1].reshape((-1,) + (1,) * z.ndim) / z, start=2):
+            np.multiply(ratio, h[k - 1], out=h[k])
+            h[k] -= h[k - 2]
+        table = np.moveaxis(rows, 0, 1)
     i = orders - lo
     below = table[:, np.abs(orders - 1) - lo]
     if low == 0:
@@ -90,8 +102,9 @@ def basis_matrix(medium, n, r, omega, kinds):
     may also be a list or tuple of C media, with ``r`` of shape
     (C,) + rs holding each medium's radii; the result then has shape
     (C,) + n.shape + rs + (4, len(kinds)). Either way one specfun call per
-    radial kind (J, H) evaluates everything. Angular dependence: u_r,
-    sigma_rr carry cos(n th); u_th, sigma_rth carry sin(n th).
+    radial kind (J, H) evaluates or seeds everything (see ``_radial``).
+    Angular dependence: u_r, sigma_rr carry cos(n th); u_th, sigma_rth
+    carry sin(n th).
     """
     if not 0 < omega < np.inf:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
@@ -122,7 +135,7 @@ def basis_matrix(medium, n, r, omega, kinds):
         (-1,) + per_medium)
     radial = {}  # kind -> (Z, Z'), shape (C, M, 2) + rs
     out = np.empty((len(media), orders.size) + r.shape[1:] + (4, len(kinds)), dtype=complex)
-    # an unscaled Hankel value that overflows comes back as nan; the
+    # an unscaled Hankel value that overflows comes back as inf or nan; the
     # arithmetic on it stays quiet, as Python complex arithmetic is, and
     # the mode solver reports non-finite systems with a typed error
     with np.errstate(over="ignore", invalid="ignore"):

@@ -110,6 +110,28 @@ def test_toml_config(tmp_path):
 def test_loglog_fit_rejects_degenerate_data():
     with pytest.raises(ValueError, match="degenerate"):
         loglog_fit([0.2, 0.1, 0.05], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="degenerate"):
+        loglog_fit([0.1, 0.1], [1e-2, 2e-2])
+
+
+def test_loglog_fit_matches_polyfit():
+    rng = np.random.default_rng(11)
+    for m in rng.integers(2, 12, 40):
+        h = np.exp(rng.uniform(-7.0, 0.0, m))
+        d = np.exp(rng.uniform(-20.0, 5.0, m))
+        fit = loglog_fit(h, d)
+        slope, intercept = np.polyfit(np.log(h), np.log(d), 1)
+        assert fit.slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12)
+
+
+def test_loglog_fit_is_exact_on_collinear_data():
+    # at powers of two, log(h**2) is exactly 2 log(h) and log(1/h) exactly
+    # -log(h), so the centered sums are exact
+    h = 2.0 ** -np.arange(6)
+    for d, slope in ((h**2, 2.0), (1.0 / h, -1.0)):
+        fit = loglog_fit(h, d)
+        assert (fit.slope, fit.intercept, fit.r2) == (slope, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("h, d", [
@@ -287,15 +309,27 @@ def test_convergence_flags_rows_past_the_free_disk_overflow(tmp_path):
     assert np.isnan(conv["preflight_max_condition"])
     for res in conv["contents"].values():
         assert [r["flag"] for r in res["rows"]] == ["mode overflow mode 98",
-                                                    "mode overflow mode 90"]
+                                                    "mode overflow mode 91"]
         assert res["fit"]["rejected"]
     lin = json.loads((tmp_path / "lining.json").read_text())
-    assert [r["flag"] for r in lin["rows"]] == ["mode overflow mode 98", "mode overflow mode 90"]
+    assert [r["flag"] for r in lin["rows"]] == ["mode overflow mode 98", "mode overflow mode 91"]
+    # at h = 0.05, mode 91 is the first to need H_92 of the background's P
+    # argument at the inner radius, 0.05 / sqrt(3): H_91 is representable
+    # and H_92 exceeds DBL_MAX (~1.80e308)
+    mp = pytest.importorskip("mpmath")
+    z = mp.mpf(0.05) / mp.sqrt(3)
+    assert abs(mp.hankel1(91, z)) == pytest.approx(1.483e305, rel=1e-3)
+    assert abs(mp.hankel1(92, z)) / mp.mpf("9.352e308") == pytest.approx(1.0, rel=1e-3)
 
 
 def test_sweeps_refuse_a_bad_omega_or_n_max(tmp_path):
     with pytest.raises(ValueError, match="n_max"):
         run(["convergence", "--n-max", "-1", "--out", tmp_path])
+    # a configured n_max that is not an integer is refused, not truncated
+    for n_max in (2.5, True):
+        for sweep in (harness.convergence_sweep, harness.lining_sweep):
+            with pytest.raises(ValueError, match="n_max"):
+                sweep({"n_max": n_max, "convergence": {"h_values": [0.2, 0.1]}})
     for omega in (-1, 0):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"omega": omega}))

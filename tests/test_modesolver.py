@@ -209,12 +209,18 @@ def test_assemble_ntds_matches_per_config(n_max, cond_limit, errors):
         assert overflow.mode == 71
 
 
-@pytest.mark.parametrize("h, mode", [(0.05, 90), (0.005, 71)])
+@pytest.mark.parametrize("h, mode", [(0.05, 91), (0.005, 71)])
 def test_overflowed_mode_raises_typed_error(h, mode):
     # the unscaled Hankel functions of the small inner radii overflow
     # first at these modes; the error names the mode and stays a LinAlgError
     config = build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
                               background=BG).virtual
+    if h == 0.05:
+        # mode n needs H_{n+1} of the background's P argument at the inner
+        # radius, h / sqrt(3): H_91 is representable and H_92 is not
+        mp = pytest.importorskip("mpmath")
+        z = mp.mpf(h) / mp.sqrt(3)
+        assert abs(mp.hankel1(91, z)) < np.finfo(float).max < abs(mp.hankel1(92, z))
     with pytest.raises(ModeOverflowError) as exc:
         assemble_ntd(config, OMEGA, 100)
     assert exc.value.mode == mode
@@ -329,13 +335,16 @@ def test_closed_form_smax_matches_svd():
 
 
 def test_sweep_paths_take_no_svd(monkeypatch):
-    # conditions and distances come from inverses and closed forms; the
-    # only SVD left in the solver is find_resonant_densities' null vector
+    # conditions and distances come from inverses and closed forms, and the
+    # rate fits from centered sums; the only SVD left in the solver is
+    # find_resonant_densities' null vector
     def no_svd(*args, **kwargs):
-        raise AssertionError("SVD on a sweep path")
+        raise AssertionError("SVD or least-squares solve on a sweep path")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)  # what np.linalg.cond calls
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    monkeypatch.setattr(np.lib._polynomial_impl, "lstsq", no_svd)  # what np.polyfit calls
     config = _near_cloak_or_cavity("stiff")
     convergence_sweep({})
     lining_sweep({})
@@ -592,6 +601,26 @@ def test_energy_identity_matches_per_radius_quadrature():
         rhs_ref += -fac * R * np.imag(tr[0] * np.conj(du[0]) + tr[1] * np.conj(du[1]))
     assert lhs == pytest.approx(lhs_ref, rel=1e-12)
     assert rhs == pytest.approx(rhs_ref, rel=1e-12)
+
+
+def test_energy_identity_takes_the_free_disk_from_the_outer_basis(monkeypatch):
+    # u0 comes from the J columns of the basis the solver already holds;
+    # its blocks are those of free_disk_block bit for bit
+    seen = []
+    blocks = modesolver._disk_blocks
+    monkeypatch.setattr(modesolver, "_disk_blocks", lambda B: seen.append(blocks(B)) or seen[-1])
+    orders = np.arange(6)
+    tractions = {int(n): (1.0, 0.5j) for n in orders}
+    for h in (0.1, 0.05, 0.025):
+        for omega in (1.0, 2.0):
+            for content in DEFAULT_CONTENTS.values():
+                config = build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=content,
+                                          background=BG).virtual
+                seen.clear()
+                energy_identity_check(config, omega, tractions)
+                (u0_blocks,) = seen
+                want = free_disk_block(BG, orders, config.outer_radius, omega)
+                assert u0_blocks.tobytes() == want.tobytes()
 
 
 def test_energy_identity_quadratic_scaling():

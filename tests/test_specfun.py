@@ -3,7 +3,8 @@
 Oracles are independent of scipy: truncated power series (with Euler's
 constant for Y_0), bisection on the series for the first J_0 zero, and
 the large-argument asymptotic expansion for H_n, and mpmath at 30 digits
-for the real-argument (H0, H1) pair of the point kernels.
+for the real-argument (H0, H1) pair of the point kernels and for the
+Hankel tables of the mode solver.
 """
 
 import math
@@ -19,6 +20,7 @@ from elastocloak import (
     hankel1,
 )
 from elastocloak.specfun import _hankel1_pair
+from elastocloak.wavefields import _radial
 
 EULER = 0.5772156649015328606
 
@@ -231,3 +233,50 @@ def test_hankel_pair_complex_argument_is_amos_bit_for_bit(z):
 def test_hankel_pair_domain_errors(z):
     with pytest.raises(ValueError):
         _hankel1_pair(z)
+
+
+def mp_hankel1(mp, n, z):
+    """H^(1)_n(z) = (2/pi) i^-(n+1) K_n(-i z) (Abramowitz & Stegun 9.6.4).
+
+    Unlike mpmath's J + iY, which cancels by a factor e^(2 Im z), K_n
+    decays with Im z as H^(1)_n does, so 30 digits suffice.
+    """
+    return 2 / mp.pi * mp.mpc(0, -1) ** (n + 1) * mp.besselk(n, mp.mpc(0, -1) * z)
+
+
+def test_mp_hankel1_oracle_matches_j_plus_iy():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for z in (mp.mpc(0.3, 0.1), mp.mpf(4), mp.mpc(2, 5)):
+            for n in (0, 1, 7):
+                want = mp.hankel1(n, z)
+                assert abs(mp_hankel1(mp, n, z) - want) <= 1e-25 * abs(want)
+
+
+# arguments of the mode solver's Hankel tables: real ones from below the
+# smallest the sweeps reach (0.0037) to far above the largest (4); complex
+# ones of the lossy layers, from the smallest the sweeps reach
+# (0.3172+0.1314j) to Im z = 150; and 0.05 / sqrt(3), the background's P
+# argument at the h = 0.05 inner radius. Three tables overflow below order 101.
+TABLE_ARGS = [0.003, 0.05 / np.sqrt(3), 1.0, 400.0, 0.05 + 0.02j, 0.3172 + 0.1314j,
+              5.836 + 5.483j, 2.0 + 150.0j, 150.0 + 20.0j]
+
+
+@pytest.mark.parametrize("z", TABLE_ARGS)
+def test_radial_hankel_table_matches_mpmath(z):
+    # the table of orders 0..101 from two Amos seeds and the forward
+    # recurrence: every order mpmath finds representable within 5e-14, and
+    # the first order past DBL_MAX is its first non-finite entry
+    mp = pytest.importorskip("mpmath")
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _radial("H", np.arange(102), np.array([z], dtype=complex))[0][0]
+    want = []
+    with mp.workdps(30):
+        for n in range(102):
+            h = mp_hankel1(mp, n, mp.mpc(z.real, z.imag))
+            if abs(h) > float(np.finfo(float).max):
+                break
+            want.append(complex(h))
+    n_ok = len(want)
+    assert np.isfinite(got[:n_ok]).all() and not np.isfinite(got[n_ok:]).any()
+    assert (np.abs(got[:n_ok] - want) / np.abs(want)).max() <= 5e-14
