@@ -33,6 +33,7 @@ from .modesolver import (
     LayeredDiskConfig,
     ModeOverflowError,
     _check_n_max,
+    _j0_derivatives,
     _weighted_smax,
     assemble_ntds,
     find_resonant_densities,
@@ -371,22 +372,18 @@ def resonance_report(config):
     sec = config.get("resonance", {})
     r0 = float(sec.get("r0", 0.5))
     r1 = float(sec.get("r1", 1.0))
-    if r0 >= r1:
-        raise ValueError(f"need r0 < r1, got r0={r0}, r1={r1}")
     bg = _background(config)
     lam, mu = float(np.real(bg.lam)), float(np.real(bg.mu))
     omega = float(config.get("omega", 1.0))
     res = find_resonant_densities(lam, mu, r0, r1, omega)
 
     kp1 = omega * np.sqrt(res.rho1 / (lam + 2 * mu))
-    f_val = abs(2 * mu * specfun.bessel_j_second(0, kp1 * r1).real
-                - lam * specfun.bessel_j(0, kp1 * r1).real)
     kp2 = omega * np.sqrt(res.rho2 / (lam + 2 * mu))
+    J0, J0p, J0pp = _j0_derivatives(np.array([kp1 * r1, kp1 * r0, kp2 * r0]))
+    f_val = abs(2 * mu * J0pp[0] - lam * J0[0])
     c1, c2 = res.c
-    u_jump = abs(c1 * kp1 * specfun.bessel_j_prime(0, kp1 * r0)
-                 - c2 * kp2 * specfun.bessel_j_prime(0, kp2 * r0))
-    du_jump = abs(c1 * kp1**2 * specfun.bessel_j_second(0, kp1 * r0)
-                  - c2 * kp2**2 * specfun.bessel_j_second(0, kp2 * r0))
+    u_jump = abs(c1 * kp1 * J0p[1] - c2 * kp2 * J0p[2])
+    du_jump = abs(c1 * kp1**2 * J0pp[1] - c2 * kp2**2 * J0pp[2])
 
     scan = []
     for fac in [1.0 - 1e-3, 1.0, 1.0 + 1e-3]:

@@ -625,10 +625,12 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
     is chosen so the displacement/normal-derivative transmission system
     at r = r0 becomes singular, yielding a nontrivial (c1, c2).
     """
-    if not (0 < r0 < r1):
-        raise ValueError("need 0 < r0 < r1")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got omega={omega}")
+    if not 0 < r0 < r1 < np.inf:
+        raise ValueError(f"need 0 < r0 < r1 < inf, got r0={r0}, r1={r1}")
+    if not (np.isfinite(lam) and np.isfinite(mu)):
+        raise ValueError(f"lam and mu must be finite, got lam={lam}, mu={mu}")
 
     def f(t):
         J0, _, J0pp = _j0_derivatives(t)

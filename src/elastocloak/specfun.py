@@ -2,10 +2,12 @@
 
 Thin, contract-checked wrappers around the Amos routines in
 ``scipy.special`` (and, for the real-argument Hankel pair below, its
-real Bessel routines) providing Bessel functions of the first and second kind,
-Hankel functions of the first kind for integer order ``n >= 0`` and
-complex argument ``z``, with the first derivatives of J and Y and the
-second derivative of J.
+real Bessel routines) providing the Bessel function J_n and the Hankel
+function H^(1)_n of the first kind, for integer order ``n >= 0`` and
+complex argument ``z``. No derivative is wrapped: the mode solver takes
+Z_n' from its own J and H1 tables (``wavefields._radial``), and the
+resonance construction takes J0' and J0'' from one J table of orders
+0..2 (``modesolver._j0_derivatives``).
 
 This is the only module of the library that imports ``scipy.special``,
 and it loads it on first use. The import costs about 0.3 s, most of it
@@ -24,36 +26,24 @@ through the complex Amos routine (2-vCPU Intel Xeon). Against a
 z <= 50 and within 5e-14 for z <= 300 (Amos: 1e-15). A complex argument
 (a lossy medium) keeps ``hankel1``, bit for bit.
 
-``bessel_j``, ``bessel_y`` and ``hankel1`` also take an array of orders,
-which broadcasts against ``z``; the order and argument checks then run
-once for the whole array. The mode solver (through
-``wavefields.basis_matrix``) calls the unscaled functions this way, once
-per radial kind over every wavenumber and radius of a stack of media:
-``bessel_j`` over every order, ``hankel1`` over the two lowest orders
-only, which seed the forward order recurrence of the rest of the H1
-table. It takes derivatives from the same tables.
+``bessel_j`` and ``hankel1`` also take an array of orders, which
+broadcasts against ``z``; the order and argument checks then run once
+for the whole array. The mode solver (through ``wavefields.basis_matrix``)
+calls them this way, once per radial kind over every wavenumber and
+radius of a stack of media: ``bessel_j`` over every order, ``hankel1``
+over the two lowest orders only, which seed the forward order recurrence
+of the rest of the H1 table.
 
-The ``scaled`` variants multiply out the exponential growth:
-
-* J/Y family scaled by ``exp(-|Im z|)``,
-* H1 family scaled by ``exp(-1j*z)``.
-
-Unscaled values overflow for large ``|Im z|`` or, for ``H1``, for orders
-far above ``|z|``; nothing in the library calls the scaled forms yet.
+Values are unscaled, so they overflow for large ``|Im z|`` or, for H1,
+for orders far above ``|z|``; the mode solver reports such a mode as a
+``ModeOverflowError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "bessel_j",
-    "bessel_j_prime",
-    "bessel_j_second",
-    "bessel_y",
-    "bessel_y_prime",
-    "hankel1",
-]
+__all__ = ["bessel_j", "hankel1"]
 
 
 def _special():
@@ -63,11 +53,12 @@ def _special():
 
 
 def _check_args(n, z):
-    if np.isscalar(n):
-        n = low = int(n)
-    else:  # an array of orders: one check for all of them
-        n = np.asarray(n).astype(int)
-        low = n.min(initial=0)
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":  # a float order must hold an integer
+        frac = ~np.isfinite(n) | (n != np.floor(n))
+        if frac.any():
+            raise ValueError(f"order must be an integer, got {n[frac].flat[0]}")
+    low = n.min(initial=0)  # an array of orders: one check for all of them
     if low < 0:
         raise ValueError(f"order must be >= 0, got {low}")
     z = np.asarray(z, dtype=complex)
@@ -76,31 +67,19 @@ def _check_args(n, z):
     return n, z
 
 
-def bessel_j(n, z, scaled=False):
-    """J_n(z) for complex z; ``scaled`` multiplies by exp(-|Im z|)."""
+def bessel_j(n, z):
+    """J_n(z) for complex z."""
     n, z = _check_args(n, z)
-    sp = _special()
-    out = sp.jve(n, z) if scaled else sp.jv(n, z)
+    out = _special().jv(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
-def bessel_y(n, z, scaled=False):
-    """Y_n(z) for complex z (z != 0); ``scaled`` multiplies by exp(-|Im z|)."""
-    n, z = _check_args(n, z)
-    if (z == 0).any():
-        raise ValueError("Y_n is singular at z = 0")
-    sp = _special()
-    out = sp.yve(n, z) if scaled else sp.yv(n, z)
-    return complex(out) if np.isscalar(out) or out.ndim == 0 else out
-
-
-def hankel1(n, z, scaled=False):
-    """H^(1)_n(z) = J_n + i Y_n; ``scaled`` multiplies by exp(-1j z)."""
+def hankel1(n, z):
+    """H^(1)_n(z) = J_n + i Y_n for complex z != 0."""
     n, z = _check_args(n, z)
     if (z == 0).any():
         raise ValueError("H^(1)_n is singular at z = 0")
-    sp = _special()
-    out = sp.hankel1e(n, z) if scaled else sp.hankel1(n, z)
+    out = _special().hankel1(n, z)
     return complex(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
@@ -121,42 +100,3 @@ def _hankel1_pair(z):
         raise ValueError("real argument must be positive")
     sp = _special()
     return sp.j0(z) + 1j * sp.y0(z), sp.j1(z) + 1j * sp.y1(z)
-
-
-def _prime(fun, n, z, scaled):
-    # d/dz Z_n = (Z_{n-1} - Z_{n+1}) / 2, with Z_{-1} = -Z_1 for J/Y.
-    # The scale factors are independent of the order, so the recurrence
-    # holds verbatim for the scaled values.
-    if n == 0:
-        return -fun(1, z, scaled)
-    return 0.5 * (fun(n - 1, z, scaled) - fun(n + 1, z, scaled))
-
-
-def bessel_j_prime(n, z, scaled=False):
-    """d/dz J_n(z)."""
-    n, z = _check_args(n, z)
-    return _prime(bessel_j, n, z, scaled)
-
-
-def bessel_y_prime(n, z, scaled=False):
-    """d/dz Y_n(z)."""
-    n, z = _check_args(n, z)
-    if (z == 0).any():
-        raise ValueError("Y_n is singular at z = 0")
-    return _prime(bessel_y, n, z, scaled)
-
-
-def bessel_j_second(n, z, scaled=False):
-    """d^2/dz^2 J_n(z) = (J_{n-2} - 2 J_n + J_{n+2}) / 4."""
-    n, z = _check_args(n, z)
-    return 0.25 * (_signed_j(n - 2, z, scaled) - 2.0 * bessel_j(n, z, scaled)
-                   + bessel_j(n + 2, z, scaled))
-
-
-def _signed_j(n, z, scaled):
-    # J_{-n} = (-1)^n J_n for integer order
-    m = abs(int(n))
-    z = np.asarray(z, dtype=complex)
-    val = _special().jve(m, z) if scaled else _special().jv(m, z)
-    out = (-1.0) ** m * val
-    return complex(out) if np.isscalar(out) or np.asarray(out).ndim == 0 else out
