@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .tensors import *
 from .maps import *
 from .cloaks import *
-from .specfun import *
 from .modesolver import *
 from .kernels import *
 from .harness import *

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .cloaks import build_near_cloak, ideal_cloak_polar, lining_config
 from .kernels import (
     _pi,
@@ -41,7 +40,7 @@ from .modesolver import (
     mode_system_condition,
 )
 from .tensors import IsotropicMedium, check_legendre
-from .wavefields import wavenumbers
+from .wavefields import _special, wavenumbers
 
 __all__ = [
     "FitResult",
@@ -191,7 +190,7 @@ def _load_special(seconds):
     """Load ``scipy.special`` (deferred until the first cylinder function)
     as a stage of its own, so the first solve does not carry it."""
     with _stage(seconds, "load_special"):
-        specfun._special()
+        _special()
 
 
 def _h_values(config):

@@ -21,6 +21,18 @@ The same series produce the additive constant ``eta_constant`` of the
 
 and the exact log/cot/smooth split used by the spectral Nystrom
 quadratures for the boundary operators S and K on circles.
+
+The 2D point kernels (``_g2``, and through it ``green_omega``,
+``green_traction``, ``asymptotic_gap_2d``, ``layer_operators``, both
+layer potentials and ``harness.kernel_check``) take H0 and H1 together
+from ``_hankel1_pair``, which calls ``scipy.special`` through
+``wavefields._special``. A lossless medium has a real wavenumber and
+passes a positive real argument, which takes scipy's real J0, Y0, J1 and
+Y1 (Cephes): on 128 points the pair costs about 21 us against 0.14 ms
+through the complex Amos routine (2-vCPU Intel Xeon). Against a 30-digit
+oracle each of H0 and H1 is then within 5e-15 relative for z <= 50 and
+within 5e-14 for z <= 300 (Amos: 1e-15). A complex argument (a lossy
+medium) keeps the Amos ``hankel1``, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import _hankel1_pair
+from .modesolver import _overflow_error, _representable
 from .tensors import IsotropicMedium
-from .wavefields import BASIS_OUTGOING, ModeField, basis_matrix, wavenumbers
+from .wavefields import BASIS_OUTGOING, ModeField, _special, basis_matrix, wavenumbers
 
 __all__ = [
     "green_omega",
@@ -137,6 +149,27 @@ def _lame_constants(lam, mu):
     b2 = (lam + mu) / (mu * (lam + 2 * mu))
     kappa1 = mu / (2.0 * np.pi * (lam + 2.0 * mu))
     return b1, b2, kappa1
+
+
+def _hankel1_pair(z):
+    """(H^(1)_0(z), H^(1)_1(z)).
+
+    A real ``z`` must be positive and takes H = J + iY from the real
+    J0, Y0, J1, Y1; any other ``z`` must be finite and nonzero, and takes
+    the Amos ``hankel1`` for both orders in one call.
+    """
+    z = np.asarray(z)
+    if not np.isfinite(z).all():
+        raise ValueError("argument must be finite")
+    sp = _special()
+    if np.iscomplexobj(z):
+        if (z == 0).any():
+            raise ValueError("H^(1)_n is singular at z = 0")
+        h = sp.hankel1(np.arange(2).reshape((2,) + (1,) * z.ndim), z)
+        return h[0], h[1]
+    if (z <= 0).any():
+        raise ValueError("real argument must be positive")
+    return sp.j0(z) + 1j * sp.y0(z), sp.j1(z) + 1j * sp.y1(z)
 
 
 def _g2(k, d):
@@ -679,7 +712,7 @@ class ExteriorCavitySolution:
     def _boundary_values(self, r):
         """(u_r, u_th, s_rr, s_rth) of every mode at radius r, stacked over
         the modes of ``fields`` in order, from one ``basis_matrix`` call."""
-        orders = np.array(list(self.fields), dtype=int)
+        orders = np.array(list(self.fields))
         coeffs = np.array([[c for _, _, c in f.terms] for f in self.fields.values()])
         B = basis_matrix(self.medium, orders, r, self.omega, BASIS_OUTGOING)
         return orders, np.einsum("m...c,mc->m...", B, coeffs)
@@ -709,18 +742,25 @@ def solve_exterior_cavity(cavity_radius, tractions, omega, medium):
         Mode index -> (s_rr, s_rt) coefficients on the cavity boundary;
         fixed coefficients model the rescaled traction family whose
         far-boundary trace shrinks like h^(N-1) = h in 2D.
+
+    Raises :class:`~elastocloak.modesolver.ModeOverflowError` for the
+    lowest mode whose system is not representable in double precision.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if cavity_radius <= 0:
-        raise ValueError("cavity radius must be positive")
+    if not 0 < cavity_radius < np.inf:
+        raise ValueError(f"cavity radius must be positive and finite, got {cavity_radius!r}")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     fields = {}
     if tractions:
         # one basis_matrix call and one batched solve over every mode
-        orders = np.array(list(tractions), dtype=int)
+        orders = np.array(list(tractions))  # checked, uncast, by basis_matrix
         B = basis_matrix(medium, orders, cavity_radius, omega, BASIS_OUTGOING)
+        S = B[:, 2:4, :]
+        usable = _representable(B, np.abs(S).max(axis=-2))
+        if not usable.all():
+            raise _overflow_error(int(orders[~usable].min()))
         rhs = np.array(list(tractions.values()), dtype=complex)
-        coeffs = np.linalg.solve(B[:, 2:4, :], rhs[..., None])[..., 0]
+        coeffs = np.linalg.solve(S, rhs[..., None])[..., 0]
         for n, c in zip(tractions, coeffs):
             fields[n] = ModeField(
                 medium, omega, n,

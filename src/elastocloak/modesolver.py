@@ -31,9 +31,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import specfun
 from .tensors import IsotropicMedium
-from .wavefields import BASIS_FULL, BASIS_REGULAR, ModeField, basis_matrix
+from .wavefields import BASIS_FULL, BASIS_REGULAR, ModeField, _special, basis_matrix
 
 __all__ = [
     "LayeredDiskConfig",
@@ -536,7 +535,7 @@ def energy_identity_check(config, omega, tractions):
     if not tractions:
         return 0.0, 0.0, 0.0
     R = config.outer_radius
-    orders = np.array(list(tractions), dtype=int)
+    orders = np.array(list(tractions))  # checked, uncast, by basis_matrix
     tr = np.array(list(tractions.values()), dtype=complex)
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
     sol, B0, _ = _solve_config(config, omega, orders)
@@ -606,13 +605,15 @@ def _bracket_roots(fun, lo, hi, steps):
 
 
 def _j0_derivatives(t):
-    """J0, J0' and J0'' at real points t (an array), from one specfun call.
+    """J0, J0' and J0'' at real points t (an array), from one ``jv`` call
+    on the complex Amos routine.
 
     J0' = -J1 and J0'' = (J2 - 2 J0 + J2) / 4, the order -2 term of the
     second-derivative recurrence being J2.
     """
     t = np.asarray(t, dtype=float)
-    J0, J1, J2 = specfun.bessel_j(np.arange(3).reshape((3,) + (1,) * t.ndim), t).real
+    J0, J1, J2 = _special().jv(np.arange(3).reshape((3,) + (1,) * t.ndim),
+                               t.astype(complex)).real
     return J0, -J1, 0.25 * (J2 - 2.0 * J0 + J2)
 
 
@@ -631,6 +632,8 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
         raise ValueError(f"need 0 < r0 < r1 < inf, got r0={r0}, r1={r1}")
     if not (np.isfinite(lam) and np.isfinite(mu)):
         raise ValueError(f"lam and mu must be finite, got lam={lam}, mu={mu}")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"need 0 < t_max < inf, got t_max={t_max}")
 
     def f(t):
         J0, _, J0pp = _j0_derivatives(t)

@@ -16,15 +16,26 @@ coefficients of the basis functions, at one order and radius or stacked
 over arrays of orders and radii, for one medium or a stack of media,
 with the Bessel second derivatives eliminated through the defining ODE,
 so all entries use only Z and Z'.
+
+``basis_matrix`` checks the orders and ``wavenumbers`` the medium, once
+per call, where they enter; the tables below them call the Amos routines
+of ``scipy.special`` directly. This is the only module of the library
+that imports ``scipy.special``, through ``_special`` on first use: the
+import costs about 0.3 s, most of it scipy's array-API shim, and a run
+that evaluates no cylinder function, such as the ``design`` command,
+does not pay it.
+
+Values are unscaled, so they overflow for large ``|Im z|`` or, for H1,
+for orders far above ``|z|``; the mode solver reports such a mode as a
+``ModeOverflowError``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import specfun
 
 __all__ = ["wavenumbers", "ModeField"]
 
@@ -33,9 +44,23 @@ BASIS_REGULAR = (("J", "P"), ("J", "S"))
 BASIS_OUTGOING = (("H", "P"), ("H", "S"))
 
 
+def _special():
+    from scipy import special  # deferred: loaded on the first evaluation
+
+    return special
+
+
 def wavenumbers(medium, omega):
-    """Compressional and shear wavenumbers (kp, ks) of an isotropic medium."""
+    """Compressional and shear wavenumbers (kp, ks) of an isotropic medium.
+
+    A medium with a non-finite constant, or with mu, lam + 2 mu or rho
+    zero, has no finite nonzero wavenumbers and is refused.
+    """
     lam, mu, rho = complex(medium.lam), complex(medium.mu), complex(medium.rho)
+    if not all(map(cmath.isfinite, (lam, mu, rho))) or 0 in (mu, lam + 2.0 * mu, rho):
+        raise ValueError(
+            "medium needs finite lam, mu, rho with mu, lam + 2 mu and rho nonzero, "
+            f"got lam={medium.lam}, mu={medium.mu}, rho={medium.rho}")
     kp = omega * np.sqrt(rho / (lam + 2.0 * mu))
     ks = omega * np.sqrt(rho / mu)
     return kp, ks
@@ -45,7 +70,7 @@ def _radial(kind, orders, z):
     """Z_n(z) and Z_n'(z) for the 1-D ``orders`` against ``z`` of shape
     (C,) + zs, each of shape (C, len(orders)) + zs.
 
-    One specfun call evaluates the table of orders lo .. max+1: every
+    One scipy call evaluates the table of orders lo .. max+1: every
     order for J, the two lowest for H1. H1 is the dominant solution of
     Z_{n+1} = (2n/z) Z_n - Z_{n-1} (Abramowitz & Stegun 9.1.27), so the
     rest of its table comes from that forward recurrence, which is stable
@@ -55,18 +80,17 @@ def _radial(kind, orders, z):
     """
     if kind not in ("J", "H"):
         raise ValueError(f"unknown radial kind {kind!r}")
-    # orders lo .. max+1 cover every Z_{n-1} and Z_{n+1}; a negative order
-    # reaches specfun, which rejects it
+    # orders lo .. max+1 cover every Z_{n-1} and Z_{n+1}
     low = orders.min()
     lo = low - 1 if low > 0 else low
     nu = np.arange(lo, orders.max() + 2)
     if kind == "J":
-        table = specfun.bessel_j(nu.reshape((1, -1) + (1,) * (z.ndim - 1)), z[:, None])
+        table = _special().jv(nu.reshape((1, -1) + (1,) * (z.ndim - 1)), z[:, None])
     else:
         # the recurrence steps over the leading axis of ``rows``, one vector
         # operation per order over the whole stack
         rows = np.empty(nu.shape + z.shape, dtype=complex)
-        rows[:2] = specfun.hankel1(nu[:2].reshape((2,) + (1,) * z.ndim), z)
+        rows[:2] = _special().hankel1(nu[:2].reshape((2,) + (1,) * z.ndim), z)
         h = list(rows)
         for k, ratio in enumerate(2.0 * nu[1:-1].reshape((-1,) + (1,) * z.ndim) / z, start=2):
             np.multiply(ratio, h[k - 1], out=h[k])
@@ -94,6 +118,20 @@ def _medium_constants(media, omega):
     return np.array(rows, dtype=complex).T
 
 
+def _orders(n):
+    """The orders ``n`` as an int array. An order that is not a
+    non-negative integer (a fraction, NaN, inf or a bool) is refused
+    before the cast, which would turn it into a valid one."""
+    n = np.asarray(n)
+    if n.dtype.kind in "iuf":
+        bad = ~((n >= 0) & (n < np.inf) & (n == np.floor(n)))
+    else:  # a bool, complex or non-numeric order
+        bad = np.ones(n.shape, dtype=bool)
+    if bad.any():
+        raise ValueError(f"order must be >= 0 and an integer, got {n[bad].flat[0]}")
+    return n.astype(int)
+
+
 def basis_matrix(medium, n, r, omega, kinds):
     """Basis columns (u_r, u_th, sigma_rr, sigma_rth), shape (4, len(kinds)).
 
@@ -101,7 +139,7 @@ def basis_matrix(medium, n, r, omega, kinds):
     result then has shape n.shape + r.shape + (4, len(kinds)). ``medium``
     may also be a list or tuple of C media, with ``r`` of shape
     (C,) + rs holding each medium's radii; the result then has shape
-    (C,) + n.shape + rs + (4, len(kinds)). Either way one specfun call per
+    (C,) + n.shape + rs + (4, len(kinds)). Either way one scipy call per
     radial kind (J, H) evaluates or seeds everything (see ``_radial``).
     Angular dependence: u_r, sigma_rr carry cos(n th); u_th, sigma_rth
     carry sin(n th).
@@ -117,7 +155,7 @@ def basis_matrix(medium, n, r, omega, kinds):
         raise ValueError("radius must be positive and finite")
     if r.shape[0] != len(media):
         raise ValueError("one row of radii per medium required")
-    orders = np.asarray(n).astype(int)
+    orders = _orders(n)
     shape = (len(media),) + orders.shape + r.shape[1:] + (4, len(kinds))
     orders = orders.reshape(-1)
     # every array below has shape (C, M) + rs, or broadcasts to it; for one

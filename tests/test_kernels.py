@@ -16,6 +16,7 @@ from scipy.special import h1vp, hankel1
 
 from elastocloak import (
     IsotropicMedium,
+    ModeOverflowError,
     asymptotic_gap_2d,
     circle_quadrature,
     dl_potential,
@@ -680,7 +681,9 @@ def _every_2d_kernel(medium, omega=OMEGA, N=32):
 
 
 def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
-    from elastocloak import harness, specfun
+    import scipy.special
+
+    from elastocloak import harness
 
     class AmosCalled(Exception):
         pass
@@ -688,7 +691,7 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
     def amos(*args, **kwargs):
         raise AmosCalled
 
-    monkeypatch.setattr(specfun, "hankel1", amos)
+    monkeypatch.setattr(scipy.special, "hankel1", amos)
     for call in _every_2d_kernel(BG):
         call()
     # a config cannot name a complex background: hand kernel_check the medium
@@ -702,7 +705,7 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
 @pytest.mark.parametrize("omega", [0.7, 3.0])
 @pytest.mark.parametrize("N", [16, 128])
 def test_real_hankel_pair_matches_amos_in_operators(monkeypatch, medium, omega, N):
-    from elastocloak import kernels, specfun
+    from elastocloak import kernels
 
     q = circle_quadrature(2.0, N)
     rng = np.random.default_rng(N)
@@ -716,8 +719,9 @@ def test_real_hankel_pair_matches_amos_in_operators(monkeypatch, medium, omega, 
 
     fast = values()
     # the same pair on its Amos branch: a complex argument
+    pair = kernels._hankel1_pair
     monkeypatch.setattr(kernels, "_hankel1_pair",
-                        lambda z: specfun._hankel1_pair(np.asarray(z, dtype=complex)))
+                        lambda z: pair(np.asarray(z, dtype=complex)))
     for got, want in zip(fast, values()):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -738,6 +742,30 @@ def test_cavity_zero_traction_zero_field():
     vals = sol.displacement(2.0)
     for v in vals.values():
         assert np.abs(v).max() == 0.0
+
+
+@pytest.mark.parametrize("h, mode", [(0.1, 98), (0.01, 76), (0.001, 62)])
+def test_cavity_names_the_first_unrepresentable_mode(h, mode):
+    # the P column of ``mode`` overflows at r = h: that mode used to come
+    # back with a P coefficient of exactly 0 and the next ones with NaN. The
+    # modes below it give finite, nonzero coefficients and a finite far trace
+    traction = (1.0, 0.5)
+    below = solve_exterior_cavity(h, dict.fromkeys(range(mode), traction), OMEGA, BG)
+    coeffs = np.array([[c for _, _, c in f.terms] for f in below.fields.values()])
+    assert np.isfinite(coeffs).all() and (coeffs != 0).all()
+    assert np.isfinite(below.boundary_norm(2.0))
+    with pytest.raises(ModeOverflowError, match=f"mode {mode} ") as exc:
+        solve_exterior_cavity(h, dict.fromkeys(range(mode + 6), traction), OMEGA, BG)
+    assert exc.value.mode == mode
+
+
+@pytest.mark.parametrize("h, omega, named", [
+    (np.nan, np.nan, "radius"), (0.0, OMEGA, "radius"), (np.inf, OMEGA, "radius"),
+    (0.1, 0.0, "omega"), (0.1, np.nan, "omega"), (0.1, np.inf, "omega"),
+])
+def test_cavity_refuses_a_bad_radius_or_omega(h, omega, named):
+    with pytest.raises(ValueError, match=named):
+        solve_exterior_cavity(h, {}, omega, BG)
 
 
 def test_cavity_far_trace_scaling_slope():

@@ -31,6 +31,7 @@ from elastocloak import (
     ntd_distance,
     lining_sweep,
     resonant_config,
+    solve_exterior_cavity,
     solve_mode,
 )
 from elastocloak.modesolver import _weighted_smax, free_disk_block
@@ -113,10 +114,42 @@ def test_h_basis_at_origin_rejected():
         ModeField(BG, OMEGA, 1, (("H", "P", 1.0),)).boundary_values(0.0)
 
 
-@pytest.mark.parametrize("n", [-1, -3])
+@pytest.mark.parametrize("n", [-1, -3, 2.5, True, np.nan])
 def test_negative_order_rejected(n):
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        ModeField(BG, OMEGA, n, (("H", "P", 1.0),)).boundary_values(1.0)
+    # a fraction, a bool or NaN is refused like a negative order, before a
+    # cast to int could turn it into a valid one
+    config = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, BG))
+    for call in (lambda: ModeField(BG, OMEGA, n, (("H", "P", 1.0),)).boundary_values(1.0),
+                 lambda: free_disk_block(BG, n, 2.0, OMEGA),
+                 lambda: solve_mode(config, OMEGA, n, (1.0, 0.0)),
+                 lambda: mode_system_condition(config, OMEGA, n),
+                 lambda: energy_identity_check(config, OMEGA, {n: (1.0, 0.0)}),
+                 lambda: solve_exterior_cavity(0.1, {n: (1.0, 0.0)}, OMEGA, BG)):
+        with pytest.raises(ValueError, match=f"order must be >= 0 .*got {n}$"):
+            call()
+
+
+@pytest.mark.parametrize("lam, mu, rho, named", [
+    (1.0, 0.0, 1.0, "mu=0.0"),
+    (-2.0, 1.0, 1.0, "lam=-2.0, mu=1.0"),
+    (1.0, 1.0, 0.0, "rho=0.0"),
+    (np.inf, 1.0, 1.0, "lam=inf"),
+    (np.nan, 1.0, 1.0, "lam=nan"),
+    (1.0, np.inf, 1.0, "mu=inf"),
+    (1.0, np.nan, 1.0, "mu=nan"),
+    (1.0, 1.0, np.inf, "rho=inf"),
+    (1.0, 1.0, np.nan, "rho=nan"),
+], ids=["mu-zero", "p-modulus-zero", "rho-zero", "lam-inf", "lam-nan", "mu-inf", "mu-nan",
+        "rho-inf", "rho-nan"])
+def test_degenerate_or_non_finite_medium_is_refused(lam, mu, rho, named):
+    # these media have no finite, nonzero wavenumbers; they used to raise a
+    # bare ZeroDivisionError or a false ModeOverflowError
+    medium = IsotropicMedium(lam, mu, rho)
+    config = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, medium))
+    for call in (lambda: free_disk_ntd(medium, 2.0, OMEGA, 4),
+                 lambda: assemble_ntd(config, OMEGA, 4)):
+        with pytest.raises(ValueError, match=named):
+            call()
 
 
 @pytest.mark.parametrize("radii", [(np.nan, 1.0), (2.0, np.nan), (np.inf, 1.0)])
@@ -532,11 +565,15 @@ def test_resonance_input_validation():
     ((1.0, 1.0, 0.0, 1.0, OMEGA), "r0=0.0"),
     ((np.nan, 1.0, 0.5, 1.0, OMEGA), "lam=nan"),
     ((1.0, np.inf, 0.5, 1.0, OMEGA), "mu=inf"),
+    ((1.0, 1.0, 0.5, 1.0, OMEGA, np.inf), "t_max=inf"),
+    ((1.0, 1.0, 0.5, 1.0, OMEGA, np.nan), "t_max=nan"),
+    ((1.0, 1.0, 0.5, 1.0, OMEGA, -1.0), "t_max=-1.0"),
 ], ids=["omega-nan", "omega-inf", "omega-zero", "r1-inf", "r0-nan", "r0-zero", "lam-nan",
-        "mu-inf"])
+        "mu-inf", "t_max-inf", "t_max-nan", "t_max-negative"])
 def test_resonance_refuses_non_finite_input(args, match):
     # a NaN or infinite input used to give NaN or zero densities, or a
-    # SearchWindowError asking for a larger window
+    # SearchWindowError asking for a larger window; an infinite t_max a bare
+    # OverflowError
     with pytest.raises(ValueError, match=match):
         find_resonant_densities(*args)
 
