@@ -86,7 +86,7 @@ def ideal_cloak_polar(medium, r, dim=2):
     E[0, 1, 1, 0] = E[1, 0, 0, 1] = mu
     E[0, 1, 0, 1] = mu * grow
     E[1, 0, 1, 0] = mu * shrink
-    C = StiffnessTensor(dim=2, entries=E, major_symmetric=True, minor_symmetric=False)
+    C = StiffnessTensor(dim=2, entries=E)
     rho = complex(medium.rho) * 4.0 * (r - 1.0) / r
     return C, rho if abs(rho.imag) > 0 else rho.real
 

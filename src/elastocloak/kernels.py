@@ -33,6 +33,7 @@ through the complex Amos routine (2-vCPU Intel Xeon). Against a 30-digit
 oracle each of H0 and H1 is then within 5e-15 relative for z <= 50 and
 within 5e-14 for z <= 300 (Amos: 1e-15). A complex argument (a lossy
 medium) keeps the Amos ``hankel1``, bit for bit.
+Per-mode solves, the exterior cavity among them, are in ``modesolver``.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .modesolver import _overflow_error, _representable
 from .tensors import IsotropicMedium
-from .wavefields import BASIS_OUTGOING, ModeField, _special, basis_matrix, wavenumbers
+from .wavefields import _special, wavenumbers
 
 __all__ = [
     "green_omega",
@@ -60,8 +60,6 @@ __all__ = [
     "layer_operators",
     "sl_potential",
     "dl_potential",
-    "ExteriorCavitySolution",
-    "solve_exterior_cavity",
 ]
 
 _EULER = np.euler_gamma
@@ -689,84 +687,4 @@ def dl_potential(quad, density, points, omega, medium):
     lam, mu = complex(medium.lam), complex(medium.mu)
     return _potential(
         quad, density, points, lambda u, d: _xi(u, d, quad.normals, pack, lam, mu)
-    )
-
-
-# ---------------------------------------------------------------------------
-# exterior cavity radiation problem
-
-
-@dataclass
-class ExteriorCavitySolution:
-    """Outgoing solution of the traction-driven exterior cavity problem.
-
-    Built per mode from Hankel radial functions only, so the radiation
-    condition holds by construction; well posed for every frequency.
-    """
-
-    cavity_radius: float
-    omega: float
-    medium: IsotropicMedium
-    fields: dict  # mode index -> ModeField (outgoing basis)
-
-    def _boundary_values(self, r):
-        """(u_r, u_th, s_rr, s_rth) of every mode at radius r, stacked over
-        the modes of ``fields`` in order, from one ``basis_matrix`` call."""
-        orders = np.array(list(self.fields))
-        coeffs = np.array([[c for _, _, c in f.terms] for f in self.fields.values()])
-        B = basis_matrix(self.medium, orders, r, self.omega, BASIS_OUTGOING)
-        return orders, np.einsum("m...c,mc->m...", B, coeffs)
-
-    def displacement(self, r):
-        """Dict mode -> (u_r, u_th) angular coefficients at radius r."""
-        if not self.fields:
-            return {}
-        _, v = self._boundary_values(r)
-        return {n: np.moveaxis(v[i, ..., 0:2], -1, 0) for i, n in enumerate(self.fields)}
-
-    def boundary_norm(self, radius):
-        """L2 norm of the trace on the circle of given radius."""
-        if not self.fields:
-            return 0.0
-        orders, v = self._boundary_values(radius)
-        fac = np.where(orders == 0, 2.0 * np.pi, np.pi)
-        return float(np.sqrt(np.sum(fac * radius * np.sum(np.abs(v[:, 0:2]) ** 2, axis=-1))))
-
-
-def solve_exterior_cavity(cavity_radius, tractions, omega, medium):
-    """Solve the exterior problem with prescribed traction on r = h.
-
-    Parameters
-    ----------
-    tractions : dict
-        Mode index -> (s_rr, s_rt) coefficients on the cavity boundary;
-        fixed coefficients model the rescaled traction family whose
-        far-boundary trace shrinks like h^(N-1) = h in 2D.
-
-    Raises :class:`~elastocloak.modesolver.ModeOverflowError` for the
-    lowest mode whose system is not representable in double precision.
-    """
-    if not 0 < cavity_radius < np.inf:
-        raise ValueError(f"cavity radius must be positive and finite, got {cavity_radius!r}")
-    if not 0 < omega < np.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    fields = {}
-    if tractions:
-        # one basis_matrix call and one batched solve over every mode
-        orders = np.array(list(tractions))  # checked, uncast, by basis_matrix
-        B = basis_matrix(medium, orders, cavity_radius, omega, BASIS_OUTGOING)
-        S = B[:, 2:4, :]
-        usable = _representable(B, np.abs(S).max(axis=-2))
-        if not usable.all():
-            raise _overflow_error(int(orders[~usable].min()))
-        rhs = np.array(list(tractions.values()), dtype=complex)
-        coeffs = np.linalg.solve(S, rhs[..., None])[..., 0]
-        for n, c in zip(tractions, coeffs):
-            fields[n] = ModeField(
-                medium, omega, n,
-                tuple((kind, pol, ci) for (kind, pol), ci in zip(BASIS_OUTGOING, c)),
-            )
-    return ExteriorCavitySolution(
-        cavity_radius=float(cavity_radius), omega=float(omega), medium=medium,
-        fields=fields,
     )

@@ -216,7 +216,7 @@ def pushforward_stiffness(C, rmap, point):
     ``point`` may be a scalar image radius (result in the polar frame,
     index order r, theta[, phi]) or an image-space vector (result in the
     Cartesian frame). ``C`` is taken as the tensor at the preimage in the
-    matching frame. The output carries only the major-symmetry flag.
+    matching frame.
     """
     if C.dim != rmap.dim:
         raise ValueError("tensor and map dims differ")
@@ -226,9 +226,7 @@ def pushforward_stiffness(C, rmap, point):
     if jd.det <= 0:
         raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
     Ct = np.einsum("ijkl,pl,qj->iqkp", C.entries, jd.M, jd.M) / jd.det
-    return StiffnessTensor(
-        dim=C.dim, entries=Ct, major_symmetric=C.major_symmetric, minor_symmetric=False
-    )
+    return StiffnessTensor(dim=C.dim, entries=Ct)
 
 
 def pushforward_density(rho, rmap, point):

@@ -14,6 +14,9 @@ and of every config of one layout, are stacked into one array and
 inverted in one batched LU pass, which gives both the solutions and the
 conditions.
 
+The uniform disk's NtD map and the traction-driven exterior cavity are
+one-region problems on one circle: both go through ``_traction_solve``.
+
 A mode system's condition is its 1-norm condition number
 kappa_1(A) = ||A||_1 ||A^-1||_1, with ||A||_1 the largest column sum of
 |A| (LAPACK's xGECON convention; Higham, *Accuracy and Stability of
@@ -32,7 +35,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .tensors import IsotropicMedium
-from .wavefields import BASIS_FULL, BASIS_REGULAR, ModeField, _special, basis_matrix
+from .wavefields import (BASIS_FULL, BASIS_OUTGOING, BASIS_REGULAR, ModeField, _special,
+                         basis_matrix)
 
 __all__ = [
     "LayeredDiskConfig",
@@ -49,6 +53,8 @@ __all__ = [
     "mode_system_condition",
     "ntd_distance",
     "energy_identity_check",
+    "ExteriorCavitySolution",
+    "solve_exterior_cavity",
     "find_resonant_densities",
     "resonant_config",
 ]
@@ -167,16 +173,38 @@ def free_disk_ntd(medium, radius, omega, n_max):
     the first mode whose system is not representable, else a
     :class:`NearResonanceError` for the first exactly singular one."""
     _check_n_max(n_max)
-    B = basis_matrix(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR)
-    U, S = B[:, 0:2], B[:, 2:4]
+    B, Sinv = _traction_solve(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR,
+                              np.eye(2)[None])  # a stack of one matrix, as numpy 1 reads it too
+    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=B[:, 0:2] @ Sinv,
+                       conditions=_norm1(B[:, 2:4]) * _norm1(Sinv))
+
+
+def _traction_solve(medium, orders, radius, omega, kinds, rhs):
+    """Basis ``B`` (M, 4, 2) of one region at one radius over the 1-D
+    ``orders``, and S^-1 ``rhs`` for its traction systems S = B[:, 2:4] in
+    one batched LU pass; a :class:`ModeOverflowError` for the lowest order
+    not representable, else a :class:`NearResonanceError` for the lowest
+    exactly singular one."""
+    B = basis_matrix(medium, orders, radius, omega, kinds)
+    S = B[:, 2:4]
     usable = _representable(B, np.abs(S).max(axis=-2))
     if not usable.all():
-        raise _overflow_error(int(usable.argmin()))
-    Sinv, singular = _inverses(S)
-    if singular.any():
-        raise _singular_error(int(singular.argmax()))
-    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=U @ Sinv,
-                       conditions=_norm1(S) * _norm1(Sinv))
+        raise _overflow_error(int(orders[~usable].min()))
+    try:
+        return B, np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError:
+        _, singular = _inverses(S)
+        raise _singular_error(int(orders[singular].min())) from None
+
+
+def _mode_tractions(tractions):
+    """Orders (M,), uncast, and (s_rr, s_rt) rows (M, 2) of a dict mode ->
+    traction. A bool key is refused here: beside integer keys numpy casts
+    it to 0 or 1 before ``basis_matrix`` checks the orders."""
+    for n in tractions:
+        if isinstance(n, (bool, np.bool_)):
+            raise ValueError(f"order must be >= 0 and an integer, got {n}")
+    return np.array(list(tractions)), np.array(list(tractions.values()), dtype=complex)
 
 
 def _check_n_max(n_max):
@@ -520,7 +548,9 @@ def energy_identity_check(config, omega, tractions):
     Returns
     -------
     (residual, lhs, rhs)
-        ``residual`` is relative to the larger magnitude side.
+        ``residual`` is relative to the larger magnitude side or, when lhs
+        is exactly 0 (no lossy region; rhs is then rounding noise), to the
+        boundary flux R sum_n Int |psi| (|u| + |u0|).
 
     Only Im(rho) enters the absorbed power, so a region with complex lam
     or mu is refused with ``ValueError``.
@@ -535,8 +565,7 @@ def energy_identity_check(config, omega, tractions):
     if not tractions:
         return 0.0, 0.0, 0.0
     R = config.outer_radius
-    orders = np.array(list(tractions))  # checked, uncast, by basis_matrix
-    tr = np.array(list(tractions.values()), dtype=complex)
+    orders, tr = _mode_tractions(tractions)  # orders checked, uncast, by basis_matrix
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
     sol, B0, _ = _solve_config(config, omega, orders)
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
@@ -559,8 +588,64 @@ def energy_identity_check(config, omega, tractions):
     regular = [k for k, (kind, _) in enumerate(regions[0].kinds) if kind == "J"]
     u0 = (_disk_blocks(B0[..., regular]) @ tr[:, :, None])[..., 0]
     rhs = float(-R * fac @ np.imag(tr * np.conj(u - u0)).sum(axis=1))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale, lhs, rhs
+    scale = (float(R * fac @ (np.abs(tr) * (np.abs(u) + np.abs(u0))).sum(axis=1))
+             if lhs == 0.0 else max(abs(lhs), abs(rhs)))
+    return abs(lhs - rhs) / max(scale, 1e-300), lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# exterior cavity radiation problem
+
+
+@dataclass
+class ExteriorCavitySolution:
+    """Outgoing solution of the traction-driven exterior cavity problem.
+
+    Built per mode from Hankel radial functions only, so the radiation
+    condition holds by construction; well posed for every frequency.
+    """
+
+    cavity_radius: float
+    omega: float
+    medium: IsotropicMedium
+    orders: np.ndarray  # (M,) int
+    coeffs: np.ndarray  # (M, 2) complex: the outgoing P and S coefficients per order
+
+    def boundary_norm(self, radius):
+        """L2 norm of the trace on the circle of given radius."""
+        if not self.orders.size:
+            return 0.0
+        B = basis_matrix(self.medium, self.orders, radius, self.omega, BASIS_OUTGOING)
+        u = np.einsum("mic,mc->mi", B[:, 0:2], self.coeffs)
+        fac = np.where(self.orders == 0, 2.0 * np.pi, np.pi)
+        return float(np.sqrt(np.sum(fac * radius * np.sum(np.abs(u) ** 2, axis=-1))))
+
+
+def solve_exterior_cavity(cavity_radius, tractions, omega, medium):
+    """Solve the exterior problem with prescribed traction on r = h.
+
+    Parameters
+    ----------
+    tractions : dict
+        Mode index -> (s_rr, s_rt) coefficients on the cavity boundary;
+        fixed coefficients model the rescaled traction family whose
+        far-boundary trace shrinks like h^(N-1) = h in 2D.
+
+    Raises :class:`ModeOverflowError` for the lowest mode whose system is
+    not representable in double precision.
+    """
+    if not 0 < cavity_radius < np.inf:
+        raise ValueError(f"cavity radius must be positive and finite, got {cavity_radius!r}")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    orders, tr = _mode_tractions(tractions)
+    coeffs = np.zeros((0, 2), dtype=complex)
+    if tractions:  # basis_matrix needs an order
+        _, x = _traction_solve(medium, orders, cavity_radius, omega, BASIS_OUTGOING,
+                               tr[..., None])
+        coeffs = x[..., 0]
+    return ExteriorCavitySolution(float(cavity_radius), float(omega), medium,
+                                  orders.astype(int), coeffs)
 
 
 # ---------------------------------------------------------------------------

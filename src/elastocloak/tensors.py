@@ -46,7 +46,7 @@ class IsotropicMedium:
 
 @dataclass
 class StiffnessTensor:
-    """Rank-4 stiffness tensor with symmetry metadata.
+    """Rank-4 stiffness tensor; ``symmetry_report`` measures its symmetries.
 
     Attributes
     ----------
@@ -54,15 +54,10 @@ class StiffnessTensor:
         Spatial dimension, 2 or 3.
     entries : ndarray, shape (dim, dim, dim, dim), complex
         Tensor components C[i, j, k, l].
-    major_symmetric, minor_symmetric : bool
-        Construction-time guarantees; ``symmetry_report`` verifies them
-        numerically.
     """
 
     dim: int
     entries: np.ndarray
-    major_symmetric: bool = False
-    minor_symmetric: bool = False
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -103,7 +98,7 @@ def iso_stiffness(medium, dim):
         + mu * np.einsum("ik,jl->ijkl", eye, eye)
         + mu * np.einsum("il,jk->ijkl", eye, eye)
     )
-    return StiffnessTensor(dim=dim, entries=C, major_symmetric=True, minor_symmetric=True)
+    return StiffnessTensor(dim=dim, entries=C)
 
 
 def apply_stiffness(C, A):

@@ -243,7 +243,7 @@ def test_pushforward_preserves_major_breaks_minor():
     E = 0.5 * (raw + np.einsum("ijkl->klij", raw))
     from elastocloak.tensors import StiffnessTensor
 
-    C = StiffnessTensor(dim=2, entries=E, major_symmetric=True)
+    C = StiffnessTensor(dim=2, entries=E)
     Ct = pushforward_stiffness(C, blowup_map(2), 1.5)
     rep = symmetry_report(Ct, tol=1e-12)
     assert rep.major

@@ -117,14 +117,15 @@ def test_h_basis_at_origin_rejected():
 @pytest.mark.parametrize("n", [-1, -3, 2.5, True, np.nan])
 def test_negative_order_rejected(n):
     # a fraction, a bool or NaN is refused like a negative order, before a
-    # cast to int could turn it into a valid one
+    # cast to int could turn it into a valid one; in a dict beside a valid
+    # integer order, a bool would be cast with it
     config = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, BG))
     for call in (lambda: ModeField(BG, OMEGA, n, (("H", "P", 1.0),)).boundary_values(1.0),
                  lambda: free_disk_block(BG, n, 2.0, OMEGA),
                  lambda: solve_mode(config, OMEGA, n, (1.0, 0.0)),
                  lambda: mode_system_condition(config, OMEGA, n),
-                 lambda: energy_identity_check(config, OMEGA, {n: (1.0, 0.0)}),
-                 lambda: solve_exterior_cavity(0.1, {n: (1.0, 0.0)}, OMEGA, BG)):
+                 lambda: energy_identity_check(config, OMEGA, {n: (1.0, 0.0), 2: (1.0, 0.0)}),
+                 lambda: solve_exterior_cavity(0.1, {n: (1.0, 0.0), 2: (1.0, 0.0)}, OMEGA, BG)):
         with pytest.raises(ValueError, match=f"order must be >= 0 .*got {n}$"):
             call()
 
@@ -601,14 +602,20 @@ def test_ntd_distance_rejects_operators_on_different_circles():
 
 
 def test_energy_identity_lossless_is_zero():
-    config = LayeredDiskConfig(
+    layered = LayeredDiskConfig(
         radii=(2.0, 0.1, 0.05),
         media=(BG, IsotropicMedium(0.01, 0.01, 1.0), IsotropicMedium(1.0, 1.0, 100.0)),
         inner="core",
     )
-    resid, lhs, rhs = energy_identity_check(config, OMEGA, {1: (0.7, 0.3)})
-    assert lhs == 0.0
-    assert abs(rhs) < 1e-12
+    uniform = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, BG))
+    # both sides are rounding noise without a lossy region; the residual
+    # used to divide by the larger of them and read 1.0
+    for config, tractions in ((layered, {1: (0.7, 0.3)}),
+                              (uniform, {1: (1.0, 0.0), 2: (1.0, 0.0)})):
+        resid, lhs, rhs = energy_identity_check(config, OMEGA, tractions)
+        assert lhs == 0.0
+        assert abs(rhs) < 1e-12
+        assert type(resid) is float and resid < 1e-12
 
 
 @pytest.mark.parametrize("core", [IsotropicMedium(1.0, 0.8 + 0.2j, 1.0),

@@ -90,7 +90,7 @@ def test_major_symmetric_pairing_against_loop_oracle():
     rng = np.random.default_rng(2)
     raw = rng.normal(size=(2, 2, 2, 2))
     E = 0.5 * (raw + np.einsum("ijkl->klij", raw))  # major-symmetrize
-    C = StiffnessTensor(dim=2, entries=E, major_symmetric=True)
+    C = StiffnessTensor(dim=2, entries=E)
     A = rng.normal(size=(2, 2))
     A = 0.5 * (A + A.T)
     B = rng.normal(size=(2, 2))
