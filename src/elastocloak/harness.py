@@ -31,7 +31,7 @@ from .kernels import (
 from .modesolver import (
     LayeredDiskConfig,
     ModeOverflowError,
-    _check_n_max,
+    _check_count,
     _j0_derivatives,
     _weighted_smax,
     assemble_ntds,
@@ -104,7 +104,7 @@ def _n_max(config):
     """The configured mode cutoff (default 16); a value that is not a
     non-negative integer is refused, not truncated."""
     n_max = config.get("n_max", 16)
-    _check_n_max(n_max)
+    _check_count(n_max, "n_max")
     return int(n_max)
 
 
@@ -421,10 +421,13 @@ def kernel_check(config):
     Checks reciprocity, the Navier residual of kernel columns, the 3D
     series against the closed form, the 2D small-separation rate, the
     double-layer jump relation, and the interior Calderon identity.
-    Returns per-check dicts with ``passed`` flags.
+    Returns per-check dicts with ``passed`` flags. A ``seed`` or
+    ``kernelcheck.n_pairs`` that is not a non-negative integer is refused
+    with a ``ValueError`` naming the key.
     """
     omega = float(config.get("omega", 1.0))
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
+    _check_count(seed, "seed")
     bg = _background(config)
     rng = np.random.default_rng(seed)
     checks = []
@@ -432,7 +435,8 @@ def kernel_check(config):
     static_only = omega == 0.0
 
     # reciprocity: Pi(x, y) == Pi(y, x)^T; the pairs are drawn as x, y in turn
-    n_pairs = int(config.get("kernelcheck", {}).get("n_pairs", 200))
+    n_pairs = config.get("kernelcheck", {}).get("n_pairs", 200)
+    _check_count(n_pairs, "kernelcheck.n_pairs")
     x, y = np.moveaxis(rng.uniform(-1.5, 1.5, (n_pairs, 2, 2)), 1, 0)
     u = x - y
     d = np.linalg.norm(u, axis=-1)

@@ -14,13 +14,20 @@ Near the diagonal the radial factors are evaluated through explicit
 even power series of the *difference* combinations (G_ks - G_kp and its
 derivatives divided by powers of d), which removes the catastrophic
 cancellation of the direct form and gives full precision down to d -> 0.
-The same series produce the additive constant ``eta_constant`` of the
-2D small-separation expansion
+The series serve only |ks d| < 1, so each table keeps just the terms
+that reach the rounding of its sum there (10 to 12 of 33). The same
+series produce the additive constant ``eta_constant`` of the 2D
+small-separation expansion
 
     Pi_omega = Pi_0 + eta I + O(d^2 log d),
 
-and the exact log/cot/smooth split used by the spectral Nystrom
-quadratures for the boundary operators S and K on circles.
+and, below |ks d| = 1, the exact log/cot/smooth split used by the
+spectral Nystrom quadratures for the boundary operators S and K on
+circles. Past it the ln d part of the split is taken in closed form:
+the ln d part of (i/4) H0(k d) is -J0(k d)/(2 pi). ``layer_operators``
+evaluates each distinct node distance once, and fills half of each
+matrix, the other half being its copy by the half-turn symmetry of the
+circle.
 
 The 2D point kernels (``_g2``, and through it ``green_omega``,
 ``green_traction``, ``asymptotic_gap_2d``, ``layer_operators``, both
@@ -170,18 +177,29 @@ def _hankel1_pair(z):
     return sp.j0(z) + 1j * sp.y0(z), sp.j1(z) + 1j * sp.y1(z)
 
 
+def _cylinder_derivs(pref, k, z, c0, c1):
+    """pref C0(k d) and its d-derivatives of orders 1..3, from the values
+    c0 = C0(z), c1 = C1(z) at z = k d of a cylinder pair (J, Y or H),
+    through C0' = -C1 and C1' = C0 - C1/z."""
+    return (
+        pref * c0,
+        -pref * k * c1,
+        -pref * k * k * (c0 - c1 / z),
+        -pref * k**3 * (-c1 - c0 / z + 2.0 * c1 / z**2),
+    )
+
+
+def _g2_argument(k, d):
+    """k d, real for a real wavenumber (a lossless medium), so that the
+    pair takes the real Bessel routines."""
+    return (k.real if k.imag == 0 else k) * d
+
+
 def _g2(k, d):
     """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3,
-    from one (H0, H1) pair. A real wavenumber (a lossless medium) passes
-    a real argument, which takes the real Bessel routines."""
-    z = (k.real if k.imag == 0 else k) * d
-    h0, h1 = _hankel1_pair(z)
-    return (
-        0.25j * h0,
-        -0.25j * k * h1,
-        -0.25j * k * k * (h0 - h1 / z),
-        -0.25j * k**3 * (-h1 - h0 / z + 2.0 * h1 / z**2),
-    )
+    from one (H0, H1) pair."""
+    z = _g2_argument(k, d)
+    return _cylinder_derivs(0.25j, k, z, *_hankel1_pair(z))
 
 
 def _g3(k, d):
@@ -208,20 +226,25 @@ class _Direct:
         self.w2 = complex(medium.rho) * float(omega) ** 2
 
     def _kernels(self, d):
-        """g at ks (orders 0..3), and the differences g(ks) - g(kp) of orders 1..3."""
-        gs = self.g(self.ks, d)
-        gp = self.g(self.kp, d)
-        return gs, gs[1] - gp[1], gs[2] - gp[2], gs[3] - gp[3]
+        return _differences(self.g(self.ks, d), self.g(self.kp, d))
 
     def alpha_beta(self, d):
-        gs, d1, d2, _ = self._kernels(d)
+        return self.ab_from(self._kernels(d), d)
+
+    def cs(self, d):
+        return self.cs_from(self._kernels(d), d)
+
+    def ab_from(self, kern, d):
+        """alpha, beta from the ``_differences`` of a scalar kernel."""
+        gs, d1, d2, _ = kern
         w2 = self.w2
         alpha = gs[0] / self.mu + d1 / (w2 * d)
         beta = (d2 - d1 / d) / w2
         return alpha, beta
 
-    def cs(self, d):
-        gs, d1, d2, d3 = self._kernels(d)
+    def cs_from(self, kern, d):
+        """c2, c3, c4 from the ``_differences`` of a scalar kernel."""
+        gs, d1, d2, d3 = kern
         w2 = self.w2
         alpha_p = gs[1] / self.mu + (d2 * d - d1) / (w2 * d * d)
         beta = (d2 - d1 / d) / w2
@@ -229,10 +252,24 @@ class _Direct:
         return alpha_p / d, beta_p / d, beta / d**2
 
 
+def _differences(gs, gp):
+    """gs at ks (orders 0..3), and the differences gs - gp of orders 1..3."""
+    return gs, gs[1] - gp[1], gs[2] - gp[2], gs[3] - gp[3]
+
+
 # Rows of the 2D series table: 2 f holds the ln d series and 2 f + 1 the
 # smooth series of factor f = alpha, beta, c2, c3, c4.
-_AB, _CS = slice(0, 4), slice(4, 10)
-_AB_LOG, _CS_LOG = slice(0, 4, 2), slice(4, 10, 2)
+_AB = slice(0, 4)
+
+
+def _cut(c, x):
+    """c without its trailing columns whose terms |c[i, m]| x^m all lie
+    below 2^-60 of the largest term of their row i: at d^2 <= x they are
+    below the rounding of the row's sum."""
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: a zero term is dropped
+        t = np.log(np.abs(c)) + np.arange(c.shape[1]) * np.log(x)
+    keep = t > t.max(axis=1, keepdims=True) - 60.0 * np.log(2.0)
+    return c[:, : np.flatnonzero(keep.any(axis=0))[-1] + 1].copy()
 
 
 class _Radial2D:
@@ -241,9 +278,12 @@ class _Radial2D:
     c2 and c4 carry in addition the singular terms s2/d^2 and s4/d^2.
     For omega > 0 the Hankel form ``direct`` serves |ks d| >= _SERIES_SWITCH
     and the cancellation-free series ``table`` the smaller arguments;
-    ``gap`` holds the alpha and beta rows of Pi_omega - Pi_0 - eta I. At
-    omega = 0 the table holds only the constants s2 and s4 and serves
-    every d.
+    ``gap`` holds the alpha and beta rows of Pi_omega - Pi_0 - eta I. Only
+    |ks d| < _SERIES_SWITCH reaches the series, so both are built with
+    _SERIES_TERMS + 1 columns and then cut to the columns whose terms
+    there reach 2^-60 of their row's largest (10 to 12 for the media
+    tried). At omega = 0 the table holds only the constants s2 and s4 and
+    serves every d.
     """
 
     def __init__(self, omega, medium):
@@ -283,17 +323,18 @@ class _Radial2D:
         self.s2 = complex(aL[0])  # = -b1/(4 pi)
         self.s4 = complex(bS[0])  # = +b2/(4 pi)
         self.eta = complex(aS[0])
-        self.table = np.stack([
+        x = (_SERIES_SWITCH / abs(p.ks)) ** 2  # the largest d^2 the series serves
+        self.table = _cut(np.stack([
             aL, aS, bL, bS,
             _dlog(aL), _div_d2(_shift_const(aL, -self.s2)) + _dlog(aS),
             _dlog(bL), _div_d2(bL) + _dlog(bS),
             _div_d2(bL), _div_d2(_shift_const(bS, -self.s4)),
-        ])
+        ]), x)
         # Pi_omega - Pi_0 - eta I: the static tensor is s2 ln d I + s4 uhat uhat
-        self.gap = np.stack([
+        self.gap = _cut(np.stack([
             _shift_const(aL, -self.s2), _shift_const(aS, -self.eta),
             bL, _shift_const(bS, -self.s4),
-        ])
+        ]), x)
         self.table.flags.writeable = self.gap.flags.writeable = False
 
     def _by_regime(self, d, series, direct, n):
@@ -314,14 +355,18 @@ class _Radial2D:
         return _log_plus_smooth(self.table[_AB], d)
 
     def _series_cs(self, d):
-        c2L, c2S, c3L, c3S, c4L, c4S = _horner(self.table[_CS], d)
-        L = np.log(d)
+        return self._series_split(d)[2:5]
+
+    def _series_split(self, d):
+        """``split`` from one Horner pass over the whole table."""
+        v = _horner(self.table, d)
+        log = v[0::2]
+        full = log * np.log(d)
         inv2 = 1.0 / d**2
-        return (
-            self.s2 * inv2 + c2L * L + c2S,
-            c3L * L + c3S,
-            self.s4 * inv2 + c4L * L + c4S,
-        )
+        full[2] += self.s2 * inv2
+        full[4] += self.s4 * inv2
+        full += v[1::2]
+        return np.concatenate((full, log))
 
     def alpha_beta(self, d):
         return self._by_regime(d, self._series_alpha_beta, _Direct.alpha_beta, 2)
@@ -330,22 +375,36 @@ class _Radial2D:
         """(c2, c3, c4) with c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2."""
         return self._by_regime(d, self._series_cs, _Direct.cs, 3)
 
-    @property
-    def log(self):
-        return _LogPart(self.table)
+    def split(self, d):
+        """(full, log): the factors alpha, beta, c2, c3, c4 at the distances
+        d[n] as a (5, n) array, and their ln d coefficients likewise.
+
+        Below the switch (and at omega = 0) one Horner pass over the table
+        gives both; above it one (H0, H1) pair per wavenumber serves all
+        five factors, and their ln d coefficients come in closed form.
+        """
+        v = np.asarray(self._by_regime(d, self._series_split, _hankel_split, 10))
+        return v[:5], v[5:]
 
 
-class _LogPart:
-    """The ln d rows of a 2D series table, with the pack interface."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def alpha_beta(self, d):
-        return _horner(self.table[_AB_LOG], d)
-
-    def cs(self, d):
-        return _horner(self.table[_CS_LOG], d)
+def _hankel_split(p, d):
+    """``_Radial2D.split`` of the 2D ``_Direct`` p, rows stacked, from one
+    (H0, H1) pair per wavenumber. The ln d part of (i/4) H0(k d) is
+    G_L = -J0(k d)/(2 pi), whose factors follow through the same formulas;
+    J is the real part of the pair for a real argument, and scipy's ``jv``
+    for a complex one."""
+    full, log = [], []
+    for k in (p.ks, p.kp):
+        z = _g2_argument(k, d)
+        h0, h1 = _hankel1_pair(z)
+        if np.iscomplexobj(z):
+            j0, j1 = _special().jv(0, z), _special().jv(1, z)
+        else:
+            j0, j1 = h0.real, h1.real
+        full.append(_cylinder_derivs(0.25j, k, z, h0, h1))
+        log.append(_cylinder_derivs(-0.5 / np.pi, k, z, j0, j1))
+    return [f for kern in (_differences(*full), _differences(*log))
+            for f in p.ab_from(kern, d) + p.cs_from(kern, d)]
 
 
 class _Static3D:
@@ -384,7 +443,11 @@ def _outer(a, b):
 
 def _pi(u, d, pack):
     """Green tensor Pi over separations u[..., dim] with lengths d[...]."""
-    alpha, beta = pack.alpha_beta(d)
+    return _pi_from(u, d, *pack.alpha_beta(d))
+
+
+def _pi_from(u, d, alpha, beta):
+    """alpha I + beta uhat uhat over separations u with lengths d."""
     uh = u / d[..., None]
     eye = np.eye(u.shape[-1])
     return alpha[..., None, None] * eye + beta[..., None, None] * _outer(uh, uh)
@@ -397,8 +460,12 @@ def _xi(u, d, nu, pack, lam, mu):
     point y) of the field z -> Pi(x, z) e_l; the double layer contracts
     the second index with the density.
     """
+    return _xi_from(u, d, nu, *pack.cs(d), lam, mu)
+
+
+def _xi_from(u, d, nu, c2, c3, c4, lam, mu):
+    """Xi from the reduced traction factors c2, c3, c4 at d."""
     dim = u.shape[-1]
-    c2, c3, c4 = pack.cs(d)
     nuu = np.sum(nu * u, axis=-1)
     A = lam * (c2 + c3 + (dim - 1) * c4) + 2.0 * mu * c4
     B = mu * (c2 + c4)
@@ -507,15 +574,16 @@ class CircleQuadrature:
 def circle_quadrature(radius, n_points):
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if n_points % 2 != 0 or n_points < 4:
-        raise ValueError("n_points must be even and >= 4")
+    if (isinstance(n_points, (bool, np.bool_)) or not isinstance(n_points, (int, np.integer))
+            or n_points % 2 != 0 or n_points < 4):
+        raise ValueError(f"n_points must be an even integer >= 4, got {n_points!r}")
     t = 2.0 * np.pi * np.arange(n_points) / n_points
     nodes = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
     normals = nodes / radius
     tangents = np.stack([-np.sin(t), np.cos(t)], axis=1)
     weights = np.full(n_points, 2.0 * np.pi * radius / n_points)
     return CircleQuadrature(
-        radius=float(radius), n_points=n_points, angles=t, nodes=nodes,
+        radius=float(radius), n_points=int(n_points), angles=t, nodes=nodes,
         weights=weights, normals=normals, tangents=tangents,
     )
 
@@ -555,10 +623,15 @@ def _rotated_gather(B, t):
     Q(t) rotates by the angle t. Each block splits as p I + q J + r F + s G
     with J = [[0, 1], [-1, 0]], F = diag(1, -1) and G = [[0, 1], [1, 0]];
     the rotation leaves p and q alone and turns (r, s) by the angle 2 t_j,
-    so four circulant gathers by offset give every block. The matrix is
-    filled a few node rows at a time, so no temporary is N x N.
+    so four circulant gathers by offset give every block. The node rows
+    0 .. N/2 - 1 are filled a few at a time, so no temporary is N x N.
+
+    N is even and t_{j + N/2} = t_j + pi, where Q(t + pi) = -Q(t): block
+    (i + N/2, j + N/2) equals block (i, j), so the lower half of the
+    matrix is two contiguous copies of its upper half.
     """
     N = B.shape[0]
+    half = N // 2
     p, q, r, s = _circulant(0.5 * np.stack([
         B[:, 0, 0] + B[:, 1, 1], B[:, 0, 1] - B[:, 1, 0],
         B[:, 0, 0] - B[:, 1, 1], B[:, 0, 1] + B[:, 1, 0],
@@ -567,8 +640,8 @@ def _rotated_gather(B, t):
     M = np.empty((2 * N, 2 * N), dtype=complex)
     blocks = M.reshape(N, 2, N, 2)  # blocks[i, a, j, b] = M[2i + a, 2j + b]
     step = _row_block(N)
-    for i in range(0, N, step):
-        rows = slice(i, i + step)
+    for i in range(0, half, step):
+        rows = slice(i, min(i + step, half))
         f = r[rows] * c2 - s[rows] * s2
         g = r[rows] * s2 + s[rows] * c2
         out = blocks[rows]
@@ -576,6 +649,8 @@ def _rotated_gather(B, t):
         np.subtract(p[rows], f, out=out[:, 1, :, 1])
         np.add(q[rows], g, out=out[:, 0, :, 1])
         np.subtract(g, q[rows], out=out[:, 1, :, 0])
+    M[N:, N:] = M[:N, :N]
+    M[N:, :N] = M[:N, N:]
     return M
 
 
@@ -607,7 +682,12 @@ def layer_operators(quad, omega, medium):
     On the equispaced circle, block (i, j) is block (i - j mod N, 0)
     rotated by the angle of node j, so the kernels are evaluated on the
     first block column only (observation node k, source node 0) and the
-    matrices are assembled from it by ``_rotated_gather``.
+    matrices are assembled from it by ``_rotated_gather``, which fills
+    the upper half of the node rows and copies the lower half from it.
+    Offsets k and N - k share one distance, so the radial factors are
+    evaluated for k = 1 .. N/2 only: below |ks d| = 1 from one Horner
+    pass over the series table, above it from one (H0, H1) pair per
+    wavenumber, with the ln d part in closed form from J0 and J1.
     """
     N = quad.n_points
     R = quad.radius
@@ -621,8 +701,11 @@ def layer_operators(quad, omega, medium):
     # offsets k = 1 .. N-1 take the kernels; k = 0 the analytic limits.
     # Offsets k and N - k share one distance, which keeps S symmetric
     k = np.arange(1, N)
-    s_half = np.sin(0.5 * quad.angles[np.minimum(k, N - k)])
+    near = np.minimum(k, N - k)
+    s_half = np.sin(0.5 * quad.angles[near])
     d = 2.0 * R * s_half
+    full, log = pack.split(d[: N // 2])  # k = 1 .. N/2
+    full, log = full[:, near - 1], log[:, near - 1]
     lnfac = np.log(4.0 * s_half**2)[:, None, None]
     u = quad.nodes[1:] - quad.nodes[0]
     nu = quad.normals[0]
@@ -635,20 +718,20 @@ def layer_operators(quad, omega, medium):
     # = 0) and PR(t,t) = eta I + b2/(4 pi) tau tau
     PL = np.empty((N, 2, 2), dtype=complex)
     PL[0] = -pack.b1 / (4 * np.pi) * eye2
-    PL[1:] = _pi(u, d, pack.log)
+    PL[1:] = _pi_from(u, d, log[0], log[1])
     PR = np.empty_like(PL)
     PR[0] = pack.eta * eye2 + (b2 / (4 * np.pi)) * tt
-    PR[1:] = _pi(u, d, pack) - PL[1:] * (0.5 * lnfac + np.log(R))
+    PR[1:] = _pi_from(u, d, full[0], full[1]) - PL[1:] * (0.5 * lnfac + np.log(R))
     S0 = (wlog * PL + h * (PR + PL * np.log(R))) * R
 
     # ---- double layer (PV) ------------------------------------------------
     J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     XL = np.zeros((N, 2, 2), dtype=complex)
-    XL[1:] = _xi(u, d, nu, pack.log, lam, mu)
+    XL[1:] = _xi_from(u, d, nu, *log[2:], lam, mu)
     Xcot = kappa1 / (2.0 * R) * (1.0 / np.tan(0.5 * quad.angles[1:]))[:, None, None] * J2
     Ksm = np.empty_like(XL)
     Ksm[0] = -kappa1 / (2.0 * R) * eye2 - (mu * b2 / (2.0 * np.pi * R)) * tt
-    Ksm[1:] = _xi(u, d, nu, pack, lam, mu) - XL[1:] * (0.5 * lnfac) - Xcot
+    Ksm[1:] = _xi_from(u, d, nu, *full[2:], lam, mu) - XL[1:] * (0.5 * lnfac) - Xcot
     K0 = (
         wlog * XL
         + _pv_cot_weights(N)[:, None, None] * (kappa1 / (2.0 * R)) * J2

@@ -172,7 +172,7 @@ def free_disk_ntd(medium, radius, omega, n_max):
     condition of each traction system S; a :class:`ModeOverflowError` for
     the first mode whose system is not representable, else a
     :class:`NearResonanceError` for the first exactly singular one."""
-    _check_n_max(n_max)
+    _check_count(n_max, "n_max")
     B, Sinv = _traction_solve(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR,
                               np.eye(2)[None])  # a stack of one matrix, as numpy 1 reads it too
     return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=B[:, 0:2] @ Sinv,
@@ -207,9 +207,11 @@ def _mode_tractions(tractions):
     return np.array(list(tractions)), np.array(list(tractions.values()), dtype=complex)
 
 
-def _check_n_max(n_max):
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+def _check_count(value, name):
+    """Refuse a ``value`` of the key ``name`` that is not a non-negative
+    integer (a bool, a float, a negative number) rather than truncate it."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _norm1(A):
@@ -449,7 +451,7 @@ def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
     :class:`ModeOverflowError` that :func:`assemble_ntd` would raise for
     it; one config's error leaves the others untouched.
     """
-    _check_n_max(n_max)
+    _check_count(n_max, "n_max")
     orders = np.arange(n_max + 1)
     groups = {}  # layout -> config indices; a layout fixes the regions and unknowns
     for i, config in enumerate(configs):

@@ -32,6 +32,7 @@ from elastocloak.modesolver import free_disk_block
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 HEAVY = IsotropicMedium(1.0, 1.0, 2.0)  # rho != 1 separates rho omega^2 from omega^2
+LOSSY = IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)
 OMEGA = 1.0
 
 
@@ -367,9 +368,6 @@ _ROWS = {name: i for i, name in enumerate((
 ))}
 _SERIES_GROUPS = {
     "_AB": ("alpha_log", "alpha_smooth", "beta_log", "beta_smooth"),
-    "_CS": ("c2_log", "c2_smooth", "c3_log", "c3_smooth", "c4_log", "c4_smooth"),
-    "_AB_LOG": ("alpha_log", "beta_log"),
-    "_CS_LOG": ("c2_log", "c3_log", "c4_log"),
 }
 
 
@@ -382,13 +380,14 @@ def test_stacked_horner_matches_per_series_loop(omega, medium):
     from elastocloak.kernels import _SERIES_SWITCH, _horner, _radial_pack
 
     pack = _radial_pack(omega, medium, 2)
-    assert pack.table.shape == (10, kernels._SERIES_TERMS + 1 if omega > 0 else 1)
+    assert pack.table.shape[0] == 10 and pack.table.shape[1] <= (14 if omega > 0 else 1)
     scale = _SERIES_SWITCH / abs(pack.direct.ks) if omega > 0 else 1.0
     ds = [np.array(0.5 * scale),
           scale * np.array([1e-4, 0.1, 0.5, 0.999, 1.001, 2.0, 4.0])]
     groups = [(group, pack.table[getattr(kernels, group)],
                [pack.table[_ROWS[name]] for name in names])
               for group, names in _SERIES_GROUPS.items()]
+    groups.append(("table", pack.table, list(pack.table)))  # the layer operators' pass
     if omega > 0:
         groups.append(("gap", pack.gap, list(pack.gap)))
     for group, stack, rows in groups:
@@ -401,16 +400,85 @@ def test_stacked_horner_matches_per_series_loop(omega, medium):
 
 
 def test_series_and_direct_paths_agree_in_overlap():
-    # the series path (used near the diagonal) must join the Hankel path
+    # the series path (used near the diagonal) must join the Hankel path,
+    # with the table cut to its regime, up to the switch at |ks d| = 1
     from elastocloak.kernels import _Radial2D
 
     pack = _Radial2D(OMEGA, BG)
-    for d in (0.05, 0.2, 0.5, 0.9):
+    for d in (0.05, 0.2, 0.5, 0.9, 0.999):
         d = np.array(d)
         for s, h in zip(pack._series_alpha_beta(d), pack.direct.alpha_beta(d)):
             assert abs(s - h) < 1e-12
         for s, h in zip(pack._series_cs(d), pack.direct.cs(d)):
             assert abs(s - h) < 1e-10
+
+
+# media whose series tables are cut: unit, soft, stiff, lossy and lam < 0
+CUT_MEDIA = [BG, IsotropicMedium(0.2, 0.2, 1.0), IsotropicMedium(2.5, 0.7, 1.8),
+             LOSSY, IsotropicMedium(-1.5, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("omega", [0.01, 1.0, 10.0])
+def test_series_tables_cut_to_their_regime(omega):
+    from elastocloak.kernels import _Radial2D
+
+    for medium in CUT_MEDIA:
+        pack = _Radial2D(omega, medium)
+        assert pack.table.shape[1] <= 14 and pack.gap.shape[1] <= 14
+        # the cut table still joins the Hankel form just below the switch
+        d = 0.999 / abs(pack.direct.ks)
+        series = pack._series_split(np.array([d]))[:5, 0]
+        direct = np.array(pack.direct.alpha_beta(np.array([d]))
+                          + pack.direct.cs(np.array([d])))[:, 0]
+        assert np.abs(series - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def mpmath_log_factors(d, omega, medium, digits=40):
+    """Oracle: the ln d coefficients of alpha, beta, c2, c3, c4 in closed form.
+
+    The ln d part of (i/4) H0(k d) is G_L = -J0(k d)/(2 pi); alpha_L and
+    beta_L follow from the grad grad formula with G_L in place of the
+    kernel, c2_L = alpha_L'/d, c3_L = beta_L'/d (by mpmath's numerical
+    derivative) and c4_L = beta_L/d^2.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        lam, mu, rho = (mp.mpmathify(v) for v in (medium.lam, medium.mu, medium.rho))
+        w2 = rho * mp.mpf(omega) ** 2
+        kp = mp.mpf(omega) * mp.sqrt(rho / (lam + 2 * mu))
+        ks = mp.mpf(omega) * mp.sqrt(rho / mu)
+
+        def gl(k, r, n):  # n-th r-derivative of -J0(k r)/(2 pi)
+            return -(k**n) * mp.besselj(0, k * r, derivative=n) / (2 * mp.pi)
+
+        def alpha(r):
+            return gl(ks, r, 0) / mu + (gl(ks, r, 1) - gl(kp, r, 1)) / (w2 * r)
+
+        def beta(r):
+            diff = [gl(ks, r, n) - gl(kp, r, n) for n in (1, 2)]
+            return (diff[1] - diff[0] / r) / w2
+
+        r = mp.mpf(d)
+        vals = (alpha(r), beta(r), mp.diff(alpha, r) / r, mp.diff(beta, r) / r,
+                beta(r) / r**2)
+        return np.array([complex(v) for v in vals])
+
+
+@pytest.mark.parametrize("medium", [BG, IsotropicMedium(2.5, 0.7, 1.8),
+                                    IsotropicMedium(0.2, 0.2, 1.0), LOSSY],
+                         ids=["unit", "stiff", "soft", "lossy"])
+@pytest.mark.parametrize("ksd", [12.0, 19.2, 26.8])
+def test_log_factors_match_closed_form(medium, ksd):
+    # the ln d coefficients that the layer operators split off, far past
+    # the series switch, where a 33-term series loses them
+    from elastocloak.kernels import _Radial2D
+
+    omega = 10.0
+    pack = _Radial2D(omega, medium)
+    d = ksd / abs(pack.direct.ks)
+    _, log = pack.split(np.array([d]))
+    want = mpmath_log_factors(d, omega, medium)
+    assert np.abs(log[:, 0] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +497,27 @@ def test_circle_quadrature_invariants():
 def test_circle_quadrature_rejects_bad_radius(radius):
     with pytest.raises(ValueError, match="radius"):
         circle_quadrature(radius, 8)
+
+
+@pytest.mark.parametrize("n_points", [8.0, True])
+def test_circle_quadrature_rejects_non_integer_n_points(n_points):
+    with pytest.raises(ValueError, match=f"n_points .* got {n_points}"):
+        circle_quadrature(2.0, n_points)
+
+
+@pytest.mark.parametrize("n_pairs", [2.7, True, -3])
+def test_kernel_check_rejects_bad_n_pairs(n_pairs):
+    from elastocloak import kernel_check
+
+    with pytest.raises(ValueError, match="kernelcheck.n_pairs"):
+        kernel_check({"kernelcheck": {"n_pairs": n_pairs}})
+
+
+def test_kernel_check_rejects_non_integral_seed():
+    from elastocloak import kernel_check
+
+    with pytest.raises(ValueError, match="seed"):
+        kernel_check({"seed": 2.7, "kernelcheck": {"n_pairs": 4}})
 
 
 def test_single_layer_row_against_adaptive_quadrature():
@@ -527,23 +616,61 @@ def _gather_whole_matrix(B, t):
     return M
 
 
-@pytest.mark.parametrize("N", [4, 6, 130])
+@pytest.mark.parametrize("N", [4, 6, 130, 260])
 def test_rotated_gather_blocks(N):
     from elastocloak.kernels import _rotated_gather, _row_block
 
-    if N == 130:  # several row blocks, the last one partial
-        assert _row_block(N) < N and N % _row_block(N) != 0
+    if N == 260:  # several row blocks over the upper half, the last one partial
+        assert _row_block(N) < N // 2 and (N // 2) % _row_block(N) != 0
     rng = np.random.default_rng(N)
     B = rng.normal(size=(N, 2, 2)) + 1j * rng.normal(size=(N, 2, 2))
     t = 2.0 * np.pi * np.arange(N) / N
     M = _rotated_gather(B, t)
-    assert M.tobytes() == _gather_whole_matrix(B, t).tobytes()
+    # node rows 0 .. N/2 - 1 are the whole-matrix formula byte for byte, and
+    # the lower half is their half-turn copy
+    assert M[:N].tobytes() == _gather_whole_matrix(B, t)[:N].tobytes()
+    assert M[N:, N:].tobytes() == M[:N, :N].tobytes()
+    assert M[N:, :N].tobytes() == M[:N, N:].tobytes()
     blocks = M.reshape(N, 2, N, 2).transpose(0, 2, 1, 3)
     for j in range(N):
         Q = np.array([[np.cos(t[j]), -np.sin(t[j])], [np.sin(t[j]), np.cos(t[j])]])
         for i in range(N):
             want = Q @ B[(i - j) % N] @ Q.T
             assert np.abs(blocks[i, j] - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("N", [4, 6, 130, 512])
+def test_layer_operators_half_turn_blocks(N):
+    # Q(t + pi) = -Q(t): block (i + N/2, j + N/2) is block (i, j), byte for byte
+    ops = layer_operators(circle_quadrature(2.0, N), OMEGA, BG)
+    h = N // 2
+    for M in (ops.S, ops.K):
+        b = M.reshape(N, 2, N, 2)
+        assert b[h:, :, h:].tobytes() == b[:h, :, :h].tobytes()
+        assert b[h:, :, :h].tobytes() == b[:h, :, h:].tobytes()
+
+
+@pytest.mark.parametrize("omega,medium,pairs", [
+    (OMEGA, BG, 2), (OMEGA, LOSSY, 2), (0.0, BG, 0),
+], ids=["unit", "lossy", "static"])
+def test_layer_operators_one_pass_per_distance(monkeypatch, omega, medium, pairs):
+    # at N = 256 the distances lie on both sides of the switch |ks d| = 1:
+    # one (H0, H1) pair per wavenumber serves S and K above it, and one
+    # Horner pass over the table below it
+    from elastocloak import kernels
+
+    calls = {"pair": 0, "horner": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "_hankel1_pair", counting("pair", kernels._hankel1_pair))
+    monkeypatch.setattr(kernels, "_horner", counting("horner", kernels._horner))
+    layer_operators(circle_quadrature(2.0, 256), omega, medium)
+    assert calls == {"pair": pairs, "horner": 1}
 
 
 def test_layer_operators_memory_floor():
@@ -573,26 +700,47 @@ def test_kernel_check_jump_passes_at_higher_frequency(omega):
     assert report["passed"]
 
 
-@pytest.mark.parametrize("omega", [OMEGA, 0.0])
-def test_calderon_identity_spectral(omega):
+def _calderon_residual(N, omega, medium):
+    """Max residual of (1/2) u + K u - S T on the circle of radius 2, for the
+    field u and traction T of a point force outside it."""
     src = np.array([3.0, 1.0])
     qv = np.array([0.7, -0.4])
-    errs = []
-    for N in (32, 64):
-        q = circle_quadrature(2.0, N)
-        ops = layer_operators(q, omega, BG)
-        u = np.zeros((N, 2), dtype=complex)
-        T = np.zeros((N, 2), dtype=complex)
-        for i in range(N):
-            G = green_omega(q.nodes[i], src, omega, BG, 2) if omega > 0 \
-                else green_static(q.nodes[i], src, BG, 2)
-            u[i] = G @ qv
-            Xi = green_traction(src, q.nodes[i], q.normals[i], omega, BG, 2)
-            T[i] = Xi.T @ qv
-        resid = 0.5 * u.reshape(-1) + ops.K @ u.reshape(-1) - ops.S @ T.reshape(-1)
-        errs.append(float(np.abs(resid).max()))
+    q = circle_quadrature(2.0, N)
+    ops = layer_operators(q, omega, medium)
+    u = np.zeros((N, 2), dtype=complex)
+    T = np.zeros((N, 2), dtype=complex)
+    for i in range(N):
+        G = green_omega(q.nodes[i], src, omega, medium, 2) if omega > 0 \
+            else green_static(q.nodes[i], src, medium, 2)
+        u[i] = G @ qv
+        Xi = green_traction(src, q.nodes[i], q.normals[i], omega, medium, 2)
+        T[i] = Xi.T @ qv
+    resid = 0.5 * u.reshape(-1) + ops.K @ u.reshape(-1) - ops.S @ T.reshape(-1)
+    return float(np.abs(resid).max())
+
+
+@pytest.mark.parametrize("omega", [OMEGA, 0.0])
+def test_calderon_identity_spectral(omega):
+    errs = [_calderon_residual(N, omega, BG) for N in (32, 64)]
     assert errs[1] < 1e-7
     assert errs[1] < errs[0]
+
+
+@pytest.mark.parametrize("medium", [BG, IsotropicMedium(0.2, 0.2, 1.0)], ids=["unit", "soft"])
+def test_calderon_identity_at_high_frequency(medium):
+    # |ks| 2R = 40 (unit) and 89 (soft): the ln d part of the kernels on
+    # the far side of the circle must hold there as well as near the node
+    assert _calderon_residual(256, 10.0, medium) < 1e-12
+
+
+def test_kernel_check_calderon_passes_at_omega_10():
+    # dl_jump fails at omega = 10 for its own reason (a Richardson step at
+    # a fixed eps); the Calderon line must pass
+    from elastocloak import kernel_check
+
+    report = kernel_check({"omega": 10})
+    line = next(c for c in report["checks"] if c["name"] == "calderon")
+    assert line["passed"], line
 
 
 @pytest.mark.parametrize("medium", [BG, IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)],
@@ -658,8 +806,6 @@ def test_radial_pack_built_once_per_omega_and_medium(monkeypatch):
     assert report["passed"]
     assert 1 <= len(built) <= 3
 
-
-LOSSY = IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)
 
 
 def _every_2d_kernel(medium, omega=OMEGA, N=32):
