@@ -137,21 +137,26 @@ def design_table(config):
 
     Rows: radius, the eight nontrivial polar entries, transformed
     density, and the estimated ellipticity floor. Grid points at r <= 1
-    are clipped (with a note in the result).
+    are clipped (with a note in the result). A ``design.num`` or
+    ``design_samples`` that is not a non-negative integer is refused with a
+    ``ValueError`` naming the key.
     """
     bg = _background(config)
     sec = config.get("design", {})
     r_min = float(sec.get("r_min", 1.02))
     r_max = float(sec.get("r_max", 2.0))
-    num = int(sec.get("num", 25))
-    grid = np.linspace(r_min, r_max, num) if num > 0 else np.array([])
+    num = sec.get("num", 25)
+    _check_count(num, "design.num")
+    samples = config.get("design_samples", 512)
+    _check_count(samples, "design_samples")
+    grid = np.linspace(r_min, r_max, num)
     clipped = int(np.sum(grid <= 1.0))
     grid = grid[grid > 1.0]
     rows = []
     for r in grid:
         C, rho = ideal_cloak_polar(bg, float(r))
         E = C.entries.real
-        _, c0 = check_legendre(C, samples=int(config.get("design_samples", 512)))
+        _, c0 = check_legendre(C, samples=samples)
         rows.append(
             {
                 "r": float(r),
@@ -548,14 +553,19 @@ def _gap_rate_check(omega, medium):
     return {"name": "gap_rate", "value": ratio, "tol": 2.0, "passed": ratio <= 2.0}
 
 
-def _jump_check(omega, medium, rng, n_points=512, eps=0.02):
+def _jump_check(omega, medium, rng):
     """Double-layer jump: exterior minus interior trace equals the density.
 
     The jump J(eps) across the circle at offsets +-eps has an O(eps)
     error that grows with omega; the Richardson value 2 J(eps) - J(2 eps)
-    removes it.
+    removes it. What is left grows with |ks| eps, and resolving the
+    potential at a node-to-target distance eps takes more nodes as eps
+    shrinks, so both scale with the background shear wavenumber ks: eps
+    = 0.02 / max(1, |ks|) on 512 max(1, ceil |ks|) nodes.
     """
-    quad = circle_quadrature(2.0, n_points)
+    k = max(1.0, abs(wavenumbers(medium, omega)[1]))
+    eps = 0.02 / k
+    quad = circle_quadrature(2.0, 512 * int(np.ceil(k)))
     t = quad.angles
     density = np.stack([np.cos(t) + 0.3 * np.sin(2 * t), 0.5 + np.sin(t)], axis=1)
     i0 = 17

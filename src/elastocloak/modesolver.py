@@ -9,10 +9,15 @@ coefficients (u_r, u_th).
 The assembled operator blocks are real symmetric for lossless media and
 complex symmetric with damping. Equilibrated global solves (all layer
 interfaces at once) keep the strongly lossy layers well conditioned where
-sequential transfer matrices would overflow. The systems of every mode,
-and of every config of one layout, are stacked into one array and
-inverted in one batched LU pass, which gives both the solutions and the
-conditions.
+sequential transfer matrices would overflow. Each solver call evaluates
+the basis at every distinct (medium, radius) point it needs in one
+``basis_matrix`` table: FULL kinds, of which a core reads the J columns.
+``assemble_ntds`` shares it across every config and layout of the call
+(the lining cavities reuse the near-cloaks' background points), and
+``energy_identity_check`` adds the quadrature nodes of its lossy regions.
+The systems of every mode, and of every config of one layout, are
+gathered from that table into one array and inverted in one batched LU
+pass, which gives both the solutions and the conditions.
 
 The uniform disk's NtD map and the traction-driven exterior cavity are
 one-region problems on one circle: both go through ``_traction_solve``.
@@ -284,41 +289,72 @@ def _regions(config):
     return out
 
 
-def _interface_systems(configs, omega, orders):
-    """Interface systems of ``configs`` (one layout) at all ``orders``,
-    stacked: A (C, M, m, m) and the outer basis B0 (C, M, 4, w) whose w
-    columns are the outer region's.
+class _BasisTable(NamedTuple):
+    """The basis, FULL kinds, of distinct (medium, radius) points at the
+    ``orders`` of one solve: ``values`` (P, M, 4, 4) holds point ``p`` in
+    row ``rows[p]``."""
+
+    rows: dict
+    orders: np.ndarray
+    values: np.ndarray
+
+    def gather(self, points):
+        """The rows of the list ``points``, (len(points), M, 4, 4), in a
+        new array."""
+        return self.values[[self.rows[p] for p in points]]
+
+
+def _basis_table(points, omega, orders):
+    """:class:`_BasisTable` of every distinct point of ``points`` at
+    ``orders``, from one ``basis_matrix`` call. It holds the H columns of
+    every point; a core reads only the J columns of its point."""
+    rows = {}
+    for p in points:
+        rows.setdefault(p, len(rows))
+    media, radii = zip(*rows)
+    return _BasisTable(rows, np.asarray(orders),
+                       basis_matrix(list(media), orders, np.array(radii), omega, BASIS_FULL))
+
+
+def _interface_points(config):
+    """The (medium, radius) points of the interface systems of ``config``:
+    each region's outer radius, then, unless it is a core, its inner one."""
+    return [(g.medium, r) for g in _regions(config) for r in (g.r_out, g.r_in) if r > 0]
+
+
+# the columns of BASIS_REGULAR among those of BASIS_FULL
+_REGULAR = [BASIS_FULL.index(kind) for kind in BASIS_REGULAR]
+
+
+def _interface_systems(configs, table):
+    """Interface systems of ``configs`` (one layout) at the orders of
+    ``table``, stacked: A (C, M, m, m) and the outer basis B0 (C, M, 4, w)
+    whose w columns are the outer region's, gathered from ``table``.
 
     Rows: 2 outer-traction rows, then 4 continuity rows per interior
     interface (2 traction-free rows at a cavity boundary).
     """
-    regions = [_regions(config) for config in configs]
-    layout = regions[0]
+    layout = _regions(configs[0])
     nun = layout[-1].cols.stop
-    A = np.zeros((len(configs), len(orders), nun, nun), dtype=complex)
-    # each region's basis at its outer and (unless a core) inner radius,
-    # shape (C, M, 2 or 1, 4, w), in one call per region over all configs;
-    # a region that configs share (the background annulus of the
-    # near-cloaks of one h) is evaluated once
-    B = []
-    for j, g in enumerate(layout):
-        distinct = {}
-        index = [distinct.setdefault((rg[j].medium, rg[j].r_out, rg[j].r_in), len(distinct))
-                 for rg in regions]
-        radii = [[r_out, r_in] if r_in > 0 else [r_out] for _, r_out, r_in in distinct]
-        Bj = basis_matrix([m for m, _, _ in distinct], orders, radii, omega, g.kinds)
-        B.append(Bj[index] if len(distinct) < len(configs) else Bj)
-    A[..., 0:2, layout[0].cols] = B[0][:, :, 0, 2:4]
+    A = np.zeros((len(configs), len(table.orders), nun, nun), dtype=complex)
+    # the basis at every interface point, (C, M, 4, 4) each: annulus i at
+    # its outer radius is point 2i and at its inner one 2i + 1, so the
+    # last point is a core's outer or a cavity's inner radius
+    B = table.gather([p for config in configs for p in _interface_points(config)])
+    B = list(B.reshape((len(configs), -1) + B.shape[1:]).swapaxes(0, 1))
+    if layout[-1].kinds == BASIS_REGULAR:
+        B[-1] = B[-1][..., _REGULAR]
+    A[..., 0:2, layout[0].cols] = B[0][..., 2:4, :]
     row = 2
     for i in range(len(layout) - 1):
-        A[..., row:row + 4, layout[i].cols] = B[i][:, :, 1]
-        A[..., row:row + 4, layout[i + 1].cols] = -B[i + 1][:, :, 0]
+        A[..., row:row + 4, layout[i].cols] = B[2 * i + 1]
+        A[..., row:row + 4, layout[i + 1].cols] = -B[2 * i + 2]
         row += 4
     if configs[0].inner == "cavity":  # traction-free inner boundary
-        A[..., row:row + 2, layout[-1].cols] = B[-1][:, :, 1, 2:4]
+        A[..., row:row + 2, layout[-1].cols] = B[-1][..., 2:4, :]
         row += 2
     assert row == nun
-    return A, B[0][:, :, 0]
+    return A, B[0]
 
 
 def _mode_error(orders, conds, n_ok, cond_limit):
@@ -365,10 +401,11 @@ def _representable(B0, col):
             & (col > 0).all(axis=-1))
 
 
-def _solve_modes(configs, omega, orders, cond_limit=np.inf):
+def _solve_modes(configs, table, cond_limit=np.inf):
     """Solutions of the interface systems of ``configs`` (one layout) at
-    ``orders`` for unit s_rr and s_rt tractions, and the systems'
-    conditions, stacked over configs and orders, from one batched inverse.
+    the orders of ``table`` for unit s_rr and s_rt tractions, and the
+    systems' conditions, stacked over configs and orders, from one batched
+    inverse.
 
     Returns ``(sol, B0, conds, errors)``: the solution coefficients
     (C, M, m, 2), the outer basis, the 1-norm condition
@@ -377,8 +414,8 @@ def _solve_modes(configs, omega, orders, cond_limit=np.inf):
     ``_mode_error`` names for it. The solutions of a config with an error
     are zero.
     """
-    orders = np.asarray(orders)
-    A, B0 = _interface_systems(configs, omega, orders)
+    orders = table.orders
+    A, B0 = _interface_systems(configs, table)
     # two-sided equilibration: columns span J ~ 1e-40 .. H ~ 1e+40 at high
     # modes and small radii; raw solves would be hopeless. A mode whose
     # system holds an overflowed entry, or a basis column that underflowed
@@ -412,10 +449,10 @@ def _solve_modes(configs, omega, orders, cond_limit=np.inf):
     return sol, B0, conds, errors
 
 
-def _solve_config(config, omega, orders):
+def _solve_config(config, table):
     """``_solve_modes`` of one config: its (sol, B0, conds); raises its
     error."""
-    sol, B0, conds, (error,) = _solve_modes([config], omega, orders)
+    sol, B0, conds, (error,) = _solve_modes([config], table)
     if error is not None:
         raise error
     return sol[0], B0[0], conds[0]
@@ -424,7 +461,7 @@ def _solve_config(config, omega, orders):
 def mode_system_condition(config, omega, n):
     """1-norm condition ||A||_1 ||A^-1||_1 of the equilibrated mode-n
     interface system A, where ||A||_1 is the largest column sum of |A|."""
-    _, _, conds = _solve_config(config, omega, [n])
+    _, _, conds = _solve_config(config, _basis_table(_interface_points(config), omega, [n]))
     return float(conds[0])
 
 
@@ -433,7 +470,7 @@ def solve_mode(config, omega, n, traction):
 
     Returns a :class:`ModeSolution` carrying per-region fields.
     """
-    sol, _, conds = _solve_config(config, omega, [n])
+    sol, _, conds = _solve_config(config, _basis_table(_interface_points(config), omega, [n]))
     coeffs = sol[0] @ np.asarray(traction, dtype=complex)
     fields = [ModeField(g.medium, omega, n, tuple(
         (kind, pol, c) for (kind, pol), c in zip(g.kinds, coeffs[g.cols])))
@@ -444,22 +481,26 @@ def solve_mode(config, omega, n, traction):
 def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
     """NtD operators of many layered disks for modes 0..n_max.
 
-    The configs of each layout (the same region kinds and inner boundary)
-    are assembled, equilibrated and solved together, in one stacked pass
-    over every config and mode. Returns, for each config in order, its
+    The basis at every distinct (medium, radius) point of the configs
+    comes from one ``basis_matrix`` call. The configs of each layout (the
+    same region kinds and inner boundary) are assembled from it,
+    equilibrated and solved together, in one stacked pass over every
+    config and mode. Returns, for each config in order, its
     :class:`NtDOperator`, or the :class:`NearResonanceError` or
     :class:`ModeOverflowError` that :func:`assemble_ntd` would raise for
     it; one config's error leaves the others untouched.
     """
     _check_count(n_max, "n_max")
-    orders = np.arange(n_max + 1)
+    if not configs:
+        return []
+    table = _basis_table([p for config in configs for p in _interface_points(config)], omega,
+                         np.arange(n_max + 1))
     groups = {}  # layout -> config indices; a layout fixes the regions and unknowns
     for i, config in enumerate(configs):
         groups.setdefault((config.inner, len(config.radii)), []).append(i)
     out = [None] * len(configs)
     for idx in groups.values():
-        sol, B0, conds, errors = _solve_modes([configs[i] for i in idx], omega, orders,
-                                              cond_limit)
+        sol, B0, conds, errors = _solve_modes([configs[i] for i in idx], table, cond_limit)
         w = B0.shape[-1]
         blocks = B0[..., 0:2, :] @ sol[..., :w, :]
         for k, i in enumerate(idx):
@@ -569,21 +610,26 @@ def energy_identity_check(config, omega, tractions):
     R = config.outer_radius
     orders, tr = _mode_tractions(tractions)  # orders checked, uncast, by basis_matrix
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
-    sol, B0, _ = _solve_config(config, omega, orders)
-    coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     x, w = _gauss_legendre()
+    # each lossy region with its 64 quadrature radii
+    lossy = [(g, 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x)
+             for g in regions if complex(g.medium.rho).imag != 0.0]
+    table = _basis_table(_interface_points(config) + [(g.medium, r) for g, rr in lossy
+                                                      for r in rr], omega, orders)
+    sol, B0, _ = _solve_config(config, table)
+    coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     lhs = 0.0
-    for g in regions:
-        im_rho = complex(g.medium.rho).imag
-        if im_rho == 0.0:
-            continue
-        rr = 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x
+    for g, rr in lossy:
         ww = 0.5 * (g.r_out - g.r_in) * w
+        # the region's basis at its nodes, (M, 64, 4, w), made contiguous:
+        # numpy's matmul takes another path on a strided stack, and rounds
+        # differently there
+        B = np.moveaxis(table.gather([(g.medium, r) for r in rr]), 0, 1)
+        B = np.ascontiguousarray(B if g.kinds == BASIS_FULL else B[..., _REGULAR])
         # (M, 64, 2): u_r and u_th of every mode at every node
-        u = (basis_matrix(g.medium, orders, rr, omega, g.kinds)[..., 0:2, :]
-             @ coeffs[:, None, g.cols])[..., 0]
+        u = (B[..., 0:2, :] @ coeffs[:, None, g.cols])[..., 0]
         tot = (np.abs(u) ** 2).sum(axis=-1) @ (ww * rr)
-        lhs += omega**2 * im_rho * float(fac @ tot)
+        lhs += omega**2 * complex(g.medium.rho).imag * float(fac @ tot)
     w0 = B0.shape[-1]
     u = (B0[:, 0:2, :] @ coeffs[:, :w0])[..., 0]
     # the uniform disk of the outermost medium has the J columns of B0

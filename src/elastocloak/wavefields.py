@@ -15,7 +15,8 @@ image). Radial factors Z, W are Bessel J (regular) or Hankel H1
 coefficients of the basis functions, at one order and radius or stacked
 over arrays of orders and radii, for one medium or a stack of media,
 with the Bessel second derivatives eliminated through the defining ODE,
-so all entries use only Z and Z'.
+so all entries use only Z and Z'. The mode solver passes every
+(medium, radius) point of one call as such a stack.
 
 ``basis_matrix`` checks the orders and ``wavenumbers`` the medium, once
 per call, where they enter; the tables below them call the Amos routines
@@ -106,16 +107,17 @@ def _radial(kind, orders, z):
 def _medium_constants(media, omega):
     """Per-medium constants of the basis formulas, each of shape (C,).
 
-    They are formed in scalar arithmetic, one medium at a time: a complex
-    power such as ks**2 rounds differently on an array.
+    They are formed in scalar arithmetic, once per distinct medium of the
+    stack: a complex power such as ks**2 rounds differently on an array.
     """
-    rows = []
-    for medium in media:
+    index, rows = {}, []  # a stack of points repeats its media
+    at = [index.setdefault(medium, len(index)) for medium in media]
+    for medium in index:
         mu, rho = complex(medium.mu), complex(medium.rho)
         kp, ks = wavenumbers(medium, omega)
         rows.append((kp, ks, mu, 2.0 * mu, -2.0 * mu, rho * omega**2, 2.0 * mu * kp,
                      -ks, ks**2, 2.0 * ks))
-    return np.array(rows, dtype=complex).T
+    return np.array(rows, dtype=complex)[at].T
 
 
 def _orders(n):
@@ -139,8 +141,10 @@ def basis_matrix(medium, n, r, omega, kinds):
     result then has shape n.shape + r.shape + (4, len(kinds)). ``medium``
     may also be a list or tuple of C media, with ``r`` of shape
     (C,) + rs holding each medium's radii; the result then has shape
-    (C,) + n.shape + rs + (4, len(kinds)). Either way one scipy call per
-    radial kind (J, H) evaluates or seeds everything (see ``_radial``).
+    (C,) + n.shape + rs + (4, len(kinds)); a medium may recur in the
+    stack, and its constants are formed once. Either way one scipy call
+    per radial kind (J, H) evaluates or seeds the whole stack (see
+    ``_radial``).
     Angular dependence: u_r, sigma_rr carry cos(n th); u_th, sigma_rth
     carry sin(n th).
     """
@@ -171,6 +175,11 @@ def basis_matrix(medium, n, r, omega, kinds):
     kr = const[:2].T.reshape((len(media), 2) + (1,) * (r.ndim - 1)) * radii
     kp, ks, mu, mu2, mu2_neg, rho_w2, mu2_kp, ks_neg, ks_sq, ks2 = const.reshape(
         (-1,) + per_medium)
+    # the factors that the kinds of one polarization share: pK (sK) leads row
+    # K of a P (S) column, and p2p, s3p multiply Z' in rows 2 and 3
+    n_r2 = n_r**2
+    p1, p2, p2p, p3 = -n_r, mu2 * n_r2 - rho_w2, mu2_kp / radii, mu2_neg * n_r
+    s2, s3, s3p = mu2 * n_r, ks_sq - 2.0 * n_r2, ks2 / radii
     radial = {}  # kind -> (Z, Z'), shape (C, M, 2) + rs
     out = np.empty((len(media), orders.size) + r.shape[1:] + (4, len(kinds)), dtype=complex)
     # an unscaled Hankel value that overflows comes back as inf or nan; the
@@ -183,16 +192,17 @@ def basis_matrix(medium, n, r, omega, kinds):
             values, derivs = radial[kind]
             if pol == "P":
                 Z, Zp = values[at, :, 0], derivs[at, :, 0]
-                out[at, ..., 0, c] = kp * Zp
-                out[at, ..., 1, c] = -n_r * Z
-                out[at, ..., 2, c] = (mu2 * n_r**2 - rho_w2) * Z - (mu2_kp / radii) * Zp
-                out[at, ..., 3, c] = mu2_neg * n_r * (kp * Zp - Z / radii)
+                kZp = kp * Zp
+                out[at, ..., 0, c] = kZp
+                out[at, ..., 1, c] = p1 * Z
+                out[at, ..., 2, c] = p2 * Z - p2p * Zp
+                out[at, ..., 3, c] = p3 * (kZp - Z / radii)
             elif pol == "S":
                 W, Wp = values[at, :, 1], derivs[at, :, 1]
                 out[at, ..., 0, c] = n_r * W
                 out[at, ..., 1, c] = ks_neg * Wp
-                out[at, ..., 2, c] = mu2 * n_r * (ks * Wp - W / radii)
-                out[at, ..., 3, c] = mu * ((ks_sq - 2.0 * n_r**2) * W + (ks2 / radii) * Wp)
+                out[at, ..., 2, c] = s2 * (ks * Wp - W / radii)
+                out[at, ..., 3, c] = mu * (s3 * W + s3p * Wp)
             else:
                 raise ValueError(f"unknown polarization {pol!r}")
     return out.reshape(shape if stacked else shape[1:])

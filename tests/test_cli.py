@@ -42,6 +42,20 @@ def test_design_empty_grid_header_only(tmp_path):
     assert len(lines) == 2  # hash comment + column header
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"design": {"num": 2.7}}, "design.num"),
+    ({"design": {"num": True}}, "design.num"),
+    ({"design": {"num": -3}}, "design.num"),
+    ({"design_samples": 3.9}, "design_samples"),
+    ({"design_samples": True}, "design_samples"),
+    ({"design_samples": -1}, "design_samples"),
+])
+def test_design_refuses_sizes_it_would_truncate(config, key):
+    # int() would turn 2.7 into 2 rows, true into 1 and -3 into none
+    with pytest.raises(ValueError, match=key):
+        harness.design_table(config)
+
+
 def test_design_grid_clipping(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"design": {"r_min": 0.9, "r_max": 1.5, "num": 7}}))

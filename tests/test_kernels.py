@@ -734,13 +734,14 @@ def test_calderon_identity_at_high_frequency(medium):
 
 
 def test_kernel_check_calderon_passes_at_omega_10():
-    # dl_jump fails at omega = 10 for its own reason (a Richardson step at
-    # a fixed eps); the Calderon line must pass
+    # the Calderon line, and with dl_jump's offset and node count scaled by
+    # the shear wavenumber every line, must pass at omega = 10
     from elastocloak import kernel_check
 
     report = kernel_check({"omega": 10})
     line = next(c for c in report["checks"] if c["name"] == "calderon")
     assert line["passed"], line
+    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
 
 
 @pytest.mark.parametrize("medium", [BG, IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)],

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import jv, jvp
 
-from elastocloak import modesolver
+from elastocloak import harness, modesolver
 from elastocloak import (
     DEFAULT_CONTENTS,
     IsotropicMedium,
@@ -35,7 +35,7 @@ from elastocloak import (
     solve_mode,
 )
 from elastocloak.modesolver import _weighted_smax, free_disk_block
-from elastocloak.wavefields import BASIS_FULL, ModeField, wavenumbers
+from elastocloak.wavefields import BASIS_FULL, BASIS_REGULAR, ModeField, basis_matrix, wavenumbers
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 OMEGA = 1.0
@@ -299,12 +299,12 @@ def test_exactly_singular_system_fails_only_its_config(monkeypatch):
     alone = [assemble_ntd(config, OMEGA, 16) for config in configs]
     interface_systems = modesolver._interface_systems
 
-    def singular_middle(cfgs, omega, orders):
-        A, B0 = interface_systems(cfgs, omega, orders)
+    def singular_middle(cfgs, table):
+        A, B0 = interface_systems(cfgs, table)
         # mode 5 of the middle config: the identity with column 3 repeating
         # column 2, singular in exact arithmetic and to LAPACK
         for c, n in np.ndindex(A.shape[:2]):
-            if cfgs[c] == configs[1] and orders[n] == 5:
+            if cfgs[c] == configs[1] and table.orders[n] == 5:
                 A[c, n] = np.eye(A.shape[-1])
                 A[c, n, :, 3] = A[c, n, :, 2]
         return A, B0
@@ -344,7 +344,8 @@ def test_conditions_are_exact_one_norm_conditions():
     config = _near_cloak_or_cavity("stiff")
     orders = np.array([0, 5, 16, 24])
     op = assemble_ntd(config, OMEGA, 24)
-    A, _ = modesolver._interface_systems([config], OMEGA, orders)
+    table = modesolver._basis_table(modesolver._interface_points(config), OMEGA, orders)
+    A, _ = modesolver._interface_systems([config], table)
     As = A[0] / np.abs(A[0]).max(axis=-2)[:, None, :]
     As /= np.abs(As).max(axis=-1)[..., None]
     with mp.workdps(30):
@@ -354,6 +355,113 @@ def test_conditions_are_exact_one_norm_conditions():
                            for j in range(inv.cols))
             want = float(np.abs(a).sum(axis=0).max() * inv_norm)
             assert op.conditions[n] == pytest.approx(want, rel=1e-8), n
+
+
+def _per_region_basis_table(configs):
+    """A stand-in for ``modesolver._basis_table`` that evaluates each region
+    of ``configs`` in its own ``basis_matrix`` call with its own kinds: the
+    region's medium at every point of the table inside the region. A
+    point two regions share is written by both, and a core leaves its H
+    columns NaN."""
+    def table(points, omega, orders):
+        rows = {}
+        for p in points:
+            rows.setdefault(p, len(rows))
+        values = np.full((len(rows), len(orders), 4, 4), np.nan, dtype=complex)
+        for config in configs:
+            for g in modesolver._regions(config):
+                cols = [BASIS_FULL.index(kind) for kind in g.kinds]
+                radii = [r for m, r in rows if m == g.medium and g.r_in <= r <= g.r_out]
+                B = basis_matrix(g.medium, orders, radii, omega, g.kinds)
+                for k, r in enumerate(radii):
+                    row = values[rows[g.medium, r]]
+                    assert np.isnan(row[..., cols]).all() or (
+                        row[..., cols].tobytes() == B[:, k].tobytes())
+                    row[..., cols] = B[:, k]
+        return modesolver._BasisTable(rows, np.asarray(orders), values)
+
+    return table
+
+
+def _per_region_absorbed_power(config, omega, tractions):
+    """The lhs of ``energy_identity_check`` with each lossy region's
+    Gauss-node basis from its own ``basis_matrix`` call."""
+    orders = np.array(list(tractions))
+    tr = np.array(list(tractions.values()), dtype=complex)
+    fac = np.where(orders == 0, 2.0 * np.pi, np.pi)
+    table = modesolver._basis_table(modesolver._interface_points(config), omega, orders)
+    sol, _, _ = modesolver._solve_config(config, table)
+    coeffs = sol @ tr[:, :, None]
+    x, w = modesolver._gauss_legendre()
+    lhs = 0.0
+    for g in modesolver._regions(config):
+        if complex(g.medium.rho).imag:
+            rr = 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x
+            u = (basis_matrix(g.medium, orders, rr, omega, g.kinds)[..., 0:2, :]
+                 @ coeffs[:, None, g.cols])[..., 0]
+            tot = (np.abs(u) ** 2).sum(axis=-1) @ (0.5 * (g.r_out - g.r_in) * w * rr)
+            lhs += omega**2 * complex(g.medium.rho).imag * float(fac @ tot)
+    return lhs
+
+
+def _lossy_core():
+    return LayeredDiskConfig(radii=(2.0, 0.7), media=(BG, IsotropicMedium(1.0, 1.0, 1.0 + 0.5j)))
+
+
+@pytest.mark.parametrize("case", ["near-cloaks", "cavity", "identical-media", "lossy-core"])
+def test_one_table_matches_per_region_basis_calls(monkeypatch, case):
+    # every point of a call in one basis_matrix table gives the blocks,
+    # conditions and damping balance of per-region calls bit for bit
+    configs = {
+        "near-cloaks": [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=c, background=BG).virtual
+                        for c in DEFAULT_CONTENTS.values() for h in H_SWEEP],
+        "cavity": [lining_config(0.05, BG), _near_cloak_or_cavity("stiff")],
+        "identical-media": [LayeredDiskConfig(radii=(2.0, 1.0, 0.5),
+                                              media=(IsotropicMedium(1.3, 0.7, 1.1),) * 3)],
+        "lossy-core": [_lossy_core()],
+    }[case]
+    tractions = {0: (1.0, 0.5j), 3: (-0.2, 1.0), 5: (0.3 - 0.1j, 0.7)}
+    for omega in (1.0, 2.0):
+        got = assemble_ntds(configs, omega, 24)
+        balances = [energy_identity_check(config, omega, tractions) for config in configs]
+        with monkeypatch.context() as m:
+            m.setattr(modesolver, "_basis_table", _per_region_basis_table(configs))
+            want = assemble_ntds(configs, omega, 24)
+            assert balances == [energy_identity_check(config, omega, tractions)
+                                for config in configs]
+        for g, w in zip(got, want):
+            assert g.blocks.tobytes() == w.blocks.tobytes()
+            assert g.conditions.tobytes() == w.conditions.tobytes()
+        for config, (_, lhs, _) in zip(configs, balances):
+            assert lhs == _per_region_absorbed_power(config, omega, tractions)
+
+
+def test_core_reads_the_regular_columns_of_the_full_basis():
+    orders = np.arange(20)
+    content = DEFAULT_CONTENTS["soft"]
+    full = basis_matrix(content, orders, [0.05, 0.025], OMEGA, BASIS_FULL)
+    regular = basis_matrix(content, orders, [0.05, 0.025], OMEGA, BASIS_REGULAR)
+    assert full[..., modesolver._REGULAR].tobytes() == regular.tobytes()
+
+
+def test_one_basis_matrix_call_per_solve(monkeypatch):
+    # the lining sweep's one assemble_ntds call takes 14 configs of two
+    # layouts, near-cloaks and cavities, and one Bessel table
+    calls, solved = [], []
+    bm, assemble = modesolver.basis_matrix, harness.assemble_ntds
+    monkeypatch.setattr(modesolver, "basis_matrix", lambda *a: calls.append(a) or bm(*a))
+    monkeypatch.setattr(harness, "assemble_ntds",
+                        lambda configs, *a: solved.append(configs) or assemble(configs, *a))
+    lining_sweep({"n_max": 8})
+    (configs,) = solved
+    assert len(configs) == 14
+    assert len({(c.inner, len(c.radii)) for c in configs}) == 2
+    assert len(calls) == 1
+    # the interface points and the 64 Gauss nodes of each lossy region
+    for config in (_near_cloak_or_cavity("stiff"), _lossy_core()):
+        calls.clear()
+        energy_identity_check(config, OMEGA, {0: (1.0, 0.0), 3: (0.2, 0.5j)})
+        assert len(calls) == 1
 
 
 def test_closed_form_smax_matches_svd():
