@@ -33,10 +33,10 @@ from .modesolver import (
     ModeOverflowError,
     _check_count,
     _j0_derivatives,
+    _ntds_and_free_disk,
     _weighted_smax,
     assemble_ntds,
     find_resonant_densities,
-    free_disk_ntd,
     mode_system_condition,
 )
 from .tensors import IsotropicMedium, check_legendre
@@ -137,9 +137,9 @@ def design_table(config):
 
     Rows: radius, the eight nontrivial polar entries, transformed
     density, and the estimated ellipticity floor. Grid points at r <= 1
-    are clipped (with a note in the result). A ``design.num`` or
-    ``design_samples`` that is not a non-negative integer is refused with a
-    ``ValueError`` naming the key.
+    are clipped (with a note in the result). A ``design.num`` that is not
+    a non-negative integer, or a ``design_samples`` that is not a positive
+    one, is refused with a ``ValueError`` naming the key.
     """
     bg = _background(config)
     sec = config.get("design", {})
@@ -149,6 +149,8 @@ def design_table(config):
     _check_count(num, "design.num")
     samples = config.get("design_samples", 512)
     _check_count(samples, "design_samples")
+    if samples < 1:  # refused even where the grid is empty and nothing is sampled
+        raise ValueError(f"design_samples must be >= 1, got {samples!r}")
     grid = np.linspace(r_min, r_max, num)
     clipped = int(np.sum(grid <= 1.0))
     grid = grid[grid > 1.0]
@@ -236,12 +238,12 @@ def convergence_sweep(config):
 
     Runs the h sweep for each configured content (default: soft, stiff,
     heavy), raising n_max automatically while the last two modes carry
-    more than 1% of the distance. Every content and h of one n_max is
-    solved in one ``assemble_ntds`` call; a row whose solve is near a
-    resonance or overflows gets a NaN distance and a flag, and so does
-    every row when the free-disk reference overflows. Also reports
-    the cross-content spread at each h (content independence) and a
-    frequency preflight: the largest 1-norm condition ||S||_1 ||S^-1||_1
+    more than 1% of the distance. Every content and h of one n_max, and
+    the free-disk reference, are solved from one Bessel table; a row whose
+    solve is near a resonance or overflows gets a NaN distance and a flag,
+    and so does every row when the free-disk reference overflows. Also
+    reports the cross-content spread at each h (content independence) and
+    a frequency preflight: the largest 1-norm condition ||S||_1 ||S^-1||_1
     of the free-disk traction systems S (NaN when the reference overflows).
     The wall time of each stage is kept apart, under ``seconds``.
     """
@@ -263,11 +265,8 @@ def convergence_sweep(config):
     preflight = None
     while True:
         with _stage(seconds, "solve"):
-            try:
-                ref = free_disk_ntd(bg, 2.0, omega, n_max)
-            except ModeOverflowError as exc:  # flags every row, as a device's error does
-                ref = exc
-            ops = assemble_ntds(devices, omega, n_max)
+            # a reference ModeOverflowError flags every row, as a device's error does
+            ref, ops = _ntds_and_free_disk(devices, bg, 2.0, omega, n_max)
         if preflight is None:
             preflight = float("nan") if isinstance(ref, Exception) else float(ref.conditions.max())
         with _stage(seconds, "distances"):

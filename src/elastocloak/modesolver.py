@@ -13,8 +13,11 @@ sequential transfer matrices would overflow. Each solver call evaluates
 the basis at every distinct (medium, radius) point it needs in one
 ``basis_matrix`` table: FULL kinds, of which a core reads the J columns.
 ``assemble_ntds`` shares it across every config and layout of the call
-(the lining cavities reuse the near-cloaks' background points), and
-``energy_identity_check`` adds the quadrature nodes of its lossy regions.
+(the lining cavities reuse the near-cloaks' background points), the
+convergence sweep's free-disk reference reads its row of the devices'
+table, and ``energy_identity_check`` adds the first 24 Gauss-Legendre
+nodes of each lossy region; a region whose integrand those do not resolve
+takes one more call per doubling of its rule.
 The systems of every mode, and of every config of one layout, are
 gathered from that table into one array and inverted in one batched LU
 pass, which gives both the solutions and the conditions.
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .tensors import IsotropicMedium
 from .wavefields import (BASIS_FULL, BASIS_OUTGOING, BASIS_REGULAR, ModeField, _special,
@@ -178,25 +181,31 @@ def free_disk_ntd(medium, radius, omega, n_max):
     the first mode whose system is not representable, else a
     :class:`NearResonanceError` for the first exactly singular one."""
     _check_count(n_max, "n_max")
-    B, Sinv = _traction_solve(medium, np.arange(n_max + 1), radius, omega, BASIS_REGULAR,
-                              np.eye(2)[None])  # a stack of one matrix, as numpy 1 reads it too
-    return NtDOperator(omega=omega, n_max=n_max, radius=radius, blocks=B[:, 0:2] @ Sinv,
+    orders = np.arange(n_max + 1)
+    return _disk_ntd(basis_matrix(medium, orders, radius, omega, BASIS_REGULAR), radius, omega)
+
+
+def _disk_ntd(B, radius, omega):
+    """:func:`free_disk_ntd` of the regular basis ``B`` (n_max + 1, 4, 2)
+    of the disk's medium at ``radius``, modes 0..n_max."""
+    # the rhs is a stack of one matrix, as numpy 1 reads it too
+    Sinv = _traction_solve(B, np.arange(len(B)), np.eye(2)[None])
+    return NtDOperator(omega=omega, n_max=len(B) - 1, radius=radius, blocks=B[:, 0:2] @ Sinv,
                        conditions=_norm1(B[:, 2:4]) * _norm1(Sinv))
 
 
-def _traction_solve(medium, orders, radius, omega, kinds, rhs):
-    """Basis ``B`` (M, 4, 2) of one region at one radius over the 1-D
-    ``orders``, and S^-1 ``rhs`` for its traction systems S = B[:, 2:4] in
-    one batched LU pass; a :class:`ModeOverflowError` for the lowest order
-    not representable, else a :class:`NearResonanceError` for the lowest
-    exactly singular one."""
-    B = basis_matrix(medium, orders, radius, omega, kinds)
+def _traction_solve(B, orders, rhs):
+    """S^-1 ``rhs`` for the traction systems S = B[:, 2:4] of the basis
+    ``B`` (M, 4, 2) of one region at one radius over the 1-D ``orders``,
+    in one batched LU pass; a :class:`ModeOverflowError` for the lowest
+    order not representable, else a :class:`NearResonanceError` for the
+    lowest exactly singular one."""
     S = B[:, 2:4]
     usable = _representable(B, np.abs(S).max(axis=-2))
     if not usable.all():
         raise _overflow_error(int(orders[~usable].min()))
     try:
-        return B, np.linalg.solve(S, rhs)
+        return np.linalg.solve(S, rhs)
     except np.linalg.LinAlgError:
         _, singular = _inverses(S)
         raise _singular_error(int(orders[singular].min())) from None
@@ -322,6 +331,12 @@ def _interface_points(config):
     return [(g.medium, r) for g in _regions(config) for r in (g.r_out, g.r_in) if r > 0]
 
 
+def _all_interface_points(configs):
+    """The :func:`_interface_points` of every config of ``configs``, in
+    order."""
+    return [p for config in configs for p in _interface_points(config)]
+
+
 # the columns of BASIS_REGULAR among those of BASIS_FULL
 _REGULAR = [BASIS_FULL.index(kind) for kind in BASIS_REGULAR]
 
@@ -340,7 +355,7 @@ def _interface_systems(configs, table):
     # the basis at every interface point, (C, M, 4, 4) each: annulus i at
     # its outer radius is point 2i and at its inner one 2i + 1, so the
     # last point is a core's outer or a cavity's inner radius
-    B = table.gather([p for config in configs for p in _interface_points(config)])
+    B = table.gather(_all_interface_points(configs))
     B = list(B.reshape((len(configs), -1) + B.shape[1:]).swapaxes(0, 1))
     if layout[-1].kinds == BASIS_REGULAR:
         B[-1] = B[-1][..., _REGULAR]
@@ -493,8 +508,13 @@ def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
     _check_count(n_max, "n_max")
     if not configs:
         return []
-    table = _basis_table([p for config in configs for p in _interface_points(config)], omega,
-                         np.arange(n_max + 1))
+    return _ntds(configs, _basis_table(_all_interface_points(configs), omega,
+                                       np.arange(n_max + 1)), omega, cond_limit)
+
+
+def _ntds(configs, table, omega, cond_limit=1e14):
+    """:func:`assemble_ntds` of ``configs`` at the orders 0..n_max of
+    ``table``."""
     groups = {}  # layout -> config indices; a layout fixes the regions and unknowns
     for i, config in enumerate(configs):
         groups.setdefault((config.inner, len(config.radii)), []).append(i)
@@ -505,9 +525,24 @@ def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
         blocks = B0[..., 0:2, :] @ sol[..., :w, :]
         for k, i in enumerate(idx):
             out[i] = errors[k] if errors[k] is not None else NtDOperator(
-                omega=omega, n_max=n_max, radius=configs[i].outer_radius,
+                omega=omega, n_max=len(table.orders) - 1, radius=configs[i].outer_radius,
                 blocks=blocks[k], conditions=conds[k])
     return out
+
+
+def _ntds_and_free_disk(configs, medium, radius, omega, n_max):
+    """:func:`free_disk_ntd` of ``medium`` at ``radius``, or its
+    :class:`ModeOverflowError`, and :func:`assemble_ntds` of ``configs``,
+    from one basis table: the disk's point is often an interface point of
+    the configs already."""
+    _check_count(n_max, "n_max")
+    point = (medium, float(radius))
+    table = _basis_table(_all_interface_points(configs) + [point], omega, np.arange(n_max + 1))
+    try:
+        ref = _disk_ntd(table.gather([point])[0][..., _REGULAR], radius, omega)
+    except ModeOverflowError as exc:
+        ref = exc
+    return ref, _ntds(configs, table, omega)
 
 
 def assemble_ntd(config, omega, n_max, cond_limit=1e14):
@@ -567,12 +602,41 @@ def ntd_distance(A, B):
     return float(per_mode_distance(A, B).max())
 
 
+# Each lossy region of a damping balance starts on _GAUSS_START Gauss-Legendre
+# nodes, which resolve a near-cloak's lossy annulus [h/2, h] (scaled by h,
+# its integrand does not depend on h), and doubles them up to _GAUSS_CAP
+# while a Legendre coefficient of its integrand in the top quarter of the
+# degrees exceeds _GAUSS_TAIL a_0.
+_GAUSS_START, _GAUSS_CAP, _GAUSS_TAIL = 24, 768, 2.0**-26
+
+
 @functools.cache
-def _gauss_legendre():
-    """Read-only 64-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = leggauss(64)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def _gauss_rule(n):
+    """Read-only ``n``-point Gauss-Legendre nodes ``x`` and weights ``w``
+    on [-1, 1], and the ``tail`` rows (k + 1/2) w_j P_k(x_j) of the
+    weighted Legendre-Vandermonde matrix for the top quarter of the
+    degrees, k = n - n // 4 .. n - 1: ``tail @ f`` are those Legendre
+    coefficients a_k of the degree n - 1 interpolant of f at the nodes.
+
+    The nodes are ``leggauss``'s. The weights 2 / ((1 - x^2) P_n'(x)^2)
+    take P_{n-1} and P_n from the three-term recurrence; ``leggauss``'s
+    own weights are off by up to ~1e-14 relative near the ends at n = 48
+    (~1e-13 at n = 768), which an integrand weighted to one end reads.
+    """
+    x, _ = leggauss(n)
+    P = legvander(x, n)  # P_0 .. P_n at the nodes
+    w = 2.0 * (1.0 - x * x) / (n * (P[:, n - 1] - x * P[:, n])) ** 2
+    k = np.arange(n - n // 4, n)
+    tail = (k[:, None] + 0.5) * P[:, k].T * w
+    for a in (x, w, tail):
+        a.flags.writeable = False
+    return x, w, tail
+
+
+def _gauss_nodes(g, x):
+    """The Gauss-Legendre nodes ``x`` on [-1, 1] mapped to the radii of
+    region ``g``."""
+    return 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x
 
 
 def energy_identity_check(config, omega, tractions):
@@ -584,9 +648,16 @@ def energy_identity_check(config, omega, tractions):
             = -Im Int_boundary psi . conj(u - u0),
 
     with ``u0`` the response of the uniform disk made of the outermost
-    medium and the region integrals taken by 64-point Gauss-Legendre
-    quadrature. ``tractions`` maps mode index to (s_rr, s_rt)
-    coefficients; all modes are solved in one batch.
+    medium. ``tractions`` maps mode index to (s_rr, s_rt) coefficients;
+    all modes are solved in one batch.
+
+    Each lossy region's integral Int r sum_n fac_n |u_n(r)|^2 dr is taken
+    by Gauss-Legendre quadrature on 24 nodes, doubled until every Legendre
+    coefficient a_k of the integrand in the top quarter of the degrees is
+    at most 2^-26 a_0 (under the geometric decay these integrands show,
+    the quadrature error is then below 2^-52 of the integral). A region
+    whose integrand is not finite, or is not resolved at 768 nodes, is
+    refused with ``RuntimeError`` naming it.
 
     Returns
     -------
@@ -610,26 +681,42 @@ def energy_identity_check(config, omega, tractions):
     R = config.outer_radius
     orders, tr = _mode_tractions(tractions)  # orders checked, uncast, by basis_matrix
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)  # Int cos^2(n th) or sin^2(n th)
-    x, w = _gauss_legendre()
-    # each lossy region with its 64 quadrature radii
-    lossy = [(g, 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x)
-             for g in regions if complex(g.medium.rho).imag != 0.0]
-    table = _basis_table(_interface_points(config) + [(g.medium, r) for g, rr in lossy
+    lossy = [(i, g, _gauss_nodes(g, _gauss_rule(_GAUSS_START)[0]))
+             for i, g in enumerate(regions) if complex(g.medium.rho).imag != 0.0]
+    # the first rule of every lossy region shares the table of the solve
+    table = _basis_table(_interface_points(config) + [(g.medium, r) for _, g, rr in lossy
                                                       for r in rr], omega, orders)
     sol, B0, _ = _solve_config(config, table)
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     lhs = 0.0
-    for g, rr in lossy:
-        ww = 0.5 * (g.r_out - g.r_in) * w
-        # the region's basis at its nodes, (M, 64, 4, w), made contiguous:
+    for i, g, rr in lossy:
+        # the region's basis at its nodes, (M, N, 4, w), made contiguous:
         # numpy's matmul takes another path on a strided stack, and rounds
         # differently there
         B = np.moveaxis(table.gather([(g.medium, r) for r in rr]), 0, 1)
         B = np.ascontiguousarray(B if g.kinds == BASIS_FULL else B[..., _REGULAR])
-        # (M, 64, 2): u_r and u_th of every mode at every node
-        u = (B[..., 0:2, :] @ coeffs[:, None, g.cols])[..., 0]
-        tot = (np.abs(u) ** 2).sum(axis=-1) @ (ww * rr)
-        lhs += omega**2 * complex(g.medium.rho).imag * float(fac @ tot)
+        n = _GAUSS_START
+        while True:
+            _, w, tail = _gauss_rule(n)
+            # (M, N, 2): u_r and u_th of every mode at every node
+            u = (B[..., 0:2, :] @ coeffs[:, None, g.cols])[..., 0]
+            f = rr * (fac @ (np.abs(u) ** 2).sum(axis=-1))
+            if not np.isfinite(f).all():
+                raise RuntimeError(f"region {i} (r in [{g.r_in}, {g.r_out}]): "
+                                   "damping-balance integrand is not finite")
+            a0, a_tail = 0.5 * float(w @ f), float(np.abs(tail @ f).max())
+            if a_tail <= _GAUSS_TAIL * a0:
+                break
+            if n >= _GAUSS_CAP:
+                raise RuntimeError(
+                    f"region {i} (r in [{g.r_in}, {g.r_out}]): damping-balance integrand "
+                    f"not resolved by {n} Gauss-Legendre nodes (Legendre tail {a_tail:.2e} "
+                    f"against a_0 {a0:.2e})")
+            n *= 2
+            rr = _gauss_nodes(g, _gauss_rule(n)[0])
+            B = basis_matrix(g.medium, orders, rr, omega, g.kinds)
+        # Int f over the region: half its width times sum_j w_j f_j = 2 a_0
+        lhs += omega**2 * complex(g.medium.rho).imag * (g.r_out - g.r_in) * a0
     w0 = B0.shape[-1]
     u = (B0[:, 0:2, :] @ coeffs[:, :w0])[..., 0]
     # the uniform disk of the outermost medium has the J columns of B0
@@ -689,8 +776,8 @@ def solve_exterior_cavity(cavity_radius, tractions, omega, medium):
     orders, tr = _mode_tractions(tractions)
     coeffs = np.zeros((0, 2), dtype=complex)
     if tractions:  # basis_matrix needs an order
-        _, x = _traction_solve(medium, orders, cavity_radius, omega, BASIS_OUTGOING,
-                               tr[..., None])
+        x = _traction_solve(basis_matrix(medium, orders, cavity_radius, omega, BASIS_OUTGOING),
+                            orders, tr[..., None])
         coeffs = x[..., 0]
     return ExteriorCavitySolution(float(cavity_radius), float(omega), medium,
                                   orders.astype(int), coeffs)

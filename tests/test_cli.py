@@ -49,9 +49,12 @@ def test_design_empty_grid_header_only(tmp_path):
     ({"design_samples": 3.9}, "design_samples"),
     ({"design_samples": True}, "design_samples"),
     ({"design_samples": -1}, "design_samples"),
+    ({"design_samples": 0}, "design_samples"),
+    ({"design": {"num": 0}, "design_samples": 0}, "design_samples"),
 ])
 def test_design_refuses_sizes_it_would_truncate(config, key):
-    # int() would turn 2.7 into 2 rows, true into 1 and -3 into none
+    # int() would turn 2.7 into 2 rows, true into 1 and -3 into none; no
+    # sample estimates no ellipticity floor, even on an empty grid
     with pytest.raises(ValueError, match=key):
         harness.design_table(config)
 

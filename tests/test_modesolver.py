@@ -383,25 +383,36 @@ def _per_region_basis_table(configs):
     return table
 
 
-def _per_region_absorbed_power(config, omega, tractions):
-    """The lhs of ``energy_identity_check`` with each lossy region's
-    Gauss-node basis from its own ``basis_matrix`` call."""
+def _per_region_absorbed_power(config, omega, tractions, x, w):
+    """The lhs of ``energy_identity_check`` on the quadrature rule (x, w)
+    of [-1, 1] in every lossy region, with each region's basis at its
+    nodes from its own ``basis_matrix`` call."""
     orders = np.array(list(tractions))
     tr = np.array(list(tractions.values()), dtype=complex)
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)
     table = modesolver._basis_table(modesolver._interface_points(config), omega, orders)
     sol, _, _ = modesolver._solve_config(config, table)
     coeffs = sol @ tr[:, :, None]
-    x, w = modesolver._gauss_legendre()
     lhs = 0.0
     for g in modesolver._regions(config):
         if complex(g.medium.rho).imag:
             rr = 0.5 * (g.r_out + g.r_in) + 0.5 * (g.r_out - g.r_in) * x
             u = (basis_matrix(g.medium, orders, rr, omega, g.kinds)[..., 0:2, :]
                  @ coeffs[:, None, g.cols])[..., 0]
-            tot = (np.abs(u) ** 2).sum(axis=-1) @ (0.5 * (g.r_out - g.r_in) * w * rr)
-            lhs += omega**2 * complex(g.medium.rho).imag * float(fac @ tot)
+            f = rr * (fac @ (np.abs(u) ** 2).sum(axis=-1))
+            lhs += (omega**2 * complex(g.medium.rho).imag * (g.r_out - g.r_in)
+                    * (0.5 * float(w @ f)))
     return lhs
+
+
+def _panel_rule(panels, n):
+    """Composite rule on [-1, 1]: ``panels`` equal panels of ``n``
+    ``leggauss`` nodes each."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _lossy_core():
@@ -432,8 +443,9 @@ def test_one_table_matches_per_region_basis_calls(monkeypatch, case):
         for g, w in zip(got, want):
             assert g.blocks.tobytes() == w.blocks.tobytes()
             assert g.conditions.tobytes() == w.conditions.tobytes()
+        x, weights, _ = modesolver._gauss_rule(24)  # every case is resolved on the first rule
         for config, (_, lhs, _) in zip(configs, balances):
-            assert lhs == _per_region_absorbed_power(config, omega, tractions)
+            assert lhs == _per_region_absorbed_power(config, omega, tractions, x, weights)
 
 
 def test_core_reads_the_regular_columns_of_the_full_basis():
@@ -457,11 +469,18 @@ def test_one_basis_matrix_call_per_solve(monkeypatch):
     assert len(configs) == 14
     assert len({(c.inner, len(c.radii)) for c in configs}) == 2
     assert len(calls) == 1
-    # the interface points and the 64 Gauss nodes of each lossy region
-    for config in (_near_cloak_or_cavity("stiff"), _lossy_core()):
+    # the interface points and the 24 Gauss nodes of each lossy region: 5 +
+    # 24 points for a near-cloak, 3 + 24 for a lossy core
+    for config, points in ((_near_cloak_or_cavity("stiff"), 29), (_lossy_core(), 27)):
         calls.clear()
         energy_identity_check(config, OMEGA, {0: (1.0, 0.0), 3: (0.2, 0.5j)})
-        assert len(calls) == 1
+        ((media, _, radii, _, _),) = calls
+        assert len(media) == len(radii) == points
+    # a convergence sweep's free-disk reference reads the devices' table:
+    # one call per n_max it solves at
+    calls.clear()
+    rep = convergence_sweep({"n_max": 8})
+    assert len(calls) == 1 + (rep["n_max"] - 8) // 8
 
 
 def test_closed_form_smax_matches_svd():
@@ -773,6 +792,82 @@ def test_energy_identity_matches_per_radius_quadrature():
         rhs_ref += -fac * R * np.imag(tr[0] * np.conj(du[0]) + tr[1] * np.conj(du[1]))
     assert lhs == pytest.approx(lhs_ref, rel=1e-12)
     assert rhs == pytest.approx(rhs_ref, rel=1e-12)
+
+
+# the damping balances whose absorbed power is checked against a reference
+# quadrature: the six benchmark devices (content, h, omega), the criterion-6
+# device, a lossy core, a thick lossy annulus at a high frequency, and a
+# single high mode
+_BALANCE_CASES = [f"{c},h={h},w={w:g}" for w in (1.0, 2.0)
+                  for h, c in zip((0.1, 0.05, 0.025), DEFAULT_CONTENTS)]
+_BALANCE_CASES += ["criterion-6", "lossy-core", "thick-annulus", "mode-20"]
+
+
+def _balance_case(case):
+    """(config, omega, tractions) of the damping balance ``case``."""
+    rng = np.random.default_rng(0)
+    tractions = {n: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for n in range(6)}
+    criterion_6 = build_near_cloak(0.1, 1.0, 1.0, 1.0, 0.0, content=IsotropicMedium(2.0, 1.0, 1.0),
+                                   background=BG).virtual
+    if case == "criterion-6":
+        return criterion_6, OMEGA, tractions
+    if case == "lossy-core":
+        return _lossy_core(), OMEGA, tractions
+    if case == "thick-annulus":  # lossy on [0.2, 1.9]
+        return LayeredDiskConfig(radii=(2.0, 1.9, 0.2),
+                                 media=(BG, IsotropicMedium(1.0, 1.0, 1.0 + 1.0j),
+                                        IsotropicMedium(2.0, 1.0, 1.0))), 5.0, tractions
+    if case == "mode-20":
+        return criterion_6, OMEGA, {20: (1.0, 0.0)}
+    content, h, omega = case.split(",")
+    return (build_near_cloak(float(h[2:]), 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS[content],
+                             background=BG).virtual, float(omega[2:]), tractions)
+
+
+@pytest.mark.parametrize("case", _BALANCE_CASES)
+def test_energy_identity_matches_a_256_node_reference(case):
+    # the reference takes 8 panels of 32 Gauss-Legendre nodes, whose
+    # weights hold an integrand weighted to one end of the region to
+    # rounding, independently of the check's own rule
+    config, omega, tractions = _balance_case(case)
+    _, lhs, _ = energy_identity_check(config, omega, tractions)
+    ref = _per_region_absorbed_power(config, omega, tractions, *_panel_rule(8, 32))
+    assert abs(lhs - ref) <= 4e-15 * abs(ref)
+
+
+def test_energy_identity_doubles_the_rule_of_an_unresolved_region(monkeypatch):
+    sizes = []
+    rule = modesolver._gauss_rule
+    monkeypatch.setattr(modesolver, "_gauss_rule", lambda n: sizes.append(n) or rule(n))
+    config, omega, tractions = _balance_case("criterion-6")
+    energy_identity_check(config, omega, tractions)
+    assert set(sizes) == {24}
+    # a single traction mode 20 is not resolved on 24 nodes
+    sizes.clear()
+    energy_identity_check(config, omega, {20: (1.0, 0.0)})
+    assert set(sizes) == {24, 48}
+    # ... and is refused, naming its region, where 24 nodes are the cap
+    monkeypatch.setattr(modesolver, "_GAUSS_CAP", 24)
+    energy_identity_check(config, omega, tractions)
+    with pytest.raises(RuntimeError, match=r"region 1 \(r in \[0\.05, 0\.1\]\).* not resolved "
+                                           r"by 24 Gauss-Legendre nodes"):
+        energy_identity_check(config, omega, {20: (1.0, 0.0)})
+
+
+def test_energy_identity_refuses_a_non_finite_integrand(monkeypatch):
+    # a NaN basis at the Gauss nodes inside the lossy annulus (0.05, 0.1),
+    # its interface points finite: refused, never accepted or escalated
+    bm = modesolver.basis_matrix
+
+    def nan_inside(medium, n, r, *args):
+        out = bm(medium, n, r, *args)
+        out[(np.asarray(r) > 0.05) & (np.asarray(r) < 0.1)] = np.nan
+        return out
+
+    monkeypatch.setattr(modesolver, "basis_matrix", nan_inside)
+    config, omega, tractions = _balance_case("criterion-6")
+    with pytest.raises(RuntimeError, match=r"region 1 \(r in \[0\.05, 0\.1\]\).* not finite"):
+        energy_identity_check(config, omega, tractions)
 
 
 def test_energy_identity_takes_the_free_disk_from_the_outer_basis(monkeypatch):
