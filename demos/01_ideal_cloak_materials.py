@@ -17,7 +17,6 @@ from elastocloak import (
     ideal_cloak_polar,
     iso_stiffness,
     pushforward_stiffness,
-    singularity_scan,
     symmetry_report,
     voigt_matrix,
 )
@@ -48,8 +47,3 @@ C_closed, _ = ideal_cloak_polar(bg, r)
 C_numeric = pushforward_stiffness(iso_stiffness(bg, 2), blowup_map(2), r)
 gap = np.abs(C_closed.entries - C_numeric.entries).max()
 print(f"\nclosed form vs numeric push-forward at r = {r}: max deviation {gap:.2e}")
-
-prof = singularity_scan(bg, np.linspace(1.001, 2.0, 9), samples=256)
-print("\nsingularity scan (ellipticity floor should collapse, max entry blow up):")
-for r, e, d, m in zip(prof.radii, prof.min_ellipticity, prof.density, prof.max_entry):
-    print(f"  r={r:5.3f}  min_ell={e:9.2e}  rho={d:8.4f}  max|C|={m:10.2f}")

@@ -214,11 +214,16 @@ def _traction_solve(B, orders, rhs):
 def _mode_tractions(tractions):
     """Orders (M,), uncast, and (s_rr, s_rt) rows (M, 2) of a dict mode ->
     traction. A bool key is refused here: beside integer keys numpy casts
-    it to 0 or 1 before ``basis_matrix`` checks the orders."""
+    it to 0 or 1 before ``basis_matrix`` checks the orders. A NaN or
+    infinite traction is refused with its mode."""
     for n in tractions:
         if isinstance(n, (bool, np.bool_)):
             raise ValueError(f"order must be >= 0 and an integer, got {n}")
-    return np.array(list(tractions)), np.array(list(tractions.values()), dtype=complex)
+    tr = np.array(list(tractions.values()), dtype=complex)
+    if not np.isfinite(tr).all():
+        n = next(n for n, t in tractions.items() if not np.isfinite(t).all())
+        raise ValueError(f"traction of mode {n} must be finite, got {tractions[n]!r}")
+    return np.array(list(tractions)), tr
 
 
 def _check_count(value, name):

@@ -1,21 +1,20 @@
-"""Ideal-cloak closed forms, near-cloak assembly, singularity diagnostics."""
+"""Ideal-cloak closed forms, near-cloak assembly, the physical device."""
 
 import numpy as np
 import pytest
 
+from elastocloak import harness
 from elastocloak import (
     IsotropicMedium,
     assemble_ntd,
     blowup_map,
     build_near_cloak,
     free_disk_ntd,
-    identity_map,
     ideal_cloak_polar,
     iso_stiffness,
     ntd_distance,
     pushforward_density,
     pushforward_stiffness,
-    singularity_scan,
 )
 from elastocloak.modesolver import LayeredDiskConfig
 
@@ -64,8 +63,9 @@ def test_closed_form_matches_pushforward_at_100_radii():
 
 
 def test_ideal_cloak_3d_uses_numeric_pushforward():
-    C, rho = ideal_cloak_polar(BG, 1.5, dim=3)
     r = 1.5
+    C = pushforward_stiffness(iso_stiffness(BG, 3), blowup_map(3), r)
+    rho = pushforward_density(BG.rho, blowup_map(3), r)
     # diagonal polar Jacobian: m = (1/2, r/(2(r-1)), r/(2(r-1)))
     m = np.array([0.5, r / (2 * (r - 1)), r / (2 * (r - 1))])
     det = m.prod()
@@ -101,6 +101,16 @@ def test_near_cloak_parameter_validation():
         build_near_cloak(0.1, 1, 1, 1, -0.5, content=BG)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta"])
+def test_near_cloak_refuses_non_finite_constants(name, value):
+    # alpha = nan built a device whose lining density failed later in
+    # wavenumbers; an infinite delta gave the lining zero moduli
+    consts = {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build_near_cloak(0.1, content=BG, **consts)
+
+
 def test_degenerate_configuration_is_uniform_disk():
     # content == background with the lossy layer replaced by background
     nc = build_near_cloak(0.1, 1, 1, 1, 0, content=BG)
@@ -118,37 +128,53 @@ def test_physical_virtual_duality():
     # cloaking layer: push-forward of the virtual background
     C0 = iso_stiffness(BG, 2)
     for r in (1.2, 1.6, 1.95):
-        C_phys, rho_phys = nc.physical.stiffness_at(r)
+        C_phys, rho_phys = nc.stiffness_at(r)
         C_ref = pushforward_stiffness(C0, fmap, float(r))
         rho_ref = pushforward_density(1.0, fmap, float(r))
         assert np.abs(C_phys.entries - C_ref.entries).max() < 1e-10
         assert abs(rho_phys - rho_ref) < 1e-10
     # lossy lining: scaling branch leaves 2D moduli unchanged,
     # density picks up h^2
-    C_l, rho_l = nc.physical.stiffness_at(0.7)
+    C_l, rho_l = nc.stiffness_at(0.7)
     lossy = nc.virtual.media[1]
     assert C_l.entries[0, 0, 0, 0] == pytest.approx(lossy.lam + 2 * lossy.mu, rel=1e-12)
     assert rho_l == pytest.approx(lossy.rho * 0.1**2, rel=1e-12)
-    # content region untouched
-    C_a, rho_a = nc.physical.stiffness_at(0.3)
-    assert rho_a == 3.0
+    # content region: the scaling branch undoes the 1/h^2 of the virtual
+    # core density, to rounding
+    C_a, rho_a = nc.stiffness_at(0.3)
+    assert rho_a == pytest.approx(3.0, rel=1e-15)
     assert C_a.entries[0, 0, 0, 0] == pytest.approx(3.0, rel=1e-14)
 
 
-def test_singularity_scan_blowup_profile():
-    radii = np.array([1.0001, 1.01, 1.2, 1.5, 2.0])
-    prof = singularity_scan(BG, radii, samples=400)
-    assert prof.density[-1] == pytest.approx(2.0, rel=1e-12)
-    # monotone collapse of the ellipticity floor and blow-up of the
-    # largest entry toward the inner boundary
-    assert np.all(np.diff(prof.min_ellipticity) > 0)
-    assert np.all(np.diff(prof.max_entry) < 0)
-    assert prof.min_ellipticity[0] < prof.min_ellipticity[-2]
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3, 1e-6])
+def test_stiffness_at_interface_sides_and_bad_radii(h):
+    nc = build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=IsotropicMedium(2.0, 0.5, 3.0))
+    bg, lining, core = nc.virtual.media
+
+    def pushed(medium, r):
+        return (pushforward_stiffness(iso_stiffness(medium, 2), nc.map, r).entries,
+                pushforward_density(medium.rho, nc.map, r))
+
+    # an interface belongs to the layer inside it: r = 1 to the lining,
+    # r = 1/2 to the content; the preimage of r = 1 rounds above h for
+    # h = 0.05, 0.3 and 1e-6, so it cannot decide the layer
+    for r, medium in ((2.0, bg), (1.0 + 1e-9, bg), (1.0, lining),
+                      (0.5 + 1e-9, lining), (0.5, core), (1e-3, core)):
+        C, rho = nc.stiffness_at(r)
+        C_ref, rho_ref = pushed(medium, r)
+        assert np.array_equal(C.entries, C_ref) and rho == rho_ref, r
+    for r in (np.nan, 0.0, -0.5, np.nextafter(2.0, 3.0), np.inf):
+        with pytest.raises(ValueError, match="outside the device"):
+            nc.stiffness_at(r)
 
 
-def test_singularity_scan_identity_is_flat():
-    radii = np.array([0.5, 1.0, 1.5])
-    prof = singularity_scan(BG, radii, fmap=identity_map(2), samples=400)
-    assert np.allclose(prof.density, 1.0)
-    assert np.allclose(prof.max_entry, 3.0)
-    assert np.allclose(prof.min_ellipticity, prof.min_ellipticity[0], rtol=1e-9)
+def test_design_table_ellipticity_collapses_toward_inner_boundary():
+    rows = harness.design_table({"design": {"r_min": 1.0001, "r_max": 2.0, "num": 5},
+                                 "design_samples": 400})["rows"]
+    ell = np.array([row["min_ellipticity"] for row in rows])
+    largest = np.array([max(abs(v) for k, v in row.items() if k.startswith("C_"))
+                        for row in rows])
+    # the ellipticity floor collapses and the largest entry blows up
+    # toward r = 1
+    assert np.all(np.diff(ell) > 0)
+    assert np.all(np.diff(largest) < 0)

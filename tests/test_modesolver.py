@@ -130,6 +130,17 @@ def test_negative_order_rejected(n):
             call()
 
 
+@pytest.mark.parametrize("traction", [(np.nan, 0.0), (1.0, np.inf), (1.0, complex(0.0, np.nan))])
+def test_non_finite_traction_rejected(traction):
+    # a NaN or infinite traction gave a NaN balance and NaN coefficients
+    config = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, BG))
+    tractions = {0: (1.0, 0.0), 1: traction}
+    for call in (lambda: energy_identity_check(config, OMEGA, tractions),
+                 lambda: solve_exterior_cavity(0.1, tractions, OMEGA, BG)):
+        with pytest.raises(ValueError, match="traction of mode 1 must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("lam, mu, rho, named", [
     (1.0, 0.0, 1.0, "mu=0.0"),
     (-2.0, 1.0, 1.0, "lam=-2.0, mu=1.0"),
