@@ -30,7 +30,7 @@ print("Cloak material along the radius (polar frame):")
 print(f"{'r':>6} {'C_rrrr':>10} {'C_tttt':>10} {'C_rtrt':>10} {'rho':>8} {'min ell.':>10}")
 for r in (1.999, 1.5, 1.2, 1.05, 1.01):
     C, rho = ideal_cloak_polar(bg, r)
-    _, c0 = check_legendre(C, samples=256)
+    _, c0 = check_legendre(C)  # exact: the smallest eigenvalue of a 3 x 3 form
     E = C.entries.real
     print(f"{r:6.3f} {E[0,0,0,0]:10.4f} {E[1,1,1,1]:10.2f} "
           f"{E[0,1,0,1]:10.2f} {rho:8.4f} {c0:10.2e}")

@@ -55,9 +55,7 @@ def ideal_cloak_polar(medium, r):
     -------
     (C, rho) : (StiffnessTensor, float)
     """
-    if r <= 1.0:
-        raise ValueError(f"cloak-frame radius must exceed 1, got {r}")
-    if r > 2.0 + 1e-12:
+    if not 1.0 < r <= 2.0 + 1e-12:
         raise ValueError(f"cloak layer lives in (1, 2], got r = {r}")
     lam, mu = complex(medium.lam), complex(medium.mu)
     lp2m = lam + 2.0 * mu
@@ -89,14 +87,13 @@ class NearCloak:
         layer that holds the preimage of r.
 
         An interface belongs to the layer inside it: r = 1 to the lining,
-        r = 1/2 to the content. r is compared with the images of the
-        virtual radii to within 1e-12, because the map's outer branch
-        rounds: the image of h reads 1 - 1 ulp at h = 1e-6, and the
-        preimage of 1 lies above h at h = 0.05, 0.3 and 1e-6.
+        r = 1/2 to the content. The map's inner branch owns its joint, so
+        h and h/2 map to 1 and 1/2 exactly, and r = 1 takes the lining's
+        inner-branch value, its limit from inside.
         """
         if not 0.0 < r <= self.virtual.outer_radius:
             raise ValueError(f"radius {r} outside the device (0, {self.virtual.outer_radius}]")
-        layer = sum(r <= self.map(x) + 1e-12 for x in self.virtual.radii[1:])
+        layer = sum(r <= self.map(x) for x in self.virtual.radii[1:])
         medium = self.virtual.media[layer]
         return (
             pushforward_stiffness(iso_stiffness(medium, 2), self.map, float(r)),

@@ -124,7 +124,6 @@ def _content_from(d):
 def _cloak_params(config):
     c = config.get("cloak", {})
     return dict(
-        h=c.get("h", 0.1),
         alpha=c.get("alpha", 1.0),
         beta=c.get("beta", 1.0),
         gamma=c.get("gamma", 1.0),
@@ -136,10 +135,10 @@ def design_table(config):
     """Ideal-cloak material table over a radius grid.
 
     Rows: radius, the eight nontrivial polar entries, transformed
-    density, and the estimated ellipticity floor. Grid points at r <= 1
-    are clipped (with a note in the result). A ``design.num`` that is not
-    a non-negative integer, or a ``design_samples`` that is not a positive
-    one, is refused with a ``ValueError`` naming the key.
+    density, and the exact ellipticity floor (``check_legendre``). Grid
+    points at r <= 1 are clipped (with a note in the result). A
+    ``design.num`` that is not a non-negative integer is refused with a
+    ``ValueError`` naming the key.
     """
     bg = _background(config)
     sec = config.get("design", {})
@@ -147,10 +146,6 @@ def design_table(config):
     r_max = float(sec.get("r_max", 2.0))
     num = sec.get("num", 25)
     _check_count(num, "design.num")
-    samples = config.get("design_samples", 512)
-    _check_count(samples, "design_samples")
-    if samples < 1:  # refused even where the grid is empty and nothing is sampled
-        raise ValueError(f"design_samples must be >= 1, got {samples!r}")
     grid = np.linspace(r_min, r_max, num)
     clipped = int(np.sum(grid <= 1.0))
     grid = grid[grid > 1.0]
@@ -158,7 +153,7 @@ def design_table(config):
     for r in grid:
         C, rho = ideal_cloak_polar(bg, float(r))
         E = C.entries.real
-        _, c0 = check_legendre(C, samples=samples)
+        _, c0 = check_legendre(C)
         rows.append(
             {
                 "r": float(r),
@@ -260,7 +255,7 @@ def convergence_sweep(config):
     seconds = {}
     _load_special(seconds)
     with _stage(seconds, "build"):
-        devices = [build_near_cloak(content=content, background=bg, **{**params, "h": h}).virtual
+        devices = [build_near_cloak(h, content=content, background=bg, **params).virtual
                    for content in contents.values() for h in h_values]
     preflight = None
     while True:
@@ -333,7 +328,7 @@ def lining_sweep(config):
 
     def pair(h, p):
         """(near-cloak, traction-free cavity) configs at (h, p)."""
-        return (build_near_cloak(content=content, background=bg, **{**p, "h": h}).virtual,
+        return (build_near_cloak(h, content=content, background=bg, **p).virtual,
                 lining_config(h, bg))
 
     seconds = {}

@@ -108,9 +108,11 @@ def blowup_map(dim):
 def regularized_blowup_map(h, dim):
     """Regularized blow-up expanding B_h onto the unit disk.
 
-    Outer branch ``r -> (2-2h)/(2-h) + r/(2-h)`` for h <= r <= 2, inner
-    branch ``r -> r/h`` for r < h; continuous at r = h, identity at r = 2.
-    Converges to ``blowup_map`` on the outer branch as h -> 0+.
+    Outer branch ``r -> (2-2h)/(2-h) + r/(2-h)`` for h < r <= 2, inner
+    branch ``r -> r/h`` for r <= h; continuous at r = h, identity at r = 2.
+    The joint belongs to the inner branch, so r = h maps to 1 exactly and
+    the preimage of 1 is h exactly. Converges to ``blowup_map`` on the
+    outer branch as h -> 0+.
     """
     if not (0.0 < h < 1.0):
         raise ValueError(f"h must lie in (0, 1), got {h}")
@@ -120,13 +122,13 @@ def regularized_blowup_map(h, dim):
     b = 1.0 / (2.0 - h)
 
     def g(r):
-        return r / h if r < h else a + b * r
+        return r / h if r <= h else a + b * r
 
     def gp(r):
-        return 1.0 / h if r < h else b
+        return 1.0 / h if r <= h else b
 
     def gi(rr):
-        return rr * h if rr < 1.0 else (rr - a) / b
+        return rr * h if rr <= 1.0 else (rr - a) / b
 
     return RadialMap(
         kind="regularized",
@@ -139,13 +141,13 @@ def regularized_blowup_map(h, dim):
     )
 
 
-def identity_map(dim, r_max=2.0):
+def identity_map(dim):
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     return RadialMap(
         kind="identity",
         dim=dim,
-        domain=(0.0, float(r_max)),
+        domain=(0.0, 2.0),
         g=lambda r: r,
         g_prime=lambda r: 1.0,
         g_inverse=lambda rr: rr,
@@ -165,13 +167,18 @@ def _split_point(point, dim):
     return r, arr / r, "cartesian"
 
 
-def _principal_stretches(rmap, r_src):
-    gp = rmap.g_prime(r_src)
-    gt = rmap.g(r_src) / r_src
-    return gp, gt
+def _source_radius(rmap, r, inverse):
+    """The source radius of ``r`` (its preimage when ``inverse``), refused
+    where the map has no Jacobian: at a radius <= 0 or NaN, except at an
+    origin the map fixes, where the hoop stretch g(s)/s tends to g'(0)."""
+    r_src = rmap.inverse_radius(r) if inverse else r
+    if not (r_src > 0.0 or (r_src == 0.0 and rmap.g(0.0) == 0.0)):
+        space = "image radius" if inverse else "radius"
+        raise ValueError(f"map {rmap.kind} has no Jacobian at {space} {r}")
+    return r_src
 
 
-def jacobian(rmap, point, inverse=False, joint_tol=1e-12):
+def jacobian(rmap, point, inverse=False):
     """Jacobian of a radial map.
 
     With ``inverse=False``, ``point`` lives in the source space and the
@@ -181,15 +188,14 @@ def jacobian(rmap, point, inverse=False, joint_tol=1e-12):
     are written: for the blow-up map at image radius r the determinant is
     ``r/(4(r-1))`` in 2D and ``r^2/(8(r-1)^2)`` in 3D).
 
-    Raises :class:`JointError` (carrying one-sided data) at kinks of
-    piecewise profiles.
+    Raises :class:`JointError` (carrying one-sided data) within 1e-12 of
+    kinks of piecewise profiles, and ``ValueError`` where the map has no
+    Jacobian (the blow-up map's origin).
     """
     r, direction, frame = _split_point(point, rmap.dim)
-    r_src = rmap.inverse_radius(r) if inverse else r
-    if r_src <= rmap.domain[0] and rmap.kind == "blowup":
-        raise ValueError("blow-up map Jacobian is singular at the origin")
+    r_src = _source_radius(rmap, r, inverse)
     for j in rmap.joints:
-        if abs(r_src - j) <= joint_tol:
+        if abs(r_src - j) <= 1e-12:
             left = _jac_at(rmap, j - 1e-9, direction, frame)
             right = _jac_at(rmap, j + 1e-9, direction, frame)
             raise JointError(
@@ -199,7 +205,8 @@ def jacobian(rmap, point, inverse=False, joint_tol=1e-12):
 
 
 def _jac_at(rmap, r_src, direction, frame):
-    gp, gt = _principal_stretches(rmap, r_src)
+    gp = rmap.g_prime(r_src)
+    gt = rmap.g(r_src) / r_src if r_src else gp  # g(s)/s -> g'(0) at a fixed origin
     dim = rmap.dim
     if frame == "polar":
         M = np.diag([gp] + [gt] * (dim - 1))
@@ -208,6 +215,16 @@ def _jac_at(rmap, r_src, direction, frame):
         M = gp * P + gt * (np.eye(dim) - P)
     det = gp * gt ** (dim - 1)
     return JacobianData(M=M, det=float(det))
+
+
+def _image_jacobian(rmap, point):
+    """Forward Jacobian at the preimage of an image-space point, refused
+    where the map is singular or not orientation preserving."""
+    r, direction, frame = _split_point(point, rmap.dim)
+    jd = _jac_at(rmap, _source_radius(rmap, r, True), direction, frame)
+    if jd.det <= 0:
+        raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
+    return jd
 
 
 def pushforward_stiffness(C, rmap, point):
@@ -220,20 +237,11 @@ def pushforward_stiffness(C, rmap, point):
     """
     if C.dim != rmap.dim:
         raise ValueError("tensor and map dims differ")
-    r, direction, frame = _split_point(point, rmap.dim)
-    r_src = rmap.inverse_radius(r)
-    jd = _jac_at(rmap, r_src, direction, frame)
-    if jd.det <= 0:
-        raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
+    jd = _image_jacobian(rmap, point)
     Ct = np.einsum("ijkl,pl,qj->iqkp", C.entries, jd.M, jd.M) / jd.det
     return StiffnessTensor(dim=C.dim, entries=Ct)
 
 
 def pushforward_density(rho, rmap, point):
     """Density transform rho / det(M), evaluated at an image-space point."""
-    r, direction, frame = _split_point(point, rmap.dim)
-    r_src = rmap.inverse_radius(r)
-    jd = _jac_at(rmap, r_src, direction, frame)
-    if jd.det <= 0:
-        raise ValueError(f"push-forward requires det M > 0, got {jd.det}")
-    return complex(rho) / jd.det
+    return complex(rho) / _image_jacobian(rmap, point).det

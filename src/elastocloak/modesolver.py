@@ -878,11 +878,10 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
         _, J0p2, J0pp2 = _j0_derivatives(t2)
         return t1 * J0p1 * t2**2 * J0pp2 - t2 * J0p2 * t1**2 * J0pp1
 
-    if abs(J0pp1) < 1e-12:
-        # degenerate branch: match a zero of J0'' instead
-        cands = _bracket_roots(lambda t: _j0_derivatives(t)[2], 0.05, t_max, steps)
-    else:
-        cands = _bracket_roots(det, 0.05, t_max, steps)
+    # where J0''(t1) = 0, det(t2) reduces to t1 J0'(t1) t2^2 J0''(t2):
+    # J0'(t1) cannot vanish too, since Bessel's equation would then give
+    # J0(t1) = 0, and J0, J0' have no common zero
+    cands = _bracket_roots(det, 0.05, t_max, steps)
     cands = cands[(np.abs(cands - t1) > 1e-6) & (cands > 0.2)]
     if not cands.size:
         raise SearchWindowError(

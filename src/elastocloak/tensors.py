@@ -1,9 +1,10 @@
 """Rank-4 stiffness tensor algebra.
 
 Construction of isotropic stiffness tensors, double contractions,
-symmetry and Legendre-ellipticity diagnostics, and the Voigt collapse.
+symmetry diagnostics, the exact Legendre-ellipticity constant, and the
+Voigt collapse.
 Entries are complex throughout; ellipticity checks are restricted to
-real-valued tensors.
+finite real-valued tensors.
 """
 
 from __future__ import annotations
@@ -126,32 +127,27 @@ def _sym_basis(dim):
     return np.array(out)
 
 
-def check_legendre(C, samples=4096, tol=1e-12, seed=0):
-    """Estimate the Legendre ellipticity constant c0.
+def check_legendre(C):
+    """Legendre ellipticity constant c0 = min (C:A):A / ||A||^2 over
+    nonzero symmetric A, exactly.
 
-    Minimizes ``(C:A):A / ||A||^2`` over the deterministic orthonormal
-    basis of symmetric matrices plus ``samples`` random symmetric
-    matrices (Gaussian coefficients on that basis). All quotients come
-    from one contraction over the stacked matrices.
+    On the orthonormal basis E of symmetric matrices the quotient is the
+    Rayleigh quotient of M = E Q E^T, Q being C flattened to a
+    dim^2 x dim^2 matrix, so c0 is the smallest eigenvalue of the
+    symmetric part of M (3 x 3 in 2D, 6 x 6 in 3D).
 
     Returns
     -------
     (elliptic, c0) : (bool, float)
-        ``elliptic`` is ``c0 > tol``.
+        ``elliptic`` is ``c0 > 1e-12``.
     """
-    if not C.is_real:
-        raise ValueError("Legendre ellipticity is defined for real-valued tensors")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not C.is_real or not np.isfinite(C.entries.real).all():
+        raise ValueError("Legendre ellipticity is defined for finite real-valued tensors")
     basis = _sym_basis(C.dim)
-    nsym, dd = len(basis), C.dim * C.dim
-    coeffs = np.random.default_rng(seed).standard_normal((samples, nsym))
-    flat = basis.reshape(nsym, dd)
-    A = np.concatenate([flat, coeffs @ flat])  # (nsym + samples, dim^2)
-    Q = C.entries.real.reshape(dd, dd)
-    quotients = np.einsum("si,ij,sj->s", A, Q, A) / np.einsum("si,si->s", A, A)
-    c0 = float(quotients.min())
-    return c0 > tol, c0
+    E = basis.reshape(len(basis), C.dim * C.dim)
+    M = E @ C.entries.real.reshape(C.dim * C.dim, -1) @ E.T
+    c0 = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return c0 > 1e-12, c0
 
 
 def symmetry_report(C, tol=1e-12):
@@ -173,15 +169,15 @@ def symmetry_report(C, tol=1e-12):
     )
 
 
-def voigt_matrix(C, tol=1e-9):
+def voigt_matrix(C):
     """Collapse a minor-symmetric tensor to its Voigt matrix.
 
     Uses the unscaled (stress) convention, so an isotropic tensor
     reproduces the familiar lam/mu table literally. Raises if the minor
-    symmetries are violated beyond ``tol`` (the collapse is undefined
-    then; push-forward outputs generally fail this).
+    symmetries are violated beyond 1e-9 (the collapse is undefined then;
+    push-forward outputs generally fail this).
     """
-    rep = symmetry_report(C, tol=tol)
+    rep = symmetry_report(C, tol=1e-9)
     if not rep.minor:
         raise ValueError(
             f"Voigt collapse undefined: minor symmetry violated by {rep.max_violation:.3e}"

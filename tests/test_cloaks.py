@@ -45,6 +45,8 @@ def test_singular_radius_error():
         ideal_cloak_polar(BG, 1.0)
     with pytest.raises(ValueError):
         ideal_cloak_polar(BG, 0.7)
+    with pytest.raises(ValueError, match="got r = nan"):
+        ideal_cloak_polar(BG, np.nan)
 
 
 def test_closed_form_matches_pushforward_at_100_radii():
@@ -156,21 +158,33 @@ def test_stiffness_at_interface_sides_and_bad_radii(h):
                 pushforward_density(medium.rho, nc.map, r))
 
     # an interface belongs to the layer inside it: r = 1 to the lining,
-    # r = 1/2 to the content; the preimage of r = 1 rounds above h for
-    # h = 0.05, 0.3 and 1e-6, so it cannot decide the layer
-    for r, medium in ((2.0, bg), (1.0 + 1e-9, bg), (1.0, lining),
-                      (0.5 + 1e-9, lining), (0.5, core), (1e-3, core)):
+    # r = 1/2 to the content
+    for r, medium in ((2.0, bg), (1.0 + 1e-9, bg), (0.5 + 1e-9, lining),
+                      (0.5, core), (1e-3, core)):
         C, rho = nc.stiffness_at(r)
         C_ref, rho_ref = pushed(medium, r)
         assert np.array_equal(C.entries, C_ref) and rho == rho_ref, r
+    # r = 1 takes the lining through the inner branch x -> x/h, its limit
+    # from inside: 2D moduli unchanged, density times h^2
+    for r in (1.0, 1.0 - 1e-12):
+        C, rho = nc.stiffness_at(r)
+        np.testing.assert_allclose(C.entries, iso_stiffness(lining, 2).entries, rtol=1e-12)
+        assert rho == pytest.approx(lining.rho * h**2, rel=1e-12), r
     for r in (np.nan, 0.0, -0.5, np.nextafter(2.0, 3.0), np.inf):
         with pytest.raises(ValueError, match="outside the device"):
             nc.stiffness_at(r)
 
 
+def test_stiffness_at_a_subnormal_radius_reads_the_content():
+    content = IsotropicMedium(2.0, 0.5, 3.0)
+    nc = build_near_cloak(0.1, 1.0, 1.0, 1.0, 0.0, content=content)
+    C, rho = nc.stiffness_at(5e-324)  # the preimage 5e-324 h underflows to 0
+    np.testing.assert_allclose(C.entries, iso_stiffness(content, 2).entries, rtol=1e-14)
+    assert rho == pytest.approx(3.0, rel=1e-14)
+
+
 def test_design_table_ellipticity_collapses_toward_inner_boundary():
-    rows = harness.design_table({"design": {"r_min": 1.0001, "r_max": 2.0, "num": 5},
-                                 "design_samples": 400})["rows"]
+    rows = harness.design_table({"design": {"r_min": 1.0001, "r_max": 2.0, "num": 5}})["rows"]
     ell = np.array([row["min_ellipticity"] for row in rows])
     largest = np.array([max(abs(v) for k, v in row.items() if k.startswith("C_"))
                         for row in rows])
