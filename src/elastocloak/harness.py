@@ -3,6 +3,7 @@ kernel-property reports.
 
 All drivers are pure functions from a configuration dictionary to plain
 data (lists/dicts of Python floats), so the CLI layer only does I/O.
+Each refuses a config key that no command reads, naming its path.
 Rate fits are unweighted least squares on log-log data over the
 unflagged rows; fits with R^2 < 0.98, or with fewer than two unflagged
 rows (slope NaN), are flagged as rejected, and data with an h that is
@@ -61,6 +62,43 @@ DEFAULT_CONTENTS = {
 
 _N_MAX_CEILING = 48
 _R2_MIN = 0.98  # a rate fit of lower R^2 is rejected
+
+# Every config key that some command reads: a section maps to its own keys,
+# a list of sections to the keys of each entry, and a value to None.
+_MEDIUM_KEYS = dict.fromkeys(("lambda", "mu", "rho_re", "rho_im"))
+_CONFIG_KEYS = {
+    "omega": None,
+    "n_max": None,
+    "seed": None,
+    "background": dict.fromkeys(("lambda", "mu")),
+    "cloak": dict.fromkeys(("alpha", "beta", "gamma", "delta")),
+    "content": _MEDIUM_KEYS,
+    "convergence": {"h_values": None, "contents": [{"name": None, **_MEDIUM_KEYS}]},
+    "design": dict.fromkeys(("r_min", "r_max", "num")),
+    "resonance": dict.fromkeys(("r0", "r1")),
+    "kernelcheck": {"n_pairs": None},
+}
+
+
+def _check_keys(config, known=_CONFIG_KEYS, path=""):
+    """Refuse a config key that no command reads, and a section that is not
+    a table (or list of tables), naming its path: a misspelt key would
+    otherwise run the default silently."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config key {path[:-1]!r} must be a table" if path
+                         else "the config must be a table")
+    for key, value in config.items():
+        where = f"{path}{key}"
+        if key not in known:
+            raise ValueError(f"unknown config key {where!r}: no command reads it")
+        sub = known[key]
+        if isinstance(sub, list):
+            if not isinstance(value, list):
+                raise ValueError(f"config key {where!r} must be a list of tables")
+            for i, entry in enumerate(value):
+                _check_keys(entry, sub[0], f"{where}[{i}].")
+        elif sub is not None:
+            _check_keys(value, sub, where + ".")
 
 
 @dataclass(frozen=True)
@@ -140,6 +178,7 @@ def design_table(config):
     ``design.num`` that is not a non-negative integer is refused with a
     ``ValueError`` naming the key.
     """
+    _check_keys(config)
     bg = _background(config)
     sec = config.get("design", {})
     r_min = float(sec.get("r_min", 1.02))
@@ -242,6 +281,7 @@ def convergence_sweep(config):
     of the free-disk traction systems S (NaN when the reference overflows).
     The wall time of each stage is kept apart, under ``seconds``.
     """
+    _check_keys(config)
     omega = float(config.get("omega", 1.0))
     n_max = _n_max(config)
     bg = _background(config)
@@ -316,6 +356,7 @@ def lining_sweep(config):
     overflows gets a NaN distance and a flag. The wall time of each stage
     is kept apart, under ``seconds``.
     """
+    _check_keys(config)
     omega = float(config.get("omega", 1.0))
     n_max = _n_max(config)
     bg = _background(config)
@@ -367,6 +408,7 @@ def lining_sweep(config):
 
 def resonance_report(config):
     """Construct a cloak-busting inclusion and scan its conditioning spike."""
+    _check_keys(config)
     sec = config.get("resonance", {})
     r0 = float(sec.get("r0", 0.5))
     r1 = float(sec.get("r1", 1.0))
@@ -424,6 +466,7 @@ def kernel_check(config):
     ``kernelcheck.n_pairs`` that is not a non-negative integer is refused
     with a ``ValueError`` naming the key.
     """
+    _check_keys(config)
     omega = float(config.get("omega", 1.0))
     seed = config.get("seed", 0)
     _check_count(seed, "seed")

@@ -15,9 +15,11 @@ even power series of the *difference* combinations (G_ks - G_kp and its
 derivatives divided by powers of d), which removes the catastrophic
 cancellation of the direct form and gives full precision down to d -> 0.
 The series serve only |ks d| < 1, so each table keeps just the terms
-that reach the rounding of its sum there (10 to 12 of 33). The same
-series produce the additive constant ``eta_constant`` of the 2D
-small-separation expansion
+that reach the rounding of its sum there (10 to 12 of 33). A series
+user evaluates its rows as one power sum: the powers d^(2m) are formed
+once, and each row is summed over m on its own (``cs`` takes only the
+rows of c2, c3 and c4). The same series produce the additive constant
+``eta_constant`` of the 2D small-separation expansion
 
     Pi_omega = Pi_0 + eta I + O(d^2 log d),
 
@@ -29,17 +31,22 @@ evaluates each distinct node distance once, and fills half of each
 matrix, the other half being its copy by the half-turn symmetry of the
 circle.
 
-The 2D point kernels (``_g2``, and through it ``green_omega``,
+The 2D point kernels (``_g2_pass``, and through it ``green_omega``,
 ``green_traction``, ``asymptotic_gap_2d``, ``layer_operators``, both
 layer potentials and ``harness.kernel_check``) take H0 and H1 together
 from ``_hankel1_pair``, which calls ``scipy.special`` through
-``wavefields._special``. A lossless medium has a real wavenumber and
-passes a positive real argument, which takes scipy's real J0, Y0, J1 and
-Y1 (Cephes): on 128 points the pair costs about 21 us against 0.14 ms
-through the complex Amos routine (2-vCPU Intel Xeon). Against a 30-digit
-oracle each of H0 and H1 is then within 5e-15 relative for z <= 50 and
-within 5e-14 for z <= 300 (Amos: 1e-15). A complex argument (a lossy
-medium) keeps the Amos ``hankel1``, bit for bit.
+``wavefields._special``, for ks and kp stacked in one evaluation, and
+run the derivative formulas once over both. A lossless medium has real
+wavenumbers and passes positive real arguments, which take scipy's real
+J0, Y0, J1 and Y1 (Cephes): for both wavenumbers on 128 distances the
+pair takes about 60 us against 0.35 ms through the complex Amos routine
+(2-vCPU Intel Xeon). Against a 30-digit oracle each of H0 and H1 is
+then within 5e-15 relative for z <= 50 and within 5e-14 for z <= 300
+(Amos: 1e-15). A complex argument (a lossy medium) keeps the Amos
+``hankel1``, bit for bit. A medium with one real and one complex
+wavenumber takes one evaluation per wavenumber, so each keeps its
+routine. The layer potentials contract the radial factors with the
+density term by term, without forming a 2 x 2 tensor per node.
 Per-mode solves, the exterior cavity among them, are in ``modesolver``.
 """
 
@@ -104,27 +111,30 @@ def _shift_const(c, v):
     return c
 
 
-def _horner(c, d):
+def _series(c, d):
     """Every row of c[i, m] as an even series sum_m c[i, m] d^(2m): out[i, ...].
 
-    One Horner recurrence runs over all rows; a row zero-padded at the
-    top degree stays exactly zero until its own leading coefficient, so
-    each row equals its own recurrence bit for bit.
+    The powers d^(2m) are formed once, by repeated products; each row's
+    terms are then summed over m in order, one running sum per row and
+    distance, so a row's value does not depend on the rows stacked with it.
     """
-    x = np.asarray(d) ** 2
-    col = c.reshape(c.shape + (1,) * x.ndim)
-    out = np.zeros(c.shape[:1] + x.shape, dtype=complex)
-    for m in range(c.shape[1] - 1, -1, -1):
-        out *= x
-        out += col[:, m]
-    return out
+    d = np.asarray(d, dtype=float)
+    p = np.empty((c.shape[1], d.size))
+    p[0] = 1.0
+    p[1:] = (d * d).reshape(-1)
+    np.multiply.accumulate(p[1:], axis=0, out=p[1:])
+    terms = c.T[:, :, None] * p[:, None, :]
+    return np.add.accumulate(terms, axis=0)[-1].reshape(c.shape[:1] + d.shape)
 
 
-def _log_plus_smooth(c, d):
-    """log ln d + smooth for the row pairs (log, smooth) of c, at d."""
-    v = _horner(c, d)
-    L = np.log(d)
-    return tuple(v[i] * L + v[i + 1] for i in range(0, len(v), 2))
+def _log_plus_smooth(c, d, s):
+    """(full, log) for the row pairs (log, smooth) of c at d, from one power
+    sum: full = log ln d + s/d^2 + smooth, with s one coefficient per pair."""
+    d = np.asarray(d, dtype=float)
+    v = _series(c, d)
+    log = v[0::2]
+    s = np.reshape(s, (-1,) + (1,) * d.ndim)
+    return log * np.log(d) + s * (1.0 / d**2) + v[1::2], log
 
 
 def _j0_series(k):
@@ -177,15 +187,41 @@ def _hankel1_pair(z):
     return sp.j0(z) + 1j * sp.y0(z), sp.j1(z) + 1j * sp.y1(z)
 
 
+def _cylinder_factors(pref, k):
+    """pref, -pref k, -pref k^2 and -pref k^3: the factors of C0(k d) and
+    of its d-derivatives."""
+    return pref, -pref * k, -pref * k * k, -pref * k**3
+
+
+@functools.lru_cache(maxsize=32)
+def _stacked_factors(pref, ks):
+    """``_cylinder_factors`` of each wavenumber in the tuple ks, stacked:
+    factor n of ks[i] is entry i of array n."""
+    cols = [np.array(col) for col in zip(*(_cylinder_factors(pref, k) for k in ks))]
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
 def _cylinder_derivs(pref, k, z, c0, c1):
     """pref C0(k d) and its d-derivatives of orders 1..3, from the values
     c0 = C0(z), c1 = C1(z) at z = k d of a cylinder pair (J, Y or H),
-    through C0' = -C1 and C1' = C0 - C1/z."""
+    through C0' = -C1 and C1' = C0 - C1/z.
+
+    A tuple k holds one wavenumber per leading row of z. Each row's factors
+    are formed from its own wavenumber in scalar arithmetic, as for a
+    single k, so a row equals its own evaluation bit for bit.
+    """
+    if isinstance(k, tuple):
+        shape = (len(k),) + (1,) * (np.ndim(z) - 1)
+        f = [col.reshape(shape) for col in _stacked_factors(pref, k)]
+    else:
+        f = _cylinder_factors(pref, k)
     return (
-        pref * c0,
-        -pref * k * c1,
-        -pref * k * k * (c0 - c1 / z),
-        -pref * k**3 * (-c1 - c0 / z + 2.0 * c1 / z**2),
+        f[0] * c0,
+        f[1] * c1,
+        f[2] * (c0 - c1 / z),
+        f[3] * (-c1 - c0 / z + 2.0 * c1 / z**2),
     )
 
 
@@ -197,9 +233,44 @@ def _g2_argument(k, d):
 
 def _g2(k, d):
     """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3,
-    from one (H0, H1) pair."""
-    z = _g2_argument(k, d)
-    return _cylinder_derivs(0.25j, k, z, *_hankel1_pair(z))
+    from one (H0, H1) pair: ``_g2_pass`` for one wavenumber."""
+    return _cylinder_kernels(k, _g2_argument(k, d))[0]
+
+
+def _cylinder_kernels(k, z, log=False):
+    """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3 at
+    z = k d and, with ``log``, the same for its ln d part -J0(k d)/(2 pi),
+    from one (H0, H1) pair. J is the real part of the pair for a real
+    argument, and scipy's ``jv`` for a complex one."""
+    h0, h1 = _hankel1_pair(z)
+    out = [_cylinder_derivs(0.25j, k, z, h0, h1)]
+    if log:
+        if np.iscomplexobj(z):
+            j0, j1 = _special().jv(0, z), _special().jv(1, z)
+        else:
+            j0, j1 = h0.real, h1.real
+        out.append(_cylinder_derivs(-0.5 / np.pi, k, z, j0, j1))
+    return out
+
+
+def _g2_pass(ks, kp, d, log=False):
+    """The ``_differences`` of each of ``_cylinder_kernels`` at ks and kp.
+
+    Both wavenumbers share one (H0, H1) evaluation and one pass of the
+    derivative formulas, stacked on a leading axis, unless one argument is
+    real and the other complex: then each takes its own, so that the real
+    one keeps the real Bessel routines and the complex one Amos.
+    """
+    zs, zp = _g2_argument(ks, d), _g2_argument(kp, d)
+    if (ks.imag == 0) != (kp.imag == 0):
+        return [_differences(gs, gp) for gs, gp in
+                zip(_cylinder_kernels(ks, zs, log), _cylinder_kernels(kp, zp, log))]
+    return [_differences([v[0] for v in g], [v[1] for v in g])
+            for g in _cylinder_kernels((ks, kp), np.array([zs, zp]), log)]
+
+
+def _g2_differences(ks, kp, d):
+    return _g2_pass(ks, kp, d)[0]
 
 
 def _g3(k, d):
@@ -211,10 +282,15 @@ def _g3(k, d):
     return g, q * g, g2, (2.0 * q / d**2 - 2.0 / d**3) * g + q * g2
 
 
-class _Direct:
-    """Closed-form dynamic radial factors from a scalar kernel g(k, d).
+def _g3_differences(ks, kp, d):
+    return _differences(_g3(ks, d), _g3(kp, d))
 
-    ``g`` is ``_g2`` (Hankel form) or ``_g3`` and returns the kernel with
+
+class _Direct:
+    """Closed-form dynamic radial factors from a scalar kernel.
+
+    ``g(ks, kp, d)`` is ``_g2_differences`` (Hankel form) or
+    ``_g3_differences`` and returns the ``_differences`` of the kernel with
     its first three d-derivatives; the grad grad term divides by
     rho omega^2, so the factors hold for any density.
     """
@@ -226,7 +302,7 @@ class _Direct:
         self.w2 = complex(medium.rho) * float(omega) ** 2
 
     def _kernels(self, d):
-        return _differences(self.g(self.ks, d), self.g(self.kp, d))
+        return self.g(self.ks, self.kp, d)
 
     def alpha_beta(self, d):
         return self.ab_from(self._kernels(d), d)
@@ -259,7 +335,7 @@ def _differences(gs, gp):
 
 # Rows of the 2D series table: 2 f holds the ln d series and 2 f + 1 the
 # smooth series of factor f = alpha, beta, c2, c3, c4.
-_AB = slice(0, 4)
+_AB, _CS, _ALL = slice(0, 4), slice(4, 10), slice(0, 10)
 
 
 def _cut(c, x):
@@ -294,12 +370,13 @@ class _Radial2D:
             self.s2 = -self.b1 / (4 * np.pi)
             self.s4 = self.b2 / (4 * np.pi)
             self.eta = 0.0 + 0.0j
-            # constant series: one column, so Horner takes one step
+            # constant series: one column, so each power sum has one term
             self.table = np.zeros((10, 1), dtype=complex)
             self.table[0, 0], self.table[3, 0] = self.s2, self.s4
             self.table.flags.writeable = False
             return
-        self.direct = p = _Direct(_g2, omega, medium)
+        self.direct = p = _Direct(_g2_differences, omega, medium)
+        self.ks_abs = np.abs(p.ks)
         iw2 = 1.0 / p.w2
 
         def lam_log(k):
@@ -337,36 +414,40 @@ class _Radial2D:
         ]), x)
         self.table.flags.writeable = self.gap.flags.writeable = False
 
+    @functools.cached_property
+    def singular(self):
+        """The coefficients s of the singular terms s/d^2 of alpha, beta, c2,
+        c3 and c4."""
+        return np.array([0.0, 0.0, self.s2, 0.0, self.s4], dtype=complex)
+
     def _by_regime(self, d, series, direct, n):
         """The n factors from series(d) below the switch and at omega = 0,
-        from direct(self.direct, d) elsewhere."""
+        from direct(self.direct, d) elsewhere; each has the shape of d, a
+        0-d array for a 0-d d."""
         d = np.asarray(d, dtype=float)
         if self.direct is None:
             return series(d)
-        small = np.abs(self.direct.ks) * d < _SERIES_SWITCH
-        out = [np.empty(d.shape, dtype=complex) for _ in range(n)]
+        small = self.ks_abs * d < _SERIES_SWITCH
+        out = np.empty((n,) + d.shape, dtype=complex)
         for mask, f in ((small, series), (~small, functools.partial(direct, self.direct))):
-            if np.any(mask):
-                for o, v in zip(out, f(d[mask])):
-                    o[mask] = v
-        return out
+            if mask.any():
+                out[:, mask] = f(d[mask])
+        return [out[i, ...] for i in range(n)]
+
+    def _series_factors(self, rows, d):
+        """(full, log) of the factors whose row pairs ``rows`` of the table
+        select, with their singular terms."""
+        return _log_plus_smooth(self.table[rows], d, self.singular[rows.start // 2:rows.stop // 2])
 
     def _series_alpha_beta(self, d):
-        return _log_plus_smooth(self.table[_AB], d)
+        return self._series_factors(_AB, d)[0]
 
     def _series_cs(self, d):
-        return self._series_split(d)[2:5]
+        return self._series_factors(_CS, d)[0]
 
     def _series_split(self, d):
-        """``split`` from one Horner pass over the whole table."""
-        v = _horner(self.table, d)
-        log = v[0::2]
-        full = log * np.log(d)
-        inv2 = 1.0 / d**2
-        full[2] += self.s2 * inv2
-        full[4] += self.s4 * inv2
-        full += v[1::2]
-        return np.concatenate((full, log))
+        """``split`` rows from one power sum over the whole table."""
+        return np.concatenate(self._series_factors(_ALL, d))
 
     def alpha_beta(self, d):
         return self._by_regime(d, self._series_alpha_beta, _Direct.alpha_beta, 2)
@@ -379,9 +460,9 @@ class _Radial2D:
         """(full, log): the factors alpha, beta, c2, c3, c4 at the distances
         d[n] as a (5, n) array, and their ln d coefficients likewise.
 
-        Below the switch (and at omega = 0) one Horner pass over the table
-        gives both; above it one (H0, H1) pair per wavenumber serves all
-        five factors, and their ln d coefficients come in closed form.
+        Below the switch (and at omega = 0) one power sum over the table
+        gives both; above it one (H0, H1) pass for both wavenumbers serves
+        all five factors, and their ln d coefficients come in closed form.
         """
         v = np.asarray(self._by_regime(d, self._series_split, _hankel_split, 10))
         return v[:5], v[5:]
@@ -389,21 +470,9 @@ class _Radial2D:
 
 def _hankel_split(p, d):
     """``_Radial2D.split`` of the 2D ``_Direct`` p, rows stacked, from one
-    (H0, H1) pair per wavenumber. The ln d part of (i/4) H0(k d) is
-    G_L = -J0(k d)/(2 pi), whose factors follow through the same formulas;
-    J is the real part of the pair for a real argument, and scipy's ``jv``
-    for a complex one."""
-    full, log = [], []
-    for k in (p.ks, p.kp):
-        z = _g2_argument(k, d)
-        h0, h1 = _hankel1_pair(z)
-        if np.iscomplexobj(z):
-            j0, j1 = _special().jv(0, z), _special().jv(1, z)
-        else:
-            j0, j1 = h0.real, h1.real
-        full.append(_cylinder_derivs(0.25j, k, z, h0, h1))
-        log.append(_cylinder_derivs(-0.5 / np.pi, k, z, j0, j1))
-    return [f for kern in (_differences(*full), _differences(*log))
+    ``_g2_pass``: the ln d part of (i/4) H0(k d) is G_L = -J0(k d)/(2 pi),
+    whose factors follow through the same formulas."""
+    return [f for kern in _g2_pass(p.ks, p.kp, d, log=True)
             for f in p.ab_from(kern, d) + p.cs_from(kern, d)]
 
 
@@ -434,7 +503,7 @@ def _radial_pack(omega, medium, dim):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if dim == 2:
         return _Radial2D(omega, medium)
-    return _Static3D(medium) if omega == 0 else _Direct(_g3, omega, medium)
+    return _Static3D(medium) if omega == 0 else _Direct(_g3_differences, omega, medium)
 
 
 def _outer(a, b):
@@ -463,13 +532,19 @@ def _xi(u, d, nu, pack, lam, mu):
     return _xi_from(u, d, nu, *pack.cs(d), lam, mu)
 
 
+def _xi_factors(c2, c3, c4, lam, mu, dim):
+    """A, B, C of Xi = -(A u nu^T + B (nu u^T + (nu . u) I) + C (nu . u)/d^2 u u^T)."""
+    A = lam * (c2 + c3 + (dim - 1) * c4) + 2.0 * mu * c4
+    B = mu * (c2 + c4)
+    C = mu * (2.0 * c3 - 4.0 * c4)
+    return A, B, C
+
+
 def _xi_from(u, d, nu, c2, c3, c4, lam, mu):
     """Xi from the reduced traction factors c2, c3, c4 at d."""
     dim = u.shape[-1]
     nuu = np.sum(nu * u, axis=-1)
-    A = lam * (c2 + c3 + (dim - 1) * c4) + 2.0 * mu * c4
-    B = mu * (c2 + c4)
-    C = mu * (2.0 * c3 - 4.0 * c4)
+    A, B, C = _xi_factors(c2, c3, c4, lam, mu, dim)
     return -(
         A[..., None, None] * _outer(u, nu)
         + B[..., None, None] * (_outer(nu, u) + nuu[..., None, None] * np.eye(dim))
@@ -547,7 +622,7 @@ def asymptotic_gap_2d(x, y, omega, medium):
     u, d = _sep(x, y, 2)
     pack = _radial_pack(omega, medium, 2)
     if abs(pack.direct.ks) * d < _SERIES_SWITCH:
-        alpha, beta = _log_plus_smooth(pack.gap, d)
+        alpha, beta = _log_plus_smooth(pack.gap, d, np.zeros(2))[0]
         uh = u / d
         return alpha * np.eye(2) + beta * np.outer(uh, uh)
     gap = _pi(u, d, pack) - _pi(u, d, _radial_pack(0.0, medium, 2))
@@ -685,9 +760,9 @@ def layer_operators(quad, omega, medium):
     matrices are assembled from it by ``_rotated_gather``, which fills
     the upper half of the node rows and copies the lower half from it.
     Offsets k and N - k share one distance, so the radial factors are
-    evaluated for k = 1 .. N/2 only: below |ks d| = 1 from one Horner
-    pass over the series table, above it from one (H0, H1) pair per
-    wavenumber, with the ln d part in closed form from J0 and J1.
+    evaluated for k = 1 .. N/2 only: below |ks d| = 1 from one power sum
+    over the series table, above it from one (H0, H1) evaluation for
+    both wavenumbers, with the ln d part in closed form from J0 and J1.
     """
     N = quad.n_points
     R = quad.radius
@@ -744,30 +819,53 @@ def layer_operators(quad, omega, medium):
     )
 
 
-def _potential(quad, density, points, kernel):
-    """Trapezoid sum of kernel(u, d) @ density over the nodes, per target."""
-    density = np.asarray(density, dtype=complex).reshape(quad.n_points, 2)
+def _separations(quad, density, points):
+    """The density as rows phi[j], the separations u[a, j] = x_a - y_j of
+    the targets x_a from the nodes y_j, and their lengths d[a, j]."""
+    phi = np.asarray(density, dtype=complex).reshape(quad.n_points, 2)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (2,) or (n, 2)")
     u = pts[:, None, :] - quad.nodes[None, :, :]
-    d = np.linalg.norm(u, axis=-1)
-    if np.any(d == 0.0):
+    d = np.sqrt((u * u).sum(axis=-1))
+    if (d == 0.0).any():
         raise ValueError("kernel is singular at coincident points")
-    out = np.einsum("ajkl,j,jl->ak", kernel(u, d), quad.weights, density)
-    return out if np.asarray(points).ndim > 1 else out[0]
+    return phi, u, d
 
 
 def sl_potential(quad, density, points, omega, medium):
-    """Single-layer potential off the boundary by plain quadrature."""
+    """Single-layer potential off the boundary by plain quadrature.
+
+    At each target x the trapezoid sum over the nodes y_j of
+    w_j Pi(x - y_j) phi_j = w_j (alpha phi_j + beta (uhat . phi_j) uhat),
+    uhat the unit separation, contracted with the density term by term.
+    """
     pack = _radial_pack(omega, medium, 2)
-    return _potential(quad, density, points, lambda u, d: _pi(u, d, pack))
+    phi, u, d = _separations(quad, density, points)
+    alpha, beta = pack.alpha_beta(d)
+    w = quad.weights
+    uh = u / d[..., None]
+    along = beta * w * np.einsum("ajk,jk->aj", uh, phi)
+    out = (alpha * w) @ phi + np.einsum("aj,ajk->ak", along, uh)
+    return out if np.ndim(points) > 1 else out[0]
 
 
 def dl_potential(quad, density, points, omega, medium):
-    """Double-layer potential off the boundary by plain quadrature."""
+    """Double-layer potential off the boundary by plain quadrature.
+
+    At each target x the trapezoid sum over the nodes y_j of w_j Xi phi_j,
+    Xi = Xi(x, y_j) with the normal nu_j, in its three terms:
+    Xi phi = -((A (nu . phi) + C (nu . u)(u . phi)/d^2) u
+               + B (u . phi) nu + B (nu . u) phi), u = x - y_j.
+    """
     pack = _radial_pack(omega, medium, 2)
     lam, mu = complex(medium.lam), complex(medium.mu)
-    return _potential(
-        quad, density, points, lambda u, d: _xi(u, d, quad.normals, pack, lam, mu)
-    )
+    phi, u, d = _separations(quad, density, points)
+    A, B, C = _xi_factors(*pack.cs(d), lam, mu, 2)
+    nu, w = quad.normals, quad.weights
+    nuu = np.einsum("ajk,jk->aj", u, nu)
+    uphi = np.einsum("ajk,jk->aj", u, phi)
+    Bw = B * w
+    along_u = w * (A * np.einsum("jk,jk->j", nu, phi) + C * nuu * uphi / d**2)
+    out = -(np.einsum("aj,ajk->ak", along_u, u) + (Bw * uphi) @ nu + (Bw * nuu) @ phi)
+    return out if np.ndim(points) > 1 else out[0]

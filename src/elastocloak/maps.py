@@ -170,11 +170,16 @@ def _split_point(point, dim):
 def _source_radius(rmap, r, inverse):
     """The source radius of ``r`` (its preimage when ``inverse``), refused
     where the map has no Jacobian: at a radius <= 0 or NaN, except at an
-    origin the map fixes, where the hoop stretch g(s)/s tends to g'(0)."""
+    origin the map fixes, where the hoop stretch g(s)/s tends to g'(0),
+    and outside the map's domain, with the slack of ``RadialMap.__call__``."""
     r_src = rmap.inverse_radius(r) if inverse else r
+    space = "image radius" if inverse else "radius"
     if not (r_src > 0.0 or (r_src == 0.0 and rmap.g(0.0) == 0.0)):
-        space = "image radius" if inverse else "radius"
         raise ValueError(f"map {rmap.kind} has no Jacobian at {space} {r}")
+    lo, hi = rmap.domain
+    if not lo - 1e-14 <= r_src <= hi + 1e-14:
+        raise ValueError(f"map {rmap.kind}: {space} {r} has source radius {r_src} "
+                         f"outside the map domain {rmap.domain}")
     return r_src
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,41 @@ def test_design_refuses_sizes_it_would_truncate(config, key):
     # int() would turn 2.7 into 2 rows, true into 1 and -3 into none
     with pytest.raises(ValueError, match=key):
         harness.design_table(config)
+
+
+# the functions behind the five commands
+COMMAND_FUNCTIONS = [harness.design_table, harness.convergence_sweep, harness.lining_sweep,
+                     harness.resonance_report, harness.kernel_check]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"desgin": {"num": 3}}, "unknown config key 'desgin'"),  # a misspelt section
+    ({"design_samples": 0}, "unknown config key 'design_samples'"),  # a removed key
+    ({"cloak": {"h": 0.1}}, "unknown config key 'cloak.h'"),  # a misspelt nested key
+    ({"design": {"num": 3, "r_mni": 1.5}}, "unknown config key 'design.r_mni'"),
+    ({"convergence": {"contents": [{"name": "a"}, {"nmae": "b"}]}},
+     r"unknown config key 'convergence.contents\[1\].nmae'"),
+    ({"design": 5}, "config key 'design' must be a table"),
+    ({"convergence": {"contents": {"name": "a"}}},
+     "config key 'convergence.contents' must be a list of tables"),
+], ids=["section", "removed", "cloak.h", "design", "contents", "not-a-table", "not-a-list"])
+@pytest.mark.parametrize("command", COMMAND_FUNCTIONS, ids=lambda f: f.__name__)
+def test_commands_refuse_keys_no_command_reads(command, config, message):
+    with pytest.raises(ValueError, match=message):
+        command(config)
+
+
+def test_readme_config_runs_under_every_command(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S)
+    config = json.loads(block.group(1))
+    for command in COMMAND_FUNCTIONS:
+        command(dict(config))
+    # and through the CLI, with the --seed and --n-max overrides
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    for cmd in ("design", "resonance", "kernelcheck"):
+        assert run([cmd, "--config", path, "--out", tmp_path, "--seed", 4, "--n-max", 8]) == 0
 
 
 def test_design_grid_clipping(tmp_path, capsys):

@@ -33,6 +33,7 @@ from elastocloak.modesolver import free_disk_block
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 HEAVY = IsotropicMedium(1.0, 1.0, 2.0)  # rho != 1 separates rho omega^2 from omega^2
 LOSSY = IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)
+MIXED = IsotropicMedium(1.3 + 0.1j, 0.9, 1.2)  # real ks, complex kp
 OMEGA = 1.0
 
 
@@ -353,7 +354,7 @@ def test_gap_remainder_matches_mpmath(omega, medium, d):
 
 
 def _horner_per_series(c, d):
-    """The per-series Horner loop that the stacked evaluator replaced."""
+    """The per-series Horner loop that the power sum replaced."""
     x = np.asarray(d) ** 2
     out = np.zeros_like(x, dtype=complex)
     for cm in c[::-1]:
@@ -368,6 +369,7 @@ _ROWS = {name: i for i, name in enumerate((
 ))}
 _SERIES_GROUPS = {
     "_AB": ("alpha_log", "alpha_smooth", "beta_log", "beta_smooth"),
+    "_CS": ("c2_log", "c2_smooth", "c3_log", "c3_smooth", "c4_log", "c4_smooth"),
 }
 
 
@@ -376,8 +378,10 @@ _SERIES_GROUPS = {
     (0.7, IsotropicMedium(1.3, 0.9 + 0.05j, 1.2 + 0.3j)), (0.0, HEAVY),
 ], ids=["unit", "rho1.8", "lossy", "static"])
 def test_stacked_horner_matches_per_series_loop(omega, medium):
+    # a stacked row is the power sum of that row alone, byte for byte, and
+    # lies within 2^-50 of sum_m |c_m x^m| of the per-series Horner loop
     from elastocloak import kernels
-    from elastocloak.kernels import _SERIES_SWITCH, _horner, _radial_pack
+    from elastocloak.kernels import _SERIES_SWITCH, _radial_pack, _series
 
     pack = _radial_pack(omega, medium, 2)
     assert pack.table.shape[0] == 10 and pack.table.shape[1] <= (14 if omega > 0 else 1)
@@ -392,11 +396,14 @@ def test_stacked_horner_matches_per_series_loop(omega, medium):
         groups.append(("gap", pack.gap, list(pack.gap)))
     for group, stack, rows in groups:
         for d in ds:
-            stacked = _horner(stack, d)
+            stacked = _series(stack, d)
             assert stacked.shape == (len(rows),) + d.shape
+            x = np.asarray(d)[..., None] ** 2
             for i, (row, coeffs) in enumerate(zip(stacked, rows)):
-                want = _horner_per_series(coeffs, d)
-                assert row.tobytes() == want.tobytes(), (group, i)
+                assert row.tobytes() == _series(coeffs[None], d)[0].tobytes(), (group, i)
+                scale_sum = (np.abs(coeffs) * x ** np.arange(len(coeffs))).sum(axis=-1)
+                err = np.abs(row - _horner_per_series(coeffs, d))
+                assert (err <= 2.0**-50 * scale_sum).all(), (group, i)
 
 
 def test_series_and_direct_paths_agree_in_overlap():
@@ -651,15 +658,16 @@ def test_layer_operators_half_turn_blocks(N):
 
 
 @pytest.mark.parametrize("omega,medium,pairs", [
-    (OMEGA, BG, 2), (OMEGA, LOSSY, 2), (0.0, BG, 0),
-], ids=["unit", "lossy", "static"])
+    (OMEGA, BG, 1), (OMEGA, LOSSY, 1), (OMEGA, MIXED, 2), (0.0, BG, 0),
+], ids=["unit", "lossy", "mixed", "static"])
 def test_layer_operators_one_pass_per_distance(monkeypatch, omega, medium, pairs):
     # at N = 256 the distances lie on both sides of the switch |ks d| = 1:
-    # one (H0, H1) pair per wavenumber serves S and K above it, and one
-    # Horner pass over the table below it
+    # one (H0, H1) evaluation for both wavenumbers serves S and K above it
+    # (one per wavenumber when one is real and the other complex), and one
+    # power sum over the table below it
     from elastocloak import kernels
 
-    calls = {"pair": 0, "horner": 0}
+    calls = {"pair": 0, "series": 0}
 
     def counting(name, f):
         def wrapped(*args):
@@ -668,9 +676,9 @@ def test_layer_operators_one_pass_per_distance(monkeypatch, omega, medium, pairs
         return wrapped
 
     monkeypatch.setattr(kernels, "_hankel1_pair", counting("pair", kernels._hankel1_pair))
-    monkeypatch.setattr(kernels, "_horner", counting("horner", kernels._horner))
+    monkeypatch.setattr(kernels, "_series", counting("series", kernels._series))
     layer_operators(circle_quadrature(2.0, 256), omega, medium)
-    assert calls == {"pair": pairs, "horner": 1}
+    assert calls == {"pair": pairs, "series": 1}
 
 
 def test_layer_operators_memory_floor():
@@ -831,6 +839,7 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
     import scipy.special
 
     from elastocloak import harness
+    from elastocloak.wavefields import wavenumbers
 
     class AmosCalled(Exception):
         pass
@@ -846,6 +855,102 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
     for call in _every_2d_kernel(LOSSY):
         with pytest.raises(AmosCalled):
             call()
+
+    # real ks, complex kp: only kp d reaches Amos, ks d keeps the real routines
+    kp, _ = wavenumbers(MIXED, OMEGA)
+    amos_args = []
+
+    def recording(n, z):
+        amos_args.append(np.asarray(z))
+        return hankel1(n, z)
+
+    monkeypatch.setattr(scipy.special, "hankel1", recording)
+    monkeypatch.setattr(harness, "_background", lambda config: MIXED)
+    for call in _every_2d_kernel(MIXED):
+        n_before = len(amos_args)
+        call()
+        assert len(amos_args) > n_before
+    z = np.concatenate([a.ravel() for a in amos_args])
+    assert np.iscomplexobj(z) and (z.imag != 0).all()
+    assert np.abs(np.angle(z) - np.angle(kp)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("medium", [
+    IsotropicMedium(2.5, 0.7, 1.8), LOSSY, MIXED,
+], ids=["lossless", "lossy", "mixed"])
+def test_stacked_hankel_pass_is_the_per_wavenumber_one(medium):
+    # one (H0, H1) evaluation for ks and kp stacked gives every Hankel-path
+    # factor byte for byte as one evaluation per wavenumber
+    from elastocloak.kernels import (
+        _cylinder_kernels,
+        _differences,
+        _g2,
+        _g2_argument,
+        _hankel_split,
+        _Radial2D,
+    )
+
+    pack = _Radial2D(1.3, medium)
+    p = pack.direct
+    d = np.array([0.02, 0.3, 0.7, 0.999, 1.0, 1.001, 1.7, 3.0, 9.5]) / abs(p.ks)
+    kern = _differences(_g2(p.ks, d), _g2(p.kp, d))
+    log = _differences(*(_cylinder_kernels(k, _g2_argument(k, d), log=True)[1]
+                         for k in (p.ks, p.kp)))
+    want = (p.ab_from(kern, d) + p.cs_from(kern, d)
+            + p.ab_from(log, d) + p.cs_from(log, d))
+    got = p.alpha_beta(d) + p.cs(d)
+    for g, w in zip(got, want[:5]):
+        assert g.tobytes() == w.tobytes()
+    for g, w in zip(_hankel_split(p, d), want):
+        assert g.tobytes() == w.tobytes()
+    # above the switch the split's rows are the Hankel pass
+    big = abs(p.ks) * d >= 1.0
+    full, logs = pack.split(d)
+    assert full[:, big].tobytes() == np.array(want[:5])[:, big].tobytes()
+    assert logs[:, big].tobytes() == np.array(want[5:])[:, big].tobytes()
+
+
+def _tensor_potentials(q, density, pts, omega, medium):
+    """Oracle: sum_j w_j Pi(x - y_j) phi_j and sum_j w_j Xi(x, y_j) phi_j as
+    2 x 2 tensors contracted by einsum, per target."""
+    from elastocloak.kernels import _pi, _radial_pack, _xi
+
+    pack = _radial_pack(omega, medium, 2)
+    phi = np.asarray(density, dtype=complex).reshape(q.n_points, 2)
+    u = pts[:, None, :] - q.nodes[None, :, :]
+    d = np.linalg.norm(u, axis=-1)
+    lam, mu = complex(medium.lam), complex(medium.mu)
+    sl = np.einsum("ajkl,j,jl->ak", _pi(u, d, pack), q.weights, phi)
+    dl = np.einsum("ajkl,j,jl->ak", _xi(u, d, q.normals, pack, lam, mu), q.weights, phi)
+    return sl, dl
+
+
+@pytest.mark.parametrize("omega,medium", [(1.0, BG), (10.0, BG), (1.0, LOSSY), (0.0, BG)],
+                         ids=["unit", "omega10", "lossy", "static"])
+def test_potentials_contract_the_density_directly(omega, medium):
+    N = 128
+    q = circle_quadrature(2.0, N)
+    rng = np.random.default_rng(23)
+    density = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
+    # targets inside and outside, some within |ks d| < 1 of the nodes
+    r = np.concatenate([rng.uniform(0.3, 1.9, 4), rng.uniform(2.1, 3.0, 2)])
+    t = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    pts = r[:, None] * np.stack([np.cos(t), np.sin(t)], axis=1)
+    want = _tensor_potentials(q, density, pts, omega, medium)
+    for f, w in zip((sl_potential, dl_potential), want):
+        many = f(q, density, pts, omega, medium)
+        assert many.shape == (len(pts), 2)
+        single = np.array([f(q, density, x, omega, medium) for x in pts])
+        assert single.shape == (len(pts), 2)
+        scale = np.abs(w).max(axis=1, keepdims=True)
+        assert (np.abs(many - w) <= 1e-14 * scale).all()
+        assert (np.abs(single - w) <= 1e-14 * scale).all()
+        # a target on a node is refused, alone or among others
+        for bad in (q.nodes[5], np.vstack([pts[:2], q.nodes[5]])):
+            with pytest.raises(ValueError, match="coincident"):
+                f(q, density, bad, omega, medium)
+        with pytest.raises(ValueError, match="points"):
+            f(q, density, np.zeros(3), omega, medium)
 
 
 @pytest.mark.parametrize("medium", [BG, IsotropicMedium(2.5, 0.7, 1.8)], ids=["unit", "stiff"])

@@ -235,6 +235,28 @@ def test_pushforward_refuses_radii_without_a_jacobian(rmap, r):
         jacobian(rmap, r, inverse=True)
 
 
+@pytest.mark.parametrize("rmap, r", [
+    (blowup_map(2), 3.0),  # preimage 4.0
+    (blowup_map(3), 2.5),
+    (regularized_blowup_map(0.1, 2), 2.5),
+    (identity_map(2), 2.0 + 1e-12),
+])
+def test_pushforward_refuses_preimages_outside_the_domain(rmap, r):
+    C = iso_stiffness(IsotropicMedium(1.0, 1.0), rmap.dim)
+    with pytest.raises(ValueError, match=f"image radius {r} .*outside the map domain"):
+        pushforward_stiffness(C, rmap, r)
+    with pytest.raises(ValueError, match=f"image radius {r} .*outside the map domain"):
+        pushforward_density(1.0, rmap, r)
+    with pytest.raises(ValueError, match=f"image radius {r} .*outside the map domain"):
+        jacobian(rmap, r, inverse=True)
+    with pytest.raises(ValueError, match=f"radius {r} .*outside the map domain"):
+        jacobian(rmap, r)
+    # the outer boundary, and within the slack of ``RadialMap.__call__``
+    for edge in (2.0, 2.0 + 1e-15):
+        assert np.isfinite(pushforward_density(1.0, rmap, edge))
+        assert np.isfinite(jacobian(rmap, edge, inverse=True).det)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pushforward_at_a_fixed_origin_is_its_limit(dim):
     # the inner branch is the scaling x -> x/h, so g(s)/s -> 1/h as s -> 0
