@@ -42,11 +42,11 @@ J0, Y0, J1 and Y1 (Cephes): for both wavenumbers on 128 distances the
 pair takes about 60 us against 0.35 ms through the complex Amos routine
 (2-vCPU Intel Xeon). Against a 30-digit oracle each of H0 and H1 is
 then within 5e-15 relative for z <= 50 and within 5e-14 for z <= 300
-(Amos: 1e-15). A complex argument (a lossy medium) keeps the Amos
-``hankel1``, bit for bit. A medium with one real and one complex
-wavenumber takes one evaluation per wavenumber, so each keeps its
-routine. The layer potentials contract the radial factors with the
-density term by term, without forming a 2 x 2 tensor per node.
+(Amos: 1e-15). Where either wavenumber is complex (a lossy medium, or
+one with complex lam alone), both arguments are, and one Amos
+``hankel1`` call serves them. The layer potentials contract the radial
+factors with the density term by term, without forming a 2 x 2 tensor
+per node.
 Per-mode solves, the exterior cavity among them, are in ``modesolver``.
 """
 
@@ -64,7 +64,6 @@ from .wavefields import _special, wavenumbers
 
 __all__ = [
     "green_omega",
-    "green_static",
     "green_traction",
     "eta_constant",
     "asymptotic_gap_2d",
@@ -187,36 +186,29 @@ def _hankel1_pair(z):
     return sp.j0(z) + 1j * sp.y0(z), sp.j1(z) + 1j * sp.y1(z)
 
 
-def _cylinder_factors(pref, k):
-    """pref, -pref k, -pref k^2 and -pref k^3: the factors of C0(k d) and
-    of its d-derivatives."""
-    return pref, -pref * k, -pref * k * k, -pref * k**3
-
-
 @functools.lru_cache(maxsize=32)
 def _stacked_factors(pref, ks):
-    """``_cylinder_factors`` of each wavenumber in the tuple ks, stacked:
-    factor n of ks[i] is entry i of array n."""
-    cols = [np.array(col) for col in zip(*(_cylinder_factors(pref, k) for k in ks))]
+    """pref, -pref k, -pref k^2 and -pref k^3, the factors of C0(k d) and
+    of its d-derivatives, for each wavenumber k of the tuple ks in scalar
+    arithmetic, stacked: factor n of ks[i] is entry i of array n."""
+    cols = [np.array(col) for col in
+            zip(*((pref, -pref * k, -pref * k * k, -pref * k**3) for k in ks))]
     for col in cols:
         col.flags.writeable = False
     return cols
 
 
-def _cylinder_derivs(pref, k, z, c0, c1):
+def _cylinder_derivs(pref, ks, z, c0, c1):
     """pref C0(k d) and its d-derivatives of orders 1..3, from the values
     c0 = C0(z), c1 = C1(z) at z = k d of a cylinder pair (J, Y or H),
     through C0' = -C1 and C1' = C0 - C1/z.
 
-    A tuple k holds one wavenumber per leading row of z. Each row's factors
-    are formed from its own wavenumber in scalar arithmetic, as for a
-    single k, so a row equals its own evaluation bit for bit.
+    The tuple ks holds one wavenumber k per leading row of z. Each row's
+    factors are formed from its own wavenumber in scalar arithmetic, so a
+    row equals its own evaluation bit for bit.
     """
-    if isinstance(k, tuple):
-        shape = (len(k),) + (1,) * (np.ndim(z) - 1)
-        f = [col.reshape(shape) for col in _stacked_factors(pref, k)]
-    else:
-        f = _cylinder_factors(pref, k)
+    shape = (len(ks),) + (1,) * (np.ndim(z) - 1)
+    f = [col.reshape(shape) for col in _stacked_factors(pref, ks)]
     return (
         f[0] * c0,
         f[1] * c1,
@@ -225,31 +217,20 @@ def _cylinder_derivs(pref, k, z, c0, c1):
     )
 
 
-def _g2_argument(k, d):
-    """k d, real for a real wavenumber (a lossless medium), so that the
-    pair takes the real Bessel routines."""
-    return (k.real if k.imag == 0 else k) * d
-
-
-def _g2(k, d):
-    """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3,
-    from one (H0, H1) pair: ``_g2_pass`` for one wavenumber."""
-    return _cylinder_kernels(k, _g2_argument(k, d))[0]
-
-
-def _cylinder_kernels(k, z, log=False):
+def _cylinder_kernels(ks, z, log=False):
     """The 2D kernel (i/4) H0(k d) and its d-derivatives of orders 1..3 at
-    z = k d and, with ``log``, the same for its ln d part -J0(k d)/(2 pi),
-    from one (H0, H1) pair. J is the real part of the pair for a real
-    argument, and scipy's ``jv`` for a complex one."""
+    z = k d, one row of z per wavenumber k of the tuple ks, and, with
+    ``log``, the same for its ln d part -J0(k d)/(2 pi), from one (H0, H1)
+    evaluation. J is the real part of the pair for a real argument, and
+    scipy's ``jv`` for a complex one."""
     h0, h1 = _hankel1_pair(z)
-    out = [_cylinder_derivs(0.25j, k, z, h0, h1)]
+    out = [_cylinder_derivs(0.25j, ks, z, h0, h1)]
     if log:
         if np.iscomplexobj(z):
             j0, j1 = _special().jv(0, z), _special().jv(1, z)
         else:
             j0, j1 = h0.real, h1.real
-        out.append(_cylinder_derivs(-0.5 / np.pi, k, z, j0, j1))
+        out.append(_cylinder_derivs(-0.5 / np.pi, ks, z, j0, j1))
     return out
 
 
@@ -257,16 +238,14 @@ def _g2_pass(ks, kp, d, log=False):
     """The ``_differences`` of each of ``_cylinder_kernels`` at ks and kp.
 
     Both wavenumbers share one (H0, H1) evaluation and one pass of the
-    derivative formulas, stacked on a leading axis, unless one argument is
-    real and the other complex: then each takes its own, so that the real
-    one keeps the real Bessel routines and the complex one Amos.
+    derivative formulas, stacked on a leading axis. The arguments k d are
+    real where both wavenumbers are (a lossless medium), so that the pair
+    takes the real Bessel routines, and else complex: both take Amos.
     """
-    zs, zp = _g2_argument(ks, d), _g2_argument(kp, d)
-    if (ks.imag == 0) != (kp.imag == 0):
-        return [_differences(gs, gp) for gs, gp in
-                zip(_cylinder_kernels(ks, zs, log), _cylinder_kernels(kp, zp, log))]
+    k = np.array([ks, kp])
+    z = np.multiply.outer(k if k.imag.any() else k.real, d)
     return [_differences([v[0] for v in g], [v[1] for v in g])
-            for g in _cylinder_kernels((ks, kp), np.array([zs, zp]), log)]
+            for g in _cylinder_kernels((ks, kp), z, log)]
 
 
 def _g2_differences(ks, kp, d):
@@ -569,17 +548,10 @@ def _sep(x, y, dim):
 
 
 def green_omega(x, y, omega, medium, dim=2):
-    """Dynamic Green tensor Pi_omega(x, y) for the Navier operator."""
-    if omega <= 0:
-        raise ValueError("omega must be positive; use green_static for omega = 0")
+    """Green tensor Pi_omega(x, y) of the Navier operator in ``dim`` 2 or
+    3; ``omega = 0`` gives the static tensor Pi_0."""
     u, d = _sep(x, y, dim)
     return _pi(u, d, _radial_pack(omega, medium, dim))
-
-
-def green_static(x, y, medium, dim=2):
-    """Static (omega = 0) Green tensor."""
-    u, d = _sep(x, y, dim)
-    return _pi(u, d, _radial_pack(0.0, medium, dim))
 
 
 def green_traction(x, y, normal, omega, medium, dim=2):

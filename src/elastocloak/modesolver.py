@@ -22,8 +22,9 @@ The systems of every mode, and of every config of one layout, are
 gathered from that table into one array and inverted in one batched LU
 pass, which gives both the solutions and the conditions.
 
-The uniform disk's NtD map and the traction-driven exterior cavity are
-one-region problems on one circle: both go through ``_traction_solve``.
+The uniform disk's NtD map (the damping balance's free-disk response
+too) and the traction-driven exterior cavity are one-region problems on
+one circle: both go through ``_traction_solve``.
 
 A mode system's condition is its 1-norm condition number
 kappa_1(A) = ||A||_1 ||A^-1||_1, with ||A||_1 the largest column sum of
@@ -53,7 +54,6 @@ __all__ = [
     "ModeOverflowError",
     "SearchWindowError",
     "ResonanceResult",
-    "free_disk_block",
     "free_disk_ntd",
     "assemble_ntd",
     "assemble_ntds",
@@ -88,7 +88,7 @@ class ModeOverflowError(np.linalg.LinAlgError):
 
 
 class SearchWindowError(RuntimeError):
-    """Root bracketing failed; enlarge the search window and retry."""
+    """Root bracketing found no root in the fixed search window."""
 
 
 @dataclass(frozen=True)
@@ -160,26 +160,16 @@ class NtDOperator:
     conditions: np.ndarray = None  # (n_max + 1,) 1-norm conditions
 
 
-def free_disk_block(medium, n, radius, omega):
-    """Closed-form NtD block of a uniform disk: U S^{-1} in the J basis
-    (stacked over orders for an array ``n``).
+def free_disk_ntd(medium, radius, omega, n_max):
+    """NtD map of a uniform disk, modes 0..n_max: the closed-form blocks
+    U S^{-1} in the J basis, with the 1-norm condition of each traction
+    system S; a :class:`ModeOverflowError` for the first mode whose system
+    is not representable, else a :class:`NearResonanceError` for the first
+    exactly singular one.
 
     This is the solver's ground-truth anchor; multi-layer assemblies with
     identical media must reduce to it exactly.
     """
-    return _disk_blocks(basis_matrix(medium, n, radius, omega, BASIS_REGULAR))
-
-
-def _disk_blocks(B):
-    """U S^{-1} of regular basis columns ``B`` of shape (..., 4, 2)."""
-    return B[..., 0:2, :] @ np.linalg.inv(B[..., 2:4, :])
-
-
-def free_disk_ntd(medium, radius, omega, n_max):
-    """NtD map of a uniform disk, modes 0..n_max, with the 1-norm
-    condition of each traction system S; a :class:`ModeOverflowError` for
-    the first mode whose system is not representable, else a
-    :class:`NearResonanceError` for the first exactly singular one."""
     _check_count(n_max, "n_max")
     orders = np.arange(n_max + 1)
     return _disk_ntd(basis_matrix(medium, orders, radius, omega, BASIS_REGULAR), radius, omega)
@@ -566,16 +556,6 @@ def assemble_ntd(config, omega, n_max, cond_limit=1e14):
     return op
 
 
-def per_mode_distance(A, B):
-    """Array of weighted per-mode deviations sqrt(1+n^2) * smax(A_n - B_n)
-    (the max of which is ``ntd_distance``); used for truncation-tail
-    checks."""
-    for name in ("n_max", "omega", "radius"):
-        if getattr(A, name) != getattr(B, name):
-            raise ValueError(f"operators must share {name}")
-    return _weighted_smax(A.blocks - B.blocks)
-
-
 def _weighted_smax(diff):
     """sqrt(1+n^2) * smax(D_n) of block differences ``diff`` of shape
     (..., n_max + 1, 2, 2), stacked over any leading axes.
@@ -604,7 +584,10 @@ def ntd_distance(A, B):
     Surrogate for the H^{-1/2} -> H^{1/2} operator norm of the
     difference.
     """
-    return float(per_mode_distance(A, B).max())
+    for name in ("n_max", "omega", "radius"):
+        if getattr(A, name) != getattr(B, name):
+            raise ValueError(f"operators must share {name}")
+    return float(_weighted_smax(A.blocks - B.blocks).max())
 
 
 # Each lossy region of a damping balance starts on _GAUSS_START Gauss-Legendre
@@ -672,8 +655,11 @@ def energy_identity_check(config, omega, tractions):
         boundary flux R sum_n Int |psi| (|u| + |u0|).
 
     Only Im(rho) enters the absorbed power, so a region with complex lam
-    or mu is refused with ``ValueError``.
+    or mu is refused with ``ValueError``, as is an omega that is not
+    positive and finite, with or without tractions.
     """
+    if not 0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     regions = _regions(config)
     for i, g in enumerate(regions):
         if complex(g.medium.lam).imag or complex(g.medium.mu).imag:
@@ -725,8 +711,8 @@ def energy_identity_check(config, omega, tractions):
     w0 = B0.shape[-1]
     u = (B0[:, 0:2, :] @ coeffs[:, :w0])[..., 0]
     # the uniform disk of the outermost medium has the J columns of B0
-    regular = [k for k, (kind, _) in enumerate(regions[0].kinds) if kind == "J"]
-    u0 = (_disk_blocks(B0[..., regular]) @ tr[:, :, None])[..., 0]
+    Bj = B0[..., [k for k, (kind, _) in enumerate(regions[0].kinds) if kind == "J"]]
+    u0 = (Bj[:, 0:2] @ _traction_solve(Bj, orders, np.eye(2)[None]) @ tr[:, :, None])[..., 0]
     rhs = float(-R * fac @ np.imag(tr * np.conj(u - u0)).sum(axis=1))
     scale = (float(R * fac @ (np.abs(tr) * (np.abs(u) + np.abs(u0))).sum(axis=1))
              if lhs == 0.0 else max(abs(lhs), abs(rhs)))
@@ -752,7 +738,12 @@ class ExteriorCavitySolution:
     coeffs: np.ndarray  # (M, 2) complex: the outgoing P and S coefficients per order
 
     def boundary_norm(self, radius):
-        """L2 norm of the trace on the circle of given radius."""
+        """L2 norm of the trace on the circle of given radius, which must be
+        finite and at least ``cavity_radius``: the solution lives outside
+        the cavity."""
+        if not self.cavity_radius <= radius < np.inf:
+            raise ValueError(f"radius must be finite and >= the cavity radius "
+                             f"{self.cavity_radius}, got {radius!r}")
         if not self.orders.size:
             return 0.0
         B = basis_matrix(self.medium, self.orders, radius, self.omega, BASIS_OUTGOING)
@@ -829,6 +820,10 @@ def _bracket_roots(fun, lo, hi, steps):
     return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
+# the resonance roots t = k r are bracketed on 1600 points of (0.05, _T_MAX]
+_T_MAX = 40.0
+
+
 def _j0_derivatives(t):
     """J0, J0' and J0'' at real points t (an array), from one ``jv`` call
     on the complex Amos routine.
@@ -842,14 +837,16 @@ def _j0_derivatives(t):
     return J0, -J1, 0.25 * (J2 - 2.0 * J0 + J2)
 
 
-def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
+def find_resonant_densities(lam, mu, r0, r1, omega):
     """Densities (rho1, rho2) making the two-layer disk resonate.
 
     Construction: radially symmetric compressional fields
     ``u_j = c_j grad J_0(k_j r)``. The outer density makes the traction
     vanish on r = r1 (root of ``2 mu J0'' - lam J0``); the core density
     is chosen so the displacement/normal-derivative transmission system
-    at r = r0 becomes singular, yielding a nontrivial (c1, c2).
+    at r = r0 becomes singular, yielding a nontrivial (c1, c2). Both roots
+    are sought in the fixed window (0.05, 40]; a :class:`SearchWindowError`
+    says when one is not there.
     """
     if not 0 < omega < np.inf:
         raise ValueError(f"omega must be positive and finite, got omega={omega}")
@@ -857,19 +854,14 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
         raise ValueError(f"need 0 < r0 < r1 < inf, got r0={r0}, r1={r1}")
     if not (np.isfinite(lam) and np.isfinite(mu)):
         raise ValueError(f"lam and mu must be finite, got lam={lam}, mu={mu}")
-    if not 0 < t_max < np.inf:
-        raise ValueError(f"need 0 < t_max < inf, got t_max={t_max}")
 
     def f(t):
         J0, _, J0pp = _j0_derivatives(t)
         return 2.0 * mu * J0pp - lam * J0
 
-    steps = max(400, int(t_max * 40))
-    f_roots = _bracket_roots(f, 0.05, t_max, steps)
+    f_roots = _bracket_roots(f, 0.05, _T_MAX, 1600)
     if not f_roots.size:
-        raise SearchWindowError(
-            f"no root of the outer traction condition in (0, {t_max}]; enlarge t_max"
-        )
+        raise SearchWindowError(f"no root of the outer traction condition in (0.05, {_T_MAX:g}]")
     t_star = float(f_roots[0])
     t1 = t_star * r0 / r1
     _, J0p1, J0pp1 = _j0_derivatives(t1)
@@ -881,13 +873,11 @@ def find_resonant_densities(lam, mu, r0, r1, omega, t_max=40.0):
     # where J0''(t1) = 0, det(t2) reduces to t1 J0'(t1) t2^2 J0''(t2):
     # J0'(t1) cannot vanish too, since Bessel's equation would then give
     # J0(t1) = 0, and J0, J0' have no common zero
-    cands = _bracket_roots(det, 0.05, t_max, steps)
+    cands = _bracket_roots(det, 0.05, _T_MAX, 1600)
     cands = cands[(np.abs(cands - t1) > 1e-6) & (cands > 0.2)]
     if not cands.size:
         raise SearchWindowError(
-            f"no transmission-matching root distinct from t1={t1:.6g} in (0, {t_max}]; "
-            "enlarge t_max"
-        )
+            f"no transmission-matching root distinct from t1={t1:.6g} in (0.05, {_T_MAX:g}]")
     t2 = float(cands[0])
     _, J0p2, J0pp2 = _j0_derivatives(t2)
 

@@ -34,7 +34,7 @@ for orders far above ``|z|``; the mode solver reports such a mode as a
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,8 +251,3 @@ class ModeField:
             that = np.array([-np.sin(th), np.cos(th)])
             out[i] = ur * cr * rhat + ut * sr * that
         return out if np.asarray(points).ndim > 1 else out[0]
-
-    def restrict(self, pols):
-        """Keep only terms with polarization in ``pols`` (e.g. {"P"})."""
-        kept = tuple(t for t in self.terms if t[1] in pols)
-        return replace(self, terms=kept)

@@ -1,0 +1,55 @@
+"""The CI script that compares the numbers of two CLI output files."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "max_rel_diff.py"
+
+
+def _run(tmp_path, a, b, suffix):
+    paths = []
+    for name, text in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}{suffix}")
+        paths[-1].write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(SCRIPT), *map(str, paths)],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def _kernelcheck(navier, calderon, omega=1.0):
+    return json.dumps({"checks": [
+        {"name": "navier_residual", "passed": True, "tol": 1e-6, "value": navier},
+        {"name": "calderon", "passed": True, "tol": 1e-7, "errors": [5.7e-9, calderon],
+         "value": calderon},
+    ], "config_sha256": "44136fa355b3678a", "omega": omega}, indent=2)
+
+
+def test_json_checks_read_in_units_of_their_tol(tmp_path):
+    # a residual at its rounding floor moves by 3 % of itself, but by
+    # 4.2e-5 of its tol: it no longer sets the largest relative difference
+    lines = _run(tmp_path, _kernelcheck(1.448e-9, 1.998e-15),
+                 _kernelcheck(1.490e-9, 1.994e-15), ".json")
+    assert lines == [
+        "all 3 other numbers equal",
+        "checks[0].value: |a - b| / tol = 4.20e-05 (tol 1e-06)",
+        "checks[1].errors[1]: |a - b| / tol = 4.00e-11 (tol 1e-07)",
+        "checks[1].value: |a - b| / tol = 4.00e-11 (tol 1e-07)",
+    ]
+    # a number outside a check's value and errors keeps the relative difference
+    lines = _run(tmp_path, _kernelcheck(1.448e-9, 1e-15), _kernelcheck(1.448e-9, 1e-15, 1.5),
+                 ".json")
+    assert lines == ["1 of 3 numbers differ, largest relative difference 3.33e-01"]
+    assert _run(tmp_path, '{"a": [1, 2]}', '{"a": [1, 2, 3]}', ".json") == [
+        "numbers at 1 paths are in one file only"]
+    assert _run(tmp_path, '{"x": 1.0}', '{"x": 1.0 }', ".json") == [
+        "all 1 numbers equal, text differs"]
+
+
+def test_other_files_pair_their_numbers_in_order(tmp_path):
+    assert _run(tmp_path, "h,d\n0.1,2.0\n0.2,4.0\n", "h,d\n0.1,2.0\n0.2,5.0\n", ".csv") == [
+        "1 of 4 numbers differ, largest relative difference 2.00e-01"]
+    assert _run(tmp_path, "h,d\n0.1,nan\n", "h, d\n0.1,nan\n", ".csv") == [
+        "all 2 numbers equal, text differs"]
+    assert _run(tmp_path, "1 2", "1 2 3", ".csv") == ["2 numbers against 3"]

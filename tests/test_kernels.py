@@ -7,6 +7,7 @@ and the interior Calderon identity for the assembled operators.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,14 +22,13 @@ from elastocloak import (
     circle_quadrature,
     dl_potential,
     eta_constant,
+    free_disk_ntd,
     green_omega,
-    green_static,
     green_traction,
     layer_operators,
     sl_potential,
     solve_exterior_cavity,
 )
-from elastocloak.modesolver import free_disk_block
 
 BG = IsotropicMedium(1.0, 1.0, 1.0)
 HEAVY = IsotropicMedium(1.0, 1.0, 2.0)  # rho != 1 separates rho omega^2 from omega^2
@@ -81,7 +81,7 @@ def hankel_pi_2d(x, y, omega, medium):
 def reference_pi(x, y, omega, medium, dim):
     """Oracle tensor for the traction check: Hankel (2D) or series (3D)."""
     if omega == 0:
-        return green_static(x, y, medium, dim)
+        return green_omega(x, y, 0.0, medium, dim)
     if dim == 2:
         return hankel_pi_2d(x, y, omega, medium)
     return series_pi_3d(x, y, omega, medium)
@@ -126,7 +126,7 @@ def test_3d_small_separation_structure():
     gaps = []
     for d in (2e-3, 1e-3):
         y = x - d * np.array([1.0, 0, 0])
-        gap = green_omega(x, y, OMEGA, BG, 3) - green_static(x, y, BG, 3)
+        gap = green_omega(x, y, OMEGA, BG, 3) - green_omega(x, y, 0.0, BG, 3)
         gaps.append(gap)
         assert np.abs(gap).max() < 0.2  # remainder stays O(1)
     # Richardson in d (next correction is O(d)) onto the constant
@@ -139,7 +139,7 @@ def test_static_2d_unit_separation_drops_log():
     med = IsotropicMedium(1.0, 1.0)
     u = np.array([0.6, 0.8])
     x = np.array([0.3, 0.1])
-    G = green_static(x, x - u, med, 2)
+    G = green_omega(x, x - u, 0.0, med, 2)
     expected = (1.0 / (4 * np.pi)) * (2.0 / 3.0) * np.outer(u, u)
     np.testing.assert_allclose(G, expected, atol=1e-15)
 
@@ -149,8 +149,39 @@ def test_static_3d_homogeneity():
     y = np.array([-0.4, 0.1, 0.6])
     for t in (2.0, 5.0):
         np.testing.assert_allclose(
-            green_static(t * x, t * y, BG, 3), green_static(x, y, BG, 3) / t, rtol=1e-13
+            green_omega(t * x, t * y, 0.0, BG, 3), green_omega(x, y, 0.0, BG, 3) / t,
+            rtol=1e-13
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_green_omega_at_zero_is_the_static_tensor(dim):
+    # omega = 0 gives Pi_0 byte for byte as the static radial pack does, and
+    # the closed forms -(b1 ln d I - b2 uhat uhat)/(4 pi) in 2D and
+    # (b1 I + b2 uhat uhat)/(8 pi d) in 3D
+    from elastocloak.kernels import _pi, _Radial2D, _Static3D
+
+    medium = IsotropicMedium(2.5, 0.7, 1.8)
+    lam, mu = medium.lam, medium.mu
+    b1 = (lam + 3 * mu) / (mu * (lam + 2 * mu))
+    b2 = (lam + mu) / (mu * (lam + 2 * mu))
+    static = _Radial2D(0.0, medium) if dim == 2 else _Static3D(medium)
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        x, y = rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim)
+        u = x - y
+        d = np.linalg.norm(u)
+        G = green_omega(x, y, 0.0, medium, dim)
+        assert G.tobytes() == _pi(u, np.array(d), static).tobytes()
+        P = np.outer(u, u) / d**2
+        if dim == 2:
+            want = (-b1 * np.log(d) * np.eye(2) + b2 * P) / (4 * np.pi)
+        else:
+            want = (b1 * np.eye(3) + b2 * P) / (8 * np.pi * d)
+        assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+    for omega in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="omega"):
+            green_omega(x, y, omega, medium, dim)
 
 
 def test_coincident_points_error():
@@ -158,7 +189,7 @@ def test_coincident_points_error():
     with pytest.raises(ValueError):
         green_omega(x, x, OMEGA, BG, 2)
     with pytest.raises(ValueError):
-        green_static(x, x, BG, 2)
+        green_omega(x, x, 0.0, BG, 2)
 
 
 def navier_residual_fd(dim, x, y, omega, medium, step):
@@ -266,7 +297,7 @@ def test_eta_is_the_gap_limit():
     x = np.array([0.3, 0.4])
     d = 1e-3
     y = x - d * np.array([np.cos(0.5), np.sin(0.5)])
-    gap = green_omega(x, y, OMEGA, BG, 2) - green_static(x, y, BG, 2)
+    gap = green_omega(x, y, OMEGA, BG, 2) - green_omega(x, y, 0.0, BG, 2)
     eta = eta_constant(OMEGA, BG)
     assert abs(gap[0, 0] - eta) < 1e-6
     assert abs(gap[1, 1] - eta) < 1e-6
@@ -440,13 +471,14 @@ def test_series_tables_cut_to_their_regime(omega):
         assert np.abs(series - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
-def mpmath_log_factors(d, omega, medium, digits=40):
-    """Oracle: the ln d coefficients of alpha, beta, c2, c3, c4 in closed form.
+def mpmath_radial_factors(d, omega, medium, log=False, digits=40):
+    """Oracle: alpha, beta, c2, c3, c4 at d from mpmath's J0 and Y0 or,
+    with ``log``, their ln d coefficients in closed form.
 
-    The ln d part of (i/4) H0(k d) is G_L = -J0(k d)/(2 pi); alpha_L and
-    beta_L follow from the grad grad formula with G_L in place of the
-    kernel, c2_L = alpha_L'/d, c3_L = beta_L'/d (by mpmath's numerical
-    derivative) and c4_L = beta_L/d^2.
+    The kernel is (i/4) H0(k d), whose ln d part is G_L = -J0(k d)/(2 pi);
+    alpha and beta follow from the grad grad formula with the kernel (or
+    G_L), c2 = alpha'/d, c3 = beta'/d (by mpmath's numerical derivative)
+    and c4 = beta/d^2.
     """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(digits):
@@ -455,14 +487,17 @@ def mpmath_log_factors(d, omega, medium, digits=40):
         kp = mp.mpf(omega) * mp.sqrt(rho / (lam + 2 * mu))
         ks = mp.mpf(omega) * mp.sqrt(rho / mu)
 
-        def gl(k, r, n):  # n-th r-derivative of -J0(k r)/(2 pi)
-            return -(k**n) * mp.besselj(0, k * r, derivative=n) / (2 * mp.pi)
+        def g(k, r, n):  # n-th r-derivative of the kernel or of G_L
+            j = mp.besselj(0, k * r, derivative=n)
+            if log:
+                return -(k**n) * j / (2 * mp.pi)
+            return 0.25j * k**n * (j + 1j * mp.bessely(0, k * r, derivative=n))
 
         def alpha(r):
-            return gl(ks, r, 0) / mu + (gl(ks, r, 1) - gl(kp, r, 1)) / (w2 * r)
+            return g(ks, r, 0) / mu + (g(ks, r, 1) - g(kp, r, 1)) / (w2 * r)
 
         def beta(r):
-            diff = [gl(ks, r, n) - gl(kp, r, n) for n in (1, 2)]
+            diff = [g(ks, r, n) - g(kp, r, n) for n in (1, 2)]
             return (diff[1] - diff[0] / r) / w2
 
         r = mp.mpf(d)
@@ -484,8 +519,24 @@ def test_log_factors_match_closed_form(medium, ksd):
     pack = _Radial2D(omega, medium)
     d = ksd / abs(pack.direct.ks)
     _, log = pack.split(np.array([d]))
-    want = mpmath_log_factors(d, omega, medium)
+    want = mpmath_radial_factors(d, omega, medium, log=True)
     assert np.abs(log[:, 0] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("ksd", [0.7, 0.999, 1.001, 1.7, 9.5, 30.0])
+def test_mixed_medium_hankel_factors_match_mpmath(ksd):
+    # a real ks and a complex kp share one Amos evaluation: each factor and
+    # its ln d coefficient on the Hankel path, on both sides of the switch
+    from elastocloak.kernels import _hankel_split, _Radial2D
+
+    omega = 1.3
+    p = _Radial2D(omega, MIXED).direct
+    assert p.ks.imag == 0 and p.kp.imag != 0
+    d = ksd / abs(p.ks)
+    got = np.array(_hankel_split(p, np.array([d])))[:, 0]
+    want = np.concatenate([mpmath_radial_factors(d, omega, MIXED, digits=30),
+                           mpmath_radial_factors(d, omega, MIXED, log=True, digits=30)])
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +709,13 @@ def test_layer_operators_half_turn_blocks(N):
 
 
 @pytest.mark.parametrize("omega,medium,pairs", [
-    (OMEGA, BG, 1), (OMEGA, LOSSY, 1), (OMEGA, MIXED, 2), (0.0, BG, 0),
+    (OMEGA, BG, 1), (OMEGA, LOSSY, 1), (OMEGA, MIXED, 1), (0.0, BG, 0),
 ], ids=["unit", "lossy", "mixed", "static"])
 def test_layer_operators_one_pass_per_distance(monkeypatch, omega, medium, pairs):
     # at N = 256 the distances lie on both sides of the switch |ks d| = 1:
     # one (H0, H1) evaluation for both wavenumbers serves S and K above it
-    # (one per wavenumber when one is real and the other complex), and one
-    # power sum over the table below it
+    # (for a real ks and a complex kp too), and one power sum over the
+    # table below it
     from elastocloak import kernels
 
     calls = {"pair": 0, "series": 0}
@@ -718,9 +769,7 @@ def _calderon_residual(N, omega, medium):
     u = np.zeros((N, 2), dtype=complex)
     T = np.zeros((N, 2), dtype=complex)
     for i in range(N):
-        G = green_omega(q.nodes[i], src, omega, medium, 2) if omega > 0 \
-            else green_static(q.nodes[i], src, medium, 2)
-        u[i] = G @ qv
+        u[i] = green_omega(q.nodes[i], src, omega, medium, 2) @ qv
         Xi = green_traction(src, q.nodes[i], q.normals[i], omega, medium, 2)
         T[i] = Xi.T @ qv
     resid = 0.5 * u.reshape(-1) + ops.K @ u.reshape(-1) - ops.S @ T.reshape(-1)
@@ -765,6 +814,7 @@ def test_boundary_integral_ntd_matches_mode_solver(N, medium):
     q = circle_quadrature(R, N)
     ops = layer_operators(q, OMEGA, medium)
     A = 0.5 * np.eye(2 * N) + ops.K
+    blocks = free_disk_ntd(medium, R, OMEGA, 8).blocks
     er, et = q.normals, q.tangents
     for n in range(9):
         a, b = 0.8, (0.0 if n == 0 else -0.35)
@@ -772,7 +822,7 @@ def test_boundary_integral_ntd_matches_mode_solver(N, medium):
         t = a * cos[:, None] * er + b * sin[:, None] * et
         u = np.linalg.solve(A, ops.S @ t.reshape(-1)).reshape(N, 2)
         ur, ut = np.sum(u * er, axis=1), np.sum(u * et, axis=1)
-        want = free_disk_block(medium, n, R, OMEGA) @ np.array([a, b])
+        want = blocks[n] @ np.array([a, b])
         assert abs(ur @ cos / (cos @ cos) - want[0]) < 1e-10
         if n == 0:
             assert np.abs(ut).max() < 1e-10
@@ -856,8 +906,9 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
         with pytest.raises(AmosCalled):
             call()
 
-    # real ks, complex kp: only kp d reaches Amos, ks d keeps the real routines
-    kp, _ = wavenumbers(MIXED, OMEGA)
+    # real ks, complex kp: ks d and kp d reach Amos together, in one call
+    kp, ks = wavenumbers(MIXED, OMEGA)
+    assert ks.imag == 0 and kp.imag != 0
     amos_args = []
 
     def recording(n, z):
@@ -870,9 +921,11 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
         n_before = len(amos_args)
         call()
         assert len(amos_args) > n_before
-    z = np.concatenate([a.ravel() for a in amos_args])
-    assert np.iscomplexobj(z) and (z.imag != 0).all()
-    assert np.abs(np.angle(z) - np.angle(kp)).max() <= 1e-15
+        for z in amos_args[n_before:]:
+            # row 0 is ks d, on the positive real axis; row 1 is kp d
+            assert np.iscomplexobj(z) and z.shape[0] == 2
+            assert (z[0].imag == 0).all() and (z[0].real > 0).all()
+            assert np.abs(np.angle(z[1]) - np.angle(kp)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("medium", [
@@ -880,12 +933,11 @@ def test_lossless_kernels_skip_amos_and_lossy_ones_reach_it(monkeypatch):
 ], ids=["lossless", "lossy", "mixed"])
 def test_stacked_hankel_pass_is_the_per_wavenumber_one(medium):
     # one (H0, H1) evaluation for ks and kp stacked gives every Hankel-path
-    # factor byte for byte as one evaluation per wavenumber
+    # factor byte for byte as one evaluation per wavenumber; where either
+    # argument is complex, both take Amos, so a real one is cast to complex
     from elastocloak.kernels import (
         _cylinder_kernels,
         _differences,
-        _g2,
-        _g2_argument,
         _hankel_split,
         _Radial2D,
     )
@@ -893,9 +945,14 @@ def test_stacked_hankel_pass_is_the_per_wavenumber_one(medium):
     pack = _Radial2D(1.3, medium)
     p = pack.direct
     d = np.array([0.02, 0.3, 0.7, 0.999, 1.0, 1.001, 1.7, 3.0, 9.5]) / abs(p.ks)
-    kern = _differences(_g2(p.ks, d), _g2(p.kp, d))
-    log = _differences(*(_cylinder_kernels(k, _g2_argument(k, d), log=True)[1]
-                         for k in (p.ks, p.kp)))
+    lossy = p.ks.imag != 0 or p.kp.imag != 0
+
+    def one(k):  # (kernel, ln d part) of one wavenumber, from a 1-tuple call
+        z = (k if lossy else k.real) * d
+        return [[v[0] for v in g] for g in _cylinder_kernels((k,), z[None], log=True)]
+
+    (ks_kern, ks_log), (kp_kern, kp_log) = one(p.ks), one(p.kp)
+    kern, log = _differences(ks_kern, kp_kern), _differences(ks_log, kp_log)
     want = (p.ab_from(kern, d) + p.cs_from(kern, d)
             + p.ab_from(log, d) + p.cs_from(log, d))
     got = p.alpha_beta(d) + p.cs(d)
@@ -1017,6 +1074,17 @@ def test_cavity_names_the_first_unrepresentable_mode(h, mode):
 def test_cavity_refuses_a_bad_radius_or_omega(h, omega, named):
     with pytest.raises(ValueError, match=named):
         solve_exterior_cavity(h, {}, omega, BG)
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.0999, -1.0, np.nan, np.inf])
+def test_cavity_far_trace_refuses_radii_outside_the_solution(radius):
+    # the outgoing solution lives on r >= h; at r = 0.05 < h = 0.1 the norm
+    # read 0.0484, and with no tractions any radius read 0.0
+    for tractions in ({1: (1.0, 0.5)}, {}):
+        sol = solve_exterior_cavity(0.1, tractions, OMEGA, BG)
+        with pytest.raises(ValueError, match=f"radius .*got {re.escape(repr(radius))}$"):
+            sol.boundary_norm(radius)
+    assert np.isfinite(solve_exterior_cavity(0.1, {1: (1.0, 0.5)}, OMEGA, BG).boundary_norm(0.1))
 
 
 def test_cavity_far_trace_scaling_slope():
