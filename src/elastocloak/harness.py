@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .kernels import (
     layer_operators,
 )
 from .modesolver import (
-    LayeredDiskConfig,
     ModeOverflowError,
     _check_count,
     _j0_derivatives,
@@ -39,6 +38,7 @@ from .modesolver import (
     assemble_ntds,
     find_resonant_densities,
     mode_system_condition,
+    resonant_config,
 )
 from .tensors import IsotropicMedium, check_legendre
 from .wavefields import _special, wavenumbers
@@ -175,14 +175,18 @@ def design_table(config):
     Rows: radius, the eight nontrivial polar entries, transformed
     density, and the exact ellipticity floor (``check_legendre``). Grid
     points at r <= 1 are clipped (with a note in the result). A
-    ``design.num`` that is not a non-negative integer is refused with a
-    ``ValueError`` naming the key.
+    ``design.num`` that is not a non-negative integer, and a
+    ``design.r_min`` or ``design.r_max`` that is not finite, is refused
+    with a ``ValueError`` naming the key.
     """
     _check_keys(config)
     bg = _background(config)
     sec = config.get("design", {})
     r_min = float(sec.get("r_min", 1.02))
     r_max = float(sec.get("r_max", 2.0))
+    for key, value in (("r_min", r_min), ("r_max", r_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"design.{key} must be finite, got {value}")
     num = sec.get("num", 25)
     _check_count(num, "design.num")
     grid = np.linspace(r_min, r_max, num)
@@ -278,7 +282,8 @@ def convergence_sweep(config):
     and so does every row when the free-disk reference overflows. Also
     reports the cross-content spread at each h (content independence) and
     a frequency preflight: the largest 1-norm condition ||S||_1 ||S^-1||_1
-    of the free-disk traction systems S (NaN when the reference overflows).
+    of the free-disk traction systems S (NaN when the reference overflows),
+    taken once at the configured n_max, before any raise.
     The wall time of each stage is kept apart, under ``seconds``.
     """
     _check_keys(config)
@@ -428,11 +433,7 @@ def resonance_report(config):
     scan = []
     for fac in [1.0 - 1e-3, 1.0, 1.0 + 1e-3]:
         r2 = res.rho2 * fac
-        cfg = LayeredDiskConfig(
-            radii=(r1, r0),
-            media=(IsotropicMedium(lam, mu, res.rho1), IsotropicMedium(lam, mu, r2)),
-            inner="core",
-        )
+        cfg = resonant_config(lam, mu, r0, r1, replace(res, rho2=r2))
         scan.append({"rho2": float(r2), "condition": mode_system_condition(cfg, omega, 0)})
     conds = [s["condition"] for s in scan]
     spike_ratio = conds[1] / max(conds[0], conds[2])

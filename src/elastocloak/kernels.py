@@ -10,16 +10,20 @@ compressional/shear wavenumbers. All derivatives are taken analytically
 through Hankel/exponential recurrences; the 1/(rho omega^2) amplification
 makes nested numerical differentiation useless here.
 
+Every kernel reads the radial factors through one entry of its radial
+pack, ``factors(d, rows)``, with ``rows`` the table slice ``_AB`` (alpha,
+beta), ``_CS`` (c2, c3, c4) or ``_ALL`` (all five and their ln d parts).
+
 Near the diagonal the radial factors are evaluated through explicit
 even power series of the *difference* combinations (G_ks - G_kp and its
 derivatives divided by powers of d), which removes the catastrophic
 cancellation of the direct form and gives full precision down to d -> 0.
 The series serve only |ks d| < 1, so each table keeps just the terms
-that reach the rounding of its sum there (10 to 12 of 33). A series
-user evaluates its rows as one power sum: the powers d^(2m) are formed
-once, and each row is summed over m on its own (``cs`` takes only the
-rows of c2, c3 and c4). The same series produce the additive constant
-``eta_constant`` of the 2D small-separation expansion
+that reach the rounding of its sum there (10 to 12 of 33), and
+``factors`` sums the rows it selects as one power sum: the powers
+d^(2m) are formed once, and each row is summed over m on its own. The
+same series produce the additive constant ``eta_constant`` of the 2D
+small-separation expansion
 
     Pi_omega = Pi_0 + eta I + O(d^2 log d),
 
@@ -46,7 +50,7 @@ then within 5e-15 relative for z <= 50 and within 5e-14 for z <= 300
 one with complex lam alone), both arguments are, and one Amos
 ``hankel1`` call serves them. The layer potentials contract the radial
 factors with the density term by term, without forming a 2 x 2 tensor
-per node.
+per node. Every evaluator refuses a non-finite point, naming it.
 Per-mode solves, the exterior cavity among them, are in ``modesolver``.
 """
 
@@ -248,10 +252,6 @@ def _g2_pass(ks, kp, d, log=False):
             for g in _cylinder_kernels((ks, kp), z, log)]
 
 
-def _g2_differences(ks, kp, d):
-    return _g2_pass(ks, kp, d)[0]
-
-
 def _g3(k, d):
     """The 3D kernel exp(i k d)/(4 pi d) and its d-derivatives of orders 1..3."""
     g = np.exp(1j * k * d) / (4.0 * np.pi * d)
@@ -261,50 +261,9 @@ def _g3(k, d):
     return g, q * g, g2, (2.0 * q / d**2 - 2.0 / d**3) * g + q * g2
 
 
-def _g3_differences(ks, kp, d):
-    return _differences(_g3(ks, d), _g3(kp, d))
-
-
-class _Direct:
-    """Closed-form dynamic radial factors from a scalar kernel.
-
-    ``g(ks, kp, d)`` is ``_g2_differences`` (Hankel form) or
-    ``_g3_differences`` and returns the ``_differences`` of the kernel with
-    its first three d-derivatives; the grad grad term divides by
-    rho omega^2, so the factors hold for any density.
-    """
-
-    def __init__(self, g, omega, medium):
-        self.g = g
-        self.lam, self.mu = complex(medium.lam), complex(medium.mu)
-        self.kp, self.ks = wavenumbers(medium, omega)
-        self.w2 = complex(medium.rho) * float(omega) ** 2
-
-    def _kernels(self, d):
-        return self.g(self.ks, self.kp, d)
-
-    def alpha_beta(self, d):
-        return self.ab_from(self._kernels(d), d)
-
-    def cs(self, d):
-        return self.cs_from(self._kernels(d), d)
-
-    def ab_from(self, kern, d):
-        """alpha, beta from the ``_differences`` of a scalar kernel."""
-        gs, d1, d2, _ = kern
-        w2 = self.w2
-        alpha = gs[0] / self.mu + d1 / (w2 * d)
-        beta = (d2 - d1 / d) / w2
-        return alpha, beta
-
-    def cs_from(self, kern, d):
-        """c2, c3, c4 from the ``_differences`` of a scalar kernel."""
-        gs, d1, d2, d3 = kern
-        w2 = self.w2
-        alpha_p = gs[1] / self.mu + (d2 * d - d1) / (w2 * d * d)
-        beta = (d2 - d1 / d) / w2
-        beta_p = (d3 - d2 / d + d1 / d**2) / w2
-        return alpha_p / d, beta_p / d, beta / d**2
+def _g3_pass(ks, kp, d, log=False):
+    """``_g2_pass`` for the 3D kernel, which has no ln d part to ``log``."""
+    return [_differences(_g3(ks, d), _g3(kp, d))]
 
 
 def _differences(gs, gp):
@@ -315,6 +274,37 @@ def _differences(gs, gp):
 # Rows of the 2D series table: 2 f holds the ln d series and 2 f + 1 the
 # smooth series of factor f = alpha, beta, c2, c3, c4.
 _AB, _CS, _ALL = slice(0, 4), slice(4, 10), slice(0, 10)
+
+
+class _Direct:
+    """Closed-form dynamic radial factors from a scalar kernel.
+
+    ``g(ks, kp, d, log)`` is ``_g2_pass`` (Hankel form) or ``_g3_pass``:
+    the ``_differences`` of the kernel and of its first three d-derivatives,
+    and with ``log`` (2D) those of its ln d part. The grad grad term
+    divides by rho omega^2, so the factors hold for any density.
+    """
+
+    def __init__(self, g, omega, medium):
+        self.g = g
+        self.mu = complex(medium.mu)
+        self.kp, self.ks = wavenumbers(medium, omega)
+        self.w2 = complex(medium.rho) * float(omega) ** 2
+
+    def factors(self, d, rows):
+        """The factors that the table slice ``rows`` names (see
+        ``_Radial2D.factors``), from one pass of g; only those are formed."""
+        mu, w2 = self.mu, self.w2
+        out = []
+        for gs, d1, d2, d3 in self.g(self.ks, self.kp, d, log=rows is _ALL):
+            beta = (d2 - d1 / d) / w2
+            if rows is not _CS:
+                out += [gs[0] / mu + d1 / (w2 * d), beta]
+            if rows is not _AB:
+                alpha_p = gs[1] / mu + (d2 * d - d1) / (w2 * d * d)
+                beta_p = (d3 - d2 / d + d1 / d**2) / w2
+                out += [alpha_p / d, beta_p / d, beta / d**2]
+        return out
 
 
 def _cut(c, x):
@@ -346,15 +336,15 @@ class _Radial2D:
         self.b1, self.b2, self.kappa1 = _lame_constants(lam, mu)
         if omega == 0:
             self.direct = None
-            self.s2 = -self.b1 / (4 * np.pi)
-            self.s4 = self.b2 / (4 * np.pi)
+            s2, s4 = -self.b1 / (4 * np.pi), self.b2 / (4 * np.pi)
+            self.singular = np.array([0.0, 0.0, s2, 0.0, s4], dtype=complex)
             self.eta = 0.0 + 0.0j
             # constant series: one column, so each power sum has one term
             self.table = np.zeros((10, 1), dtype=complex)
-            self.table[0, 0], self.table[3, 0] = self.s2, self.s4
+            self.table[0, 0], self.table[3, 0] = s2, s4
             self.table.flags.writeable = False
             return
-        self.direct = p = _Direct(_g2_differences, omega, medium)
+        self.direct = p = _Direct(_g2_pass, omega, medium)
         self.ks_abs = np.abs(p.ks)
         iw2 = 1.0 / p.w2
 
@@ -376,83 +366,51 @@ class _Radial2D:
 
         # c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2 decompose as
         # s/d^2 + (log series) ln d + (smooth series)
-        self.s2 = complex(aL[0])  # = -b1/(4 pi)
-        self.s4 = complex(bS[0])  # = +b2/(4 pi)
+        s2 = complex(aL[0])  # = -b1/(4 pi)
+        s4 = complex(bS[0])  # = +b2/(4 pi)
+        # the coefficients s of the singular terms s/d^2 of the five factors
+        self.singular = np.array([0.0, 0.0, s2, 0.0, s4], dtype=complex)
         self.eta = complex(aS[0])
         x = (_SERIES_SWITCH / abs(p.ks)) ** 2  # the largest d^2 the series serves
         self.table = _cut(np.stack([
             aL, aS, bL, bS,
-            _dlog(aL), _div_d2(_shift_const(aL, -self.s2)) + _dlog(aS),
+            _dlog(aL), _div_d2(_shift_const(aL, -s2)) + _dlog(aS),
             _dlog(bL), _div_d2(bL) + _dlog(bS),
-            _div_d2(bL), _div_d2(_shift_const(bS, -self.s4)),
+            _div_d2(bL), _div_d2(_shift_const(bS, -s4)),
         ]), x)
         # Pi_omega - Pi_0 - eta I: the static tensor is s2 ln d I + s4 uhat uhat
         self.gap = _cut(np.stack([
-            _shift_const(aL, -self.s2), _shift_const(aS, -self.eta),
-            bL, _shift_const(bS, -self.s4),
+            _shift_const(aL, -s2), _shift_const(aS, -self.eta),
+            bL, _shift_const(bS, -s4),
         ]), x)
         self.table.flags.writeable = self.gap.flags.writeable = False
 
-    @functools.cached_property
-    def singular(self):
-        """The coefficients s of the singular terms s/d^2 of alpha, beta, c2,
-        c3 and c4."""
-        return np.array([0.0, 0.0, self.s2, 0.0, self.s4], dtype=complex)
-
-    def _by_regime(self, d, series, direct, n):
-        """The n factors from series(d) below the switch and at omega = 0,
-        from direct(self.direct, d) elsewhere; each has the shape of d, a
-        0-d array for a 0-d d."""
+    def factors(self, d, rows):
+        """The factors that the table slice ``rows`` names at the distances
+        d, each with the shape of d: alpha and beta (_AB); c2 = alpha'/d,
+        c3 = beta'/d and c4 = beta/d^2 (_CS); or all five, then their ln d
+        coefficients (_ALL). Below the switch, and at omega = 0, one power
+        sum over table[rows] gives them; above it one Hankel pass for both
+        wavenumbers, whose ln d part -J0(k d)/(2 pi) takes the same formulas.
+        """
         d = np.asarray(d, dtype=float)
+
+        def series(d):
+            full, log = _log_plus_smooth(
+                self.table[rows], d, self.singular[rows.start // 2:rows.stop // 2])
+            return np.concatenate((full, log)) if rows is _ALL else full
+
         if self.direct is None:
             return series(d)
         small = self.ks_abs * d < _SERIES_SWITCH
+        # a table row pair (log, smooth) gives one factor, or with _ALL two
+        n = (rows.stop - rows.start) // (1 if rows is _ALL else 2)
         out = np.empty((n,) + d.shape, dtype=complex)
-        for mask, f in ((small, series), (~small, functools.partial(direct, self.direct))):
-            if mask.any():
-                out[:, mask] = f(d[mask])
+        if small.any():
+            out[:, small] = series(d[small])
+        if not small.all():
+            out[:, ~small] = self.direct.factors(d[~small], rows)
         return [out[i, ...] for i in range(n)]
-
-    def _series_factors(self, rows, d):
-        """(full, log) of the factors whose row pairs ``rows`` of the table
-        select, with their singular terms."""
-        return _log_plus_smooth(self.table[rows], d, self.singular[rows.start // 2:rows.stop // 2])
-
-    def _series_alpha_beta(self, d):
-        return self._series_factors(_AB, d)[0]
-
-    def _series_cs(self, d):
-        return self._series_factors(_CS, d)[0]
-
-    def _series_split(self, d):
-        """``split`` rows from one power sum over the whole table."""
-        return np.concatenate(self._series_factors(_ALL, d))
-
-    def alpha_beta(self, d):
-        return self._by_regime(d, self._series_alpha_beta, _Direct.alpha_beta, 2)
-
-    def cs(self, d):
-        """(c2, c3, c4) with c2 = alpha'/d, c3 = beta'/d, c4 = beta/d^2."""
-        return self._by_regime(d, self._series_cs, _Direct.cs, 3)
-
-    def split(self, d):
-        """(full, log): the factors alpha, beta, c2, c3, c4 at the distances
-        d[n] as a (5, n) array, and their ln d coefficients likewise.
-
-        Below the switch (and at omega = 0) one power sum over the table
-        gives both; above it one (H0, H1) pass for both wavenumbers serves
-        all five factors, and their ln d coefficients come in closed form.
-        """
-        v = np.asarray(self._by_regime(d, self._series_split, _hankel_split, 10))
-        return v[:5], v[5:]
-
-
-def _hankel_split(p, d):
-    """``_Radial2D.split`` of the 2D ``_Direct`` p, rows stacked, from one
-    ``_g2_pass``: the ln d part of (i/4) H0(k d) is G_L = -J0(k d)/(2 pi),
-    whose factors follow through the same formulas."""
-    return [f for kern in _g2_pass(p.ks, p.kp, d, log=True)
-            for f in p.ab_from(kern, d) + p.cs_from(kern, d)]
 
 
 class _Static3D:
@@ -462,12 +420,12 @@ class _Static3D:
         b1, b2, _ = _lame_constants(complex(medium.lam), complex(medium.mu))
         self.a, self.b = b1 / (8 * np.pi), b2 / (8 * np.pi)
 
-    def alpha_beta(self, d):
-        return self.a / d, self.b / d
-
-    def cs(self, d):
+    def factors(self, d, rows):
+        """alpha, beta (_AB) or c2, c3, c4 (_CS); 3D has no ln d part."""
+        alpha, beta = self.a / d, self.b / d
+        if rows is _AB:
+            return alpha, beta
         # both factors are c/d, so their derivatives are -c/d^2
-        alpha, beta = self.alpha_beta(d)
         return -alpha / d**2, -beta / d**2, beta / d**2
 
 
@@ -482,7 +440,7 @@ def _radial_pack(omega, medium, dim):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if dim == 2:
         return _Radial2D(omega, medium)
-    return _Static3D(medium) if omega == 0 else _Direct(_g3_differences, omega, medium)
+    return _Static3D(medium) if omega == 0 else _Direct(_g3_pass, omega, medium)
 
 
 def _outer(a, b):
@@ -491,7 +449,7 @@ def _outer(a, b):
 
 def _pi(u, d, pack):
     """Green tensor Pi over separations u[..., dim] with lengths d[...]."""
-    return _pi_from(u, d, *pack.alpha_beta(d))
+    return _pi_from(u, d, *pack.factors(d, _AB))
 
 
 def _pi_from(u, d, alpha, beta):
@@ -508,7 +466,7 @@ def _xi(u, d, nu, pack, lam, mu):
     point y) of the field z -> Pi(x, z) e_l; the double layer contracts
     the second index with the density.
     """
-    return _xi_from(u, d, nu, *pack.cs(d), lam, mu)
+    return _xi_from(u, d, nu, *pack.factors(d, _CS), lam, mu)
 
 
 def _xi_factors(c2, c3, c4, lam, mu, dim):
@@ -540,6 +498,8 @@ def _sep(x, y, dim):
     y = np.asarray(y, dtype=float)
     if x.shape != (dim,) or y.shape != (dim,):
         raise ValueError(f"points must have shape ({dim},)")
+    if not all(map(math.isfinite, x.tolist() + y.tolist())):
+        raise ValueError(f"points must be finite, got x = {x}, y = {y}")
     u = x - y
     d = np.array(np.linalg.norm(u))
     if d == 0.0:
@@ -594,9 +554,7 @@ def asymptotic_gap_2d(x, y, omega, medium):
     u, d = _sep(x, y, 2)
     pack = _radial_pack(omega, medium, 2)
     if abs(pack.direct.ks) * d < _SERIES_SWITCH:
-        alpha, beta = _log_plus_smooth(pack.gap, d, np.zeros(2))[0]
-        uh = u / d
-        return alpha * np.eye(2) + beta * np.outer(uh, uh)
+        return _pi_from(u, d, *_log_plus_smooth(pack.gap, d, np.zeros(2))[0])
     gap = _pi(u, d, pack) - _pi(u, d, _radial_pack(0.0, medium, 2))
     return gap - pack.eta * np.eye(2)
 
@@ -731,10 +689,9 @@ def layer_operators(quad, omega, medium):
     first block column only (observation node k, source node 0) and the
     matrices are assembled from it by ``_rotated_gather``, which fills
     the upper half of the node rows and copies the lower half from it.
-    Offsets k and N - k share one distance, so the radial factors are
-    evaluated for k = 1 .. N/2 only: below |ks d| = 1 from one power sum
-    over the series table, above it from one (H0, H1) evaluation for
-    both wavenumbers, with the ln d part in closed form from J0 and J1.
+    Offsets k and N - k share one distance, so the radial factors and
+    their ln d parts are evaluated for k = 1 .. N/2 only, in one
+    ``factors(d, _ALL)`` call.
     """
     N = quad.n_points
     R = quad.radius
@@ -751,8 +708,8 @@ def layer_operators(quad, omega, medium):
     near = np.minimum(k, N - k)
     s_half = np.sin(0.5 * quad.angles[near])
     d = 2.0 * R * s_half
-    full, log = pack.split(d[: N // 2])  # k = 1 .. N/2
-    full, log = full[:, near - 1], log[:, near - 1]
+    v = np.asarray(pack.factors(d[: N // 2], _ALL))[:, near - 1]  # k = 1 .. N/2
+    full, log = v[:5], v[5:]
     lnfac = np.log(4.0 * s_half**2)[:, None, None]
     u = quad.nodes[1:] - quad.nodes[0]
     nu = quad.normals[0]
@@ -798,6 +755,9 @@ def _separations(quad, density, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (2,) or (n, 2)")
+    if not all(map(math.isfinite, pts.ravel().tolist())):
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+        raise ValueError(f"points must be finite, got point {bad} = {pts[bad]}")
     u = pts[:, None, :] - quad.nodes[None, :, :]
     d = np.sqrt((u * u).sum(axis=-1))
     if (d == 0.0).any():
@@ -814,7 +774,7 @@ def sl_potential(quad, density, points, omega, medium):
     """
     pack = _radial_pack(omega, medium, 2)
     phi, u, d = _separations(quad, density, points)
-    alpha, beta = pack.alpha_beta(d)
+    alpha, beta = pack.factors(d, _AB)
     w = quad.weights
     uh = u / d[..., None]
     along = beta * w * np.einsum("ajk,jk->aj", uh, phi)
@@ -833,7 +793,7 @@ def dl_potential(quad, density, points, omega, medium):
     pack = _radial_pack(omega, medium, 2)
     lam, mu = complex(medium.lam), complex(medium.mu)
     phi, u, d = _separations(quad, density, points)
-    A, B, C = _xi_factors(*pack.cs(d), lam, mu, 2)
+    A, B, C = _xi_factors(*pack.factors(d, _CS), lam, mu, 2)
     nu, w = quad.normals, quad.weights
     nuu = np.einsum("ajk,jk->aj", u, nu)
     uphi = np.einsum("ajk,jk->aj", u, phi)

@@ -1,11 +1,14 @@
-"""The CI script that compares the numbers of two CLI output files."""
+"""The CI scripts: the one that compares the numbers of two CLI output
+files, and the one that reports the size of the source tree."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "max_rel_diff.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / ".github" / "scripts"
+SCRIPT = SCRIPTS / "max_rel_diff.py"
 
 
 def _run(tmp_path, a, b, suffix):
@@ -53,3 +56,23 @@ def test_other_files_pair_their_numbers_in_order(tmp_path):
     assert _run(tmp_path, "h,d\n0.1,nan\n", "h, d\n0.1,nan\n", ".csv") == [
         "all 2 numbers equal, text differs"]
     assert _run(tmp_path, "1 2", "1 2 3", ".csv") == ["2 numbers against 3"]
+
+
+def test_src_size_counts_lines_public_names_and_modules(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""Doc."""\nfrom .a import *\n')
+    (pkg / "a.py").write_text('__all__ = ["f", "g"]\n\n\ndef f():\n    pass\n\n\ng = 1\n')
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "src_size.py"), f"tiny={pkg}",
+                           f"head={src}"], capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["| tree | lines | public names | modules |",
+                         "| --- | ---: | ---: | ---: |", "| tiny | 10 | 2 | 2 |"]
+    # the repository's own tree, against its imported modules
+    files = sorted((src / "elastocloak").glob("*.py"))
+    modules = [importlib.import_module("elastocloak" + ("" if f.stem == "__init__" else f".{f.stem}"))
+               for f in files]
+    names = sum(len(vars(m).get("__all__", ())) for m in modules)
+    n_lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
+    assert lines[3] == f"| head | {n_lines} | {names} | {len(files)} |"

@@ -54,6 +54,20 @@ def test_design_refuses_sizes_it_would_truncate(config, key):
         harness.design_table(config)
 
 
+@pytest.mark.parametrize("key", ["r_min", "r_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_design_refuses_non_finite_bounds(tmp_path, key, value):
+    # a NaN r_max gave no rows and an inf or NaN r_min one row at r = 2;
+    # JSON parses NaN and Infinity, so the CLI path is refused too
+    with pytest.raises(ValueError, match=f"design.{key}"):
+        harness.design_table({"design": {key: value}})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"design": {key: value}}))
+    with pytest.raises(ValueError, match=f"design.{key}"):
+        run(["design", "--config", cfg, "--out", tmp_path])
+    assert not (tmp_path / "design.csv").exists()
+
+
 # the functions behind the five commands
 COMMAND_FUNCTIONS = [harness.design_table, harness.convergence_sweep, harness.lining_sweep,
                      harness.resonance_report, harness.kernel_check]
@@ -367,6 +381,19 @@ def test_convergence_flags_rows_past_the_free_disk_overflow(tmp_path):
     z = mp.mpf(0.05) / mp.sqrt(3)
     assert abs(mp.hankel1(91, z)) == pytest.approx(1.483e305, rel=1e-3)
     assert abs(mp.hankel1(92, z)) / mp.mpf("9.352e308") == pytest.approx(1.0, rel=1e-3)
+
+
+def test_convergence_escalates_n_max_to_the_same_sweep():
+    # n_max 2 leaves more than 1% of the distance in its last two modes,
+    # so the sweep raises it by 8 to 10, and every row and spread is then
+    # that of a sweep configured at 10; the preflight is taken once, at
+    # the configured n_max, before any escalation
+    low, high = harness.convergence_sweep({"n_max": 2}), harness.convergence_sweep({"n_max": 10})
+    assert low["n_max"] == high["n_max"] == 10
+    assert low["contents"] == high["contents"]
+    assert low["spreads"] == high["spreads"]
+    assert low["preflight_max_condition"] == pytest.approx(7.32, rel=1e-3)
+    assert high["preflight_max_condition"] == pytest.approx(30773, rel=1e-4)
 
 
 def test_sweeps_refuse_a_bad_omega_or_n_max(tmp_path):

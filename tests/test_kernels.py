@@ -192,6 +192,48 @@ def test_coincident_points_error():
         green_omega(x, x, 0.0, BG, 2)
 
 
+def _non_finite_cases(bad):
+    """(name, call(omega)) for every public evaluator with one non-finite
+    coordinate: the point kernels in 2D and 3D, at x and at y, and the 2D
+    layer potentials at one target and at the last of three."""
+    q = circle_quadrature(2.0, 16)
+    density = np.ones(32)
+    cases = []
+    for dim in (2, 3):
+        good, worse = np.full(dim, 0.3), np.full(dim, 0.5)
+        worse[-1] = bad
+        nrm = np.eye(dim)[0]
+        for x, y in ((worse, good), (good, worse)):
+            cases += [
+                (f"green_omega {dim}D", lambda w, x=x, y=y, dim=dim: green_omega(x, y, w, BG, dim)),
+                (f"green_traction {dim}D",
+                 lambda w, x=x, y=y, n=nrm, dim=dim: green_traction(x, y, n, w, BG, dim)),
+            ]
+    for pts in (np.array([0.3, bad]), np.array([[0.3, 0.1], [0.5, 0.2], [bad, 0.1]])):
+        for f in (sl_potential, dl_potential):
+            cases.append((f.__name__, lambda w, f=f, pts=pts: f(q, density, pts, w, BG)))
+    return cases
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused_by_name(omega, bad):
+    # a NaN point gave NaN at omega = 0 and in 3D, and at omega = 1 in 2D
+    # the Hankel pair's "argument must be finite", which names no point
+    cases = _non_finite_cases(bad)
+    assert len(cases) == 12
+    if omega > 0:
+        cases.append(("asymptotic_gap_2d",
+                      lambda w: asymptotic_gap_2d([0.3, bad], [0.5, 0.5], w, BG)))
+    for name, call in cases:
+        try:
+            call(omega)
+        except ValueError as err:
+            assert re.match(rf"points must be finite, got .*{bad}", str(err)), name
+        else:
+            pytest.fail(f"{name} accepted a {bad} coordinate")
+
+
 def navier_residual_fd(dim, x, y, omega, medium, step):
     """Second-order FD residual of mu Lap + (lam+mu) grad div + omega^2 rho."""
     lam, mu, rho = medium.lam, medium.mu, medium.rho
@@ -440,15 +482,17 @@ def test_stacked_horner_matches_per_series_loop(omega, medium):
 def test_series_and_direct_paths_agree_in_overlap():
     # the series path (used near the diagonal) must join the Hankel path,
     # with the table cut to its regime, up to the switch at |ks d| = 1
-    from elastocloak.kernels import _Radial2D
+    from elastocloak.kernels import _AB, _CS, _Radial2D
 
     pack = _Radial2D(OMEGA, BG)
     for d in (0.05, 0.2, 0.5, 0.9, 0.999):
         d = np.array(d)
-        for s, h in zip(pack._series_alpha_beta(d), pack.direct.alpha_beta(d)):
-            assert abs(s - h) < 1e-12
-        for s, h in zip(pack._series_cs(d), pack.direct.cs(d)):
-            assert abs(s - h) < 1e-10
+        assert abs(pack.direct.ks) * d < 1.0  # factors takes the series path
+        for rows, tol in ((_AB, 1e-12), (_CS, 1e-10)):
+            series, direct = pack.factors(d, rows), pack.direct.factors(d, rows)
+            assert len(series) == len(direct) == (2 if rows is _AB else 3)
+            for s, h in zip(series, direct):
+                assert abs(s - h) < tol
 
 
 # media whose series tables are cut: unit, soft, stiff, lossy and lam < 0
@@ -458,16 +502,15 @@ CUT_MEDIA = [BG, IsotropicMedium(0.2, 0.2, 1.0), IsotropicMedium(2.5, 0.7, 1.8),
 
 @pytest.mark.parametrize("omega", [0.01, 1.0, 10.0])
 def test_series_tables_cut_to_their_regime(omega):
-    from elastocloak.kernels import _Radial2D
+    from elastocloak.kernels import _ALL, _Radial2D
 
     for medium in CUT_MEDIA:
         pack = _Radial2D(omega, medium)
         assert pack.table.shape[1] <= 14 and pack.gap.shape[1] <= 14
         # the cut table still joins the Hankel form just below the switch
-        d = 0.999 / abs(pack.direct.ks)
-        series = pack._series_split(np.array([d]))[:5, 0]
-        direct = np.array(pack.direct.alpha_beta(np.array([d]))
-                          + pack.direct.cs(np.array([d])))[:, 0]
+        d = np.array([0.999 / abs(pack.direct.ks)])
+        series = np.array(pack.factors(d, _ALL))[:5, 0]
+        direct = np.array(pack.direct.factors(d, _ALL))[:5, 0]
         assert np.abs(series - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
@@ -513,27 +556,27 @@ def mpmath_radial_factors(d, omega, medium, log=False, digits=40):
 def test_log_factors_match_closed_form(medium, ksd):
     # the ln d coefficients that the layer operators split off, far past
     # the series switch, where a 33-term series loses them
-    from elastocloak.kernels import _Radial2D
+    from elastocloak.kernels import _ALL, _Radial2D
 
     omega = 10.0
     pack = _Radial2D(omega, medium)
     d = ksd / abs(pack.direct.ks)
-    _, log = pack.split(np.array([d]))
+    log = np.array(pack.factors(np.array([d]), _ALL))[5:, 0]
     want = mpmath_radial_factors(d, omega, medium, log=True)
-    assert np.abs(log[:, 0] - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(log - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("ksd", [0.7, 0.999, 1.001, 1.7, 9.5, 30.0])
 def test_mixed_medium_hankel_factors_match_mpmath(ksd):
     # a real ks and a complex kp share one Amos evaluation: each factor and
     # its ln d coefficient on the Hankel path, on both sides of the switch
-    from elastocloak.kernels import _hankel_split, _Radial2D
+    from elastocloak.kernels import _ALL, _Radial2D
 
     omega = 1.3
     p = _Radial2D(omega, MIXED).direct
     assert p.ks.imag == 0 and p.kp.imag != 0
     d = ksd / abs(p.ks)
-    got = np.array(_hankel_split(p, np.array([d])))[:, 0]
+    got = np.array(p.factors(np.array([d]), _ALL))[:, 0]
     want = np.concatenate([mpmath_radial_factors(d, omega, MIXED, digits=30),
                            mpmath_radial_factors(d, omega, MIXED, log=True, digits=30)])
     assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
@@ -936,9 +979,12 @@ def test_stacked_hankel_pass_is_the_per_wavenumber_one(medium):
     # factor byte for byte as one evaluation per wavenumber; where either
     # argument is complex, both take Amos, so a real one is cast to complex
     from elastocloak.kernels import (
+        _AB,
+        _ALL,
+        _CS,
         _cylinder_kernels,
+        _Direct,
         _differences,
-        _hankel_split,
         _Radial2D,
     )
 
@@ -952,19 +998,20 @@ def test_stacked_hankel_pass_is_the_per_wavenumber_one(medium):
         return [[v[0] for v in g] for g in _cylinder_kernels((k,), z[None], log=True)]
 
     (ks_kern, ks_log), (kp_kern, kp_log) = one(p.ks), one(p.kp)
-    kern, log = _differences(ks_kern, kp_kern), _differences(ks_log, kp_log)
-    want = (p.ab_from(kern, d) + p.cs_from(kern, d)
-            + p.ab_from(log, d) + p.cs_from(log, d))
-    got = p.alpha_beta(d) + p.cs(d)
-    for g, w in zip(got, want[:5]):
-        assert g.tobytes() == w.tobytes()
-    for g, w in zip(_hankel_split(p, d), want):
-        assert g.tobytes() == w.tobytes()
-    # above the switch the split's rows are the Hankel pass
+    kerns = [_differences(ks_kern, kp_kern), _differences(ks_log, kp_log)]
+    # the factors of the per-wavenumber kernels, through the same formulas
+    per_wavenumber = _Direct(lambda ks, kp, d, log: kerns[: 1 + log], 1.3, medium)
+    want = per_wavenumber.factors(d, _ALL)
+    assert len(want) == 10
+    for rows, w in ((_AB, want[:2]), (_CS, want[2:5]), (_ALL, want)):
+        got = p.factors(d, rows)
+        assert len(got) == len(w)
+        for g, v in zip(got, w):
+            assert g.tobytes() == v.tobytes()
+    # above the switch the pack's rows are the Hankel pass
     big = abs(p.ks) * d >= 1.0
-    full, logs = pack.split(d)
-    assert full[:, big].tobytes() == np.array(want[:5])[:, big].tobytes()
-    assert logs[:, big].tobytes() == np.array(want[5:])[:, big].tobytes()
+    v = np.array(pack.factors(d, _ALL))
+    assert v[:, big].tobytes() == np.array(want)[:, big].tobytes()
 
 
 def _tensor_potentials(q, density, pts, omega, medium):
