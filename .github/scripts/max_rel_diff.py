@@ -14,7 +14,11 @@ file are read in order and paired up.
 
 Prints how many of the other numbers differ and the largest difference,
 or says that the files hold different counts (or paths) of numbers, or
-that they differ outside them.
+that they differ outside them. When the other numbers of two JSON files
+differ under more than one leaf key (the last key of the path, indices
+stripped, such as ``distance``), a line per such key follows, largest
+difference first, so that one key that moved far does not hide how far
+the others moved.
 """
 
 import json
@@ -65,21 +69,30 @@ def summary(diffs, what="numbers"):
             f"largest relative difference {max(diffs):.2e}")
 
 
+def leaf_key(path):
+    """The last key of a path, indices stripped: ``rows[2].distance`` gives
+    ``distance``."""
+    return re.sub(r"\[\d+\]", "", path).rsplit(".", 1)[-1]
+
+
 def compare_json(a, b):
     """The report lines of two parsed JSON documents."""
     a, b = ({path: (x, tol) for path, x, tol in leaves(doc)} for doc in (a, b))
     if a.keys() != b.keys():
         return [f"numbers at {len(a.keys() ^ b.keys())} paths are in one file only"]
-    scaled, diffs = [], []
+    scaled, diffs, by_key = [], [], {}
     for path, (x, tol) in a.items():
         r = relative(x, b[path][0], tol)
         if tol is None:
             diffs.append(r)
+            by_key.setdefault(leaf_key(path), []).append(r)
         elif r > 0.0:
             scaled.append(f"{path}: |a - b| / tol = {r:.2e} (tol {tol:g})")
+    moved = sorted(((key, d) for key, d in by_key.items() if any(d)), key=lambda kd: -max(kd[1]))
+    per_key = [f"{key}: {summary(d)}" for key, d in moved] if len(moved) > 1 else []
     if scaled:
-        return [summary(diffs, "other numbers")] + scaled
-    return [summary(diffs) + (", text differs" if not any(diffs) else "")]
+        return [summary(diffs, "other numbers")] + per_key + scaled
+    return [summary(diffs) + (", text differs" if not any(diffs) else "")] + per_key
 
 
 def compare_text(a, b):

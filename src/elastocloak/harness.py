@@ -32,10 +32,9 @@ from .kernels import (
 from .modesolver import (
     ModeOverflowError,
     _check_count,
+    _free_disk_differences,
     _j0_derivatives,
-    _ntds_and_free_disk,
     _weighted_smax,
-    assemble_ntds,
     find_resonant_densities,
     mode_system_condition,
     resonant_config,
@@ -242,21 +241,18 @@ def _h_values(config):
     return list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
 
 
-def _pair_distances(pairs):
-    """Weighted per-mode distances sqrt(1+n^2) smax(A_n - B_n) of NtD pairs
-    (A, B), in one closed-form pass over every pair, and each pair's row
-    flag.
-
-    A side that is a solve's typed error (as ``assemble_ntds`` returns it)
-    gives the pair distances None and the flag of that error, A's first.
+def _distances(diffs):
+    """Weighted per-mode distances sqrt(1+n^2) smax(D_n) of block
+    differences D, in one closed-form pass over every difference, and each
+    row's flag. A difference that is a typed error (as
+    ``_free_disk_differences`` returns it) gives None and the flag of that
+    error.
     """
-    flags = [next((_flag(x) for x in pair if isinstance(x, Exception)), "") for pair in pairs]
+    flags = [_flag(d) if isinstance(d, Exception) else "" for d in diffs]
     ok = [i for i, flag in enumerate(flags) if not flag]
-    per_mode = [None] * len(pairs)
+    per_mode = [None] * len(diffs)
     if ok:
-        diff = (np.stack([pairs[i][0].blocks for i in ok])
-                - np.stack([pairs[i][1].blocks for i in ok]))
-        for i, d in zip(ok, _weighted_smax(diff)):
+        for i, d in zip(ok, _weighted_smax(np.stack([diffs[i] for i in ok]))):
             per_mode[i] = d
     return per_mode, flags
 
@@ -277,9 +273,12 @@ def convergence_sweep(config):
     Runs the h sweep for each configured content (default: soft, stiff,
     heavy), raising n_max automatically while the last two modes carry
     more than 1% of the distance. Every content and h of one n_max, and
-    the free-disk reference, are solved from one Bessel table; a row whose
-    solve is near a resonance or overflows gets a NaN distance and a flag,
-    and so does every row when the free-disk reference overflows. Also
+    the free-disk reference, are taken from one Bessel table: each
+    device's Lambda_h - Lambda_0 comes from the T-matrix walk through its
+    interfaces (``_free_disk_differences``), not as the difference of two
+    maps, so it stays right to h = 1e-5. A row whose walk is near a
+    resonance or overflows gets a NaN distance and a flag, and so does
+    every row when the free-disk reference overflows. Also
     reports the cross-content spread at each h (content independence) and
     a frequency preflight: the largest 1-norm condition ||S||_1 ||S^-1||_1
     of the free-disk traction systems S (NaN when the reference overflows),
@@ -306,11 +305,11 @@ def convergence_sweep(config):
     while True:
         with _stage(seconds, "solve"):
             # a reference ModeOverflowError flags every row, as a device's error does
-            ref, ops = _ntds_and_free_disk(devices, bg, 2.0, omega, n_max)
+            ref, diffs = _free_disk_differences(devices, bg, 2.0, omega, n_max)
         if preflight is None:
             preflight = float("nan") if isinstance(ref, Exception) else float(ref.conditions.max())
         with _stage(seconds, "distances"):
-            tails, flags = _pair_distances([(op, ref) for op in ops])
+            tails, flags = _distances(diffs)
             rows = []
             for h, tail, flag in zip(h_values * len(contents), tails, flags):
                 if flag:
@@ -356,10 +355,12 @@ def lining_sweep(config):
     two qualitative side scans (not pass/fail gated): the per-h distance
     as damping grows, and the fitted rate with a larger scaling exponent
     delta (the rate constant does not depend on it). Every distinct
-    system of the rows and side scans is solved once, in one
-    ``assemble_ntds`` call; a row whose solve is near a resonance or
-    overflows gets a NaN distance and a flag. The wall time of each stage
-    is kept apart, under ``seconds``.
+    config of the rows and side scans is walked once, in one
+    ``_free_disk_differences`` call, and a distance is taken from the
+    difference of the near-cloak's and the cavity's Lambda - Lambda_free,
+    both O(h^2); a row whose walk is near a resonance or overflows, on
+    either side, gets a NaN distance and the flag of the first. The wall
+    time of each stage is kept apart, under ``seconds``.
     """
     _check_keys(config)
     omega = float(config.get("omega", 1.0))
@@ -387,9 +388,15 @@ def lining_sweep(config):
         # the cavity of every h and the beta = beta0 device at h_mid recur
         distinct = list(dict.fromkeys(c for p in pairs for c in p))
     with _stage(seconds, "solve"):
-        ops = dict(zip(distinct, assemble_ntds(distinct, omega, n_max)))
+        _, diffs = _free_disk_differences(distinct, bg, 2.0, omega, n_max)
+        diffs = dict(zip(distinct, diffs))
     with _stage(seconds, "distances"):
-        tails, flags = _pair_distances([(ops[a], ops[b]) for a, b in pairs])
+        # Lambda_a - Lambda_b = (Lambda_a - Lambda_free) - (Lambda_b - Lambda_free),
+        # or the first typed error of a and b
+        errors = [next((x for x in (diffs[a], diffs[b]) if isinstance(x, Exception)), None)
+                  for a, b in pairs]
+        tails, flags = _distances([diffs[a] - diffs[b] if e is None else e
+                                   for (a, b), e in zip(pairs, errors)])
         dists = [{"distance": float("nan") if flag else float(tail.max()), "flag": flag}
                  for tail, flag in zip(tails, flags)]
     n_h = len(h_values)

@@ -501,7 +501,10 @@ def _sep(x, y, dim):
     if not all(map(math.isfinite, x.tolist() + y.tolist())):
         raise ValueError(f"points must be finite, got x = {x}, y = {y}")
     u = x - y
-    d = np.array(np.linalg.norm(u))
+    with np.errstate(over="ignore"):  # refused below, with both points
+        d = np.array(np.linalg.norm(u))
+    if not math.isfinite(d):
+        raise ValueError(f"the separation of x = {x} and y = {y} overflows")
     if d == 0.0:
         raise ValueError("kernel is singular at coincident points")
     return u, d

@@ -13,14 +13,23 @@ sequential transfer matrices would overflow. Each solver call evaluates
 the basis at every distinct (medium, radius) point it needs in one
 ``basis_matrix`` table: FULL kinds, of which a core reads the J columns.
 ``assemble_ntds`` shares it across every config and layout of the call
-(the lining cavities reuse the near-cloaks' background points), the
-convergence sweep's free-disk reference reads its row of the devices'
-table, and ``energy_identity_check`` adds the first 24 Gauss-Legendre
-nodes of each lossy region; a region whose integrand those do not resolve
-takes one more call per doubling of its rule.
+(the lining cavities reuse the near-cloaks' background points), and
+``energy_identity_check`` adds the first 24 Gauss-Legendre nodes of each
+lossy region; a region whose integrand those do not resolve takes one
+more call per doubling of its rule.
 The systems of every mode, and of every config of one layout, are
 gathered from that table into one array and inverted in one batched LU
-pass, which gives both the solutions and the conditions.
+pass, which gives both the solutions and the conditions. ``assemble_ntd``
+and ``assemble_ntds``, ``solve_mode``, ``mode_system_condition`` and
+``energy_identity_check`` take this global solve.
+
+The convergence and lining sweeps need only Lambda - Lambda_free, a
+device's NtD map less the free disk's, which agree to O(h^2): taking it
+as the difference of two maps loses it to rounding below h ~ 1e-5.
+``_free_disk_differences`` walks each config inward-out through its
+interfaces with 2x2 T-matrices per mode instead, from one table, and
+never subtracts two maps. Its 2x2 algebra runs on the four entries as
+arrays, each inverse on columns scaled by powers of two.
 
 The uniform disk's NtD map (the damping balance's free-disk response
 too) and the traction-driven exterior cavity are one-region problems on
@@ -89,6 +98,10 @@ class ModeOverflowError(np.linalg.LinAlgError):
 
 class SearchWindowError(RuntimeError):
     """Root bracketing found no root in the fixed search window."""
+
+
+# a mode system of larger 1-norm condition is refused as near a resonance
+_COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -488,7 +501,7 @@ def solve_mode(config, omega, n, traction):
     return ModeSolution(config, omega, n, fields, float(conds[0]))
 
 
-def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
+def assemble_ntds(configs, omega, n_max, cond_limit=_COND_LIMIT):
     """NtD operators of many layered disks for modes 0..n_max.
 
     The basis at every distinct (medium, radius) point of the configs
@@ -507,14 +520,20 @@ def assemble_ntds(configs, omega, n_max, cond_limit=1e14):
                                        np.arange(n_max + 1)), omega, cond_limit)
 
 
-def _ntds(configs, table, omega, cond_limit=1e14):
-    """:func:`assemble_ntds` of ``configs`` at the orders 0..n_max of
-    ``table``."""
-    groups = {}  # layout -> config indices; a layout fixes the regions and unknowns
+def _layouts(configs):
+    """The indices of ``configs`` grouped by layout: a layout (the inner
+    boundary and the number of radii) fixes the regions and unknowns."""
+    groups = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.inner, len(config.radii)), []).append(i)
+    return groups.values()
+
+
+def _ntds(configs, table, omega, cond_limit=_COND_LIMIT):
+    """:func:`assemble_ntds` of ``configs`` at the orders 0..n_max of
+    ``table``."""
     out = [None] * len(configs)
-    for idx in groups.values():
+    for idx in _layouts(configs):
         sol, B0, conds, errors = _solve_modes([configs[i] for i in idx], table, cond_limit)
         w = B0.shape[-1]
         blocks = B0[..., 0:2, :] @ sol[..., :w, :]
@@ -525,22 +544,167 @@ def _ntds(configs, table, omega, cond_limit=1e14):
     return out
 
 
-def _ntds_and_free_disk(configs, medium, radius, omega, n_max):
+# the columns of BASIS_FULL in the order J P, J S, H P, H S
+_JH = [BASIS_FULL.index(kind) for kind in (("J", "P"), ("J", "S"), ("H", "P"), ("H", "S"))]
+
+
+def _pow2_neg(e):
+    """2**-e for frexp exponents e, capped at 2**1023: a subnormal
+    magnitude is scaled short of 1/2, not to inf."""
+    return np.ldexp(1.0, np.minimum(-e, 1023))
+
+
+def _mul(a, b):
+    """Products a b of stacks of 2x2 matrices held entries first, as
+    arrays of shape (2, 2, ...)."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+
+
+def _inv(a, col):
+    """Inverses of the 2x2 stack ``a`` (entries first) and their 1-norm
+    conditions after equilibration by ``col`` (2, ...): each column of
+    ``a`` is scaled exactly by the power of two that takes its entry of
+    ``col``, the largest |entry| of the whole field column (displacement
+    and traction rows) it belongs to, into [1/2, 1). So no determinant
+    overflows, and a column whose traction rows nearly vanish against its
+    displacement rows (a traction resonance) reads as ill conditioned. A
+    singular matrix has condition inf, a non-finite one NaN."""
+    c = _pow2_neg(np.frexp(col)[1])
+    s = a * c
+    m = np.abs(s)
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+    # ||s^-1||_1 = ||adj s||_1 / |det| is the largest row sum of |s| over |det|
+    cs, rs = m[0] + m[1], m[:, 0] + m[:, 1]
+    cond = np.maximum(cs[0], cs[1]) * np.maximum(rs[0], rs[1]) / np.abs(det)
+    # a^-1 = C s^-1 = C (adj s) / det, C the column scaling
+    inv = np.empty_like(s)
+    inv[0, 0], inv[1, 1] = s[1, 1], s[0, 0]
+    np.negative(s[0, 1], out=inv[0, 1])
+    np.negative(s[1, 0], out=inv[1, 0])
+    inv *= c[:, None] * (1.0 / det)
+    return inv, cond
+
+
+def _col_max(*blocks):
+    """The largest |entry| of each column over the 2x2 stacks ``blocks``
+    (entries first), (2, ...)."""
+    m = [np.abs(b) for b in blocks]
+    return functools.reduce(np.maximum, [x for b in m for x in (b[0], b[1])])
+
+
+def _free_disk_differences(configs, medium, radius, omega, n_max):
     """:func:`free_disk_ntd` of ``medium`` at ``radius``, or its
-    :class:`ModeOverflowError`, and :func:`assemble_ntds` of ``configs``,
-    from one basis table: the disk's point is often an interface point of
-    the configs already."""
+    :class:`ModeOverflowError`, and for each config of ``configs`` (each
+    an annulus of ``medium`` from ``radius`` inwards over an inner stack)
+    its blocks Lambda - Lambda_free, (n_max + 1, 2, 2), or its typed
+    error; one basis table holds every point.
+
+    Each config is walked inward-out through its interfaces with 2x2
+    T-matrices per mode (Chew, *Waves and Fields in Inhomogeneous Media*,
+    1990, ch. 3), the configs of one layout and all modes at once. U and S
+    are the displacement and traction rows of a region's basis at a
+    radius, J and H its regular and outgoing columns. A core starts the
+    inner stack's NtD M = U_J S_J^-1; a cavity starts T = -S_H^-1 S_J. An
+    annulus over M has T = -(U_H - M S_H)^-1 (U_J - M S_J) at its inner
+    radius (the annulus's field, J a + H T a, meets the stack there), and
+    M = (U_J + U_H T)(S_J + S_H T)^-1 at its outer one. The outer
+    annulus's T gives, at ``radius``,
+
+        Lambda - Lambda_free = (U_H - Lambda_free S_H) T (S_J + S_H T)^-1,
+
+    since U_J - Lambda_free S_J = 0: no two maps that agree to O(h^2) are
+    subtracted.
+
+    A config's error is a :class:`ModeOverflowError` for the first mode
+    at which one of its basis columns holds a non-finite value or is zero
+    over its region's points, or at which the free disk overflows; else a
+    :class:`NearResonanceError` for the lowest mode at which a 2x2 system
+    the walk inverts is singular or has a 1-norm condition above 1e14, its
+    columns equilibrated by the field columns they belong to (see
+    :func:`_inv`).
+    """
     _check_count(n_max, "n_max")
     point = (medium, float(radius))
-    table = _basis_table(_all_interface_points(configs) + [point], omega, np.arange(n_max + 1))
+    points = [_interface_points(config) for config in configs]
+    table = _basis_table([p for ps in points for p in ps] + [point], omega,
+                         np.arange(n_max + 1))
     try:
         ref = _disk_ntd(table.gather([point])[0][..., _REGULAR], radius, omega)
+        n_ref = n_max + 1
     except ModeOverflowError as exc:
-        ref = exc
-    return ref, _ntds(configs, table, omega)
+        ref, n_ref = exc, exc.mode
+    # V[U/S, J/H, i, j, row, m]: the (U or S, J or H) block of every point,
+    # so that a gather over points leaves each block contiguous
+    V = table.values[..., _JH]
+    V = np.ascontiguousarray(V.reshape(V.shape[:2] + (2, 2, 2, 2)).transpose(2, 4, 3, 5, 0, 1))
+    # mag[J/H, j, row, m]: the largest |entry| of each column at each point,
+    # NaN where an entry is
+    m = np.abs(V)
+    mag = np.maximum(np.maximum(m[0, :, 0], m[0, :, 1]), np.maximum(m[1, :, 0], m[1, :, 1]))
+    out = [None] * len(configs)
+    for idx in _layouts(configs):
+        # point p of config c is row rows[p, c]: annulus k at its outer
+        # radius is point 2k, at its inner one 2k + 1, and a core's point
+        # is the last
+        rows = np.array([[table.rows[p] for p in points[i]] for i in idx]).T
+        diffs = _walk(configs[idx[0]], [V[..., r, :] for r in rows],
+                      [mag[..., r, :] for r in rows], table.orders, n_ref)
+        for i, diff in zip(idx, diffs):
+            out[i] = diff
+    return ref, out
 
 
-def assemble_ntd(config, omega, n_max, cond_limit=1e14):
+def _walk(config, X, mag, orders, n_ref):
+    """The blocks Lambda - Lambda_free, or the errors, as
+    :func:`_free_disk_differences` gives them, of the configs of the
+    layout of ``config``. Per interface point, ``X`` holds their basis
+    (U/S, J/H, 2, 2, C, M) and ``mag`` the largest |entry| of each column
+    (J/H, 2, C, M); the free disk is representable below ``n_ref``."""
+    na = config.n_annuli
+    usable = True
+    for k, g in enumerate(_regions(config)):
+        col = np.maximum(mag[2 * k], mag[2 * k + 1]) if g.kinds == BASIS_FULL else mag[-1][0]
+        usable = usable & (np.isfinite(col) & (col > 0)).all(axis=tuple(range(col.ndim - 2)))
+    n_ok = np.where(usable.all(axis=1), len(orders), usable.argmin(axis=1))
+
+    def blocks(p):
+        """U_J, U_H, S_J, S_H at point p, (2, 2, C, M) each."""
+        return X[p][0, 0], X[p][0, 1], X[p][1, 0], X[p][1, 1]
+
+    conds = []
+
+    def inv(a, col):
+        a_inv, cond = _inv(a, col)
+        conds.append(cond)
+        return a_inv
+
+    # an unusable mode stays in the stack; its NaN or inf touches only itself
+    with np.errstate(all="ignore"):
+        M = None
+        if config.inner == "core":
+            UJ, _, SJ, _ = blocks(2 * na)
+            M = _mul(UJ, inv(SJ, mag[-1][0]))
+        for k in reversed(range(na)):
+            UJ, UH, SJ, SH = blocks(2 * k + 1)
+            col = mag[2 * k + 1][1]  # the H columns at the annulus's inner radius
+            T = (-_mul(inv(SH, col), SJ) if M is None
+                 else -_mul(inv(UH - _mul(M, SH), col), UJ - _mul(M, SJ)))
+            UJ, UH, SJ, SH = blocks(2 * k)
+            U, S = UJ + _mul(UH, T), SJ + _mul(SH, T)  # the annulus's field at its outer radius
+            Q = inv(S, _col_max(U, S))
+            if k:
+                M = _mul(U, Q)
+        free = _mul(UJ, _inv(SJ, mag[0][0])[0])  # the free disk's NtD, from the outer point
+        diff = _mul(_mul(UH - _mul(free, SH), T), Q)
+    cond = np.maximum.reduce(conds)
+    cond[np.isnan(cond) | ~np.isfinite(diff).all(axis=(0, 1))] = np.inf
+    diff = np.moveaxis(diff, (0, 1), (-2, -1))
+    errors = [_mode_error(orders, c, n, _COND_LIMIT)
+              for c, n in zip(cond, np.minimum(n_ok, n_ref))]
+    return [d if e is None else e for d, e in zip(diff, errors)]
+
+
+def assemble_ntd(config, omega, n_max, cond_limit=_COND_LIMIT):
     """NtD operator of a layered disk for modes 0..n_max: the one-config
     case of :func:`assemble_ntds`.
 

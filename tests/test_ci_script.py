@@ -50,6 +50,30 @@ def test_json_checks_read_in_units_of_their_tol(tmp_path):
         "all 1 numbers equal, text differs"]
 
 
+def test_json_numbers_are_also_reported_per_leaf_key(tmp_path):
+    # a tail ratio that moved by 1 does not hide distances that moved by
+    # 1e-12: each leaf key that differs gets its own line, largest first
+    def sweep(distances, tails):
+        return json.dumps({"rows": [{"distance": d, "h": h, "tail_ratio": t}
+                                    for d, h, t in zip(distances, (0.2, 0.1), tails)],
+                           "n_max": 16})
+
+    lines = _run(tmp_path, sweep([2.0, 0.5], [1e-14, 1e-13]),
+                 sweep([2.0 * (1 + 1e-12), 0.5], [1e-26, 1e-34]), ".json")
+    assert lines == ["3 of 7 numbers differ, largest relative difference 1.00e+00",
+                     "tail_ratio: 2 of 2 numbers differ, largest relative difference 1.00e+00",
+                     "distance: 1 of 2 numbers differ, largest relative difference 1.00e-12"]
+    # beside the tol-scaled lines, which stay as they are
+    lines = _run(tmp_path, _kernelcheck(1.448e-9, 1e-15, 1.5).replace('"passed"', '"x": 2, "passed"'),
+                 _kernelcheck(1.490e-9, 1e-15).replace('"passed"', '"x": 3, "passed"'), ".json")
+    assert lines == [
+        "3 of 5 other numbers differ, largest relative difference 3.33e-01",
+        "x: 2 of 2 numbers differ, largest relative difference 3.33e-01",
+        "omega: 1 of 1 numbers differ, largest relative difference 3.33e-01",
+        "checks[0].value: |a - b| / tol = 4.20e-05 (tol 1e-06)",
+    ]
+
+
 def test_other_files_pair_their_numbers_in_order(tmp_path):
     assert _run(tmp_path, "h,d\n0.1,2.0\n0.2,4.0\n", "h,d\n0.1,2.0\n0.2,5.0\n", ".csv") == [
         "1 of 4 numbers differ, largest relative difference 2.00e-01"]

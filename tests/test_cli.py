@@ -309,19 +309,19 @@ def test_lining_side_scans_survive_near_resonance(monkeypatch, failing, delta_sl
     # the distinct near-cloak systems, in stack order: the main rows (h =
     # 0.2, 0.1, 0.05), the beta scan at h = 0.1 past beta0 (whose device is
     # the main row's), then the delta scan over h
-    real = harness.assemble_ntds
+    real = harness._free_disk_differences
     near_cloaks = []
 
-    def flaky(configs, omega, n_max, **kw):
-        out = real(configs, omega, n_max, **kw)
+    def flaky(configs, *args):
+        ref, out = real(configs, *args)
         for i, config in enumerate(configs):
             if config.inner == "core":
                 near_cloaks.append(config)
                 if len(near_cloaks) - 1 in failing:
                     out[i] = NearResonanceError("forced", mode=3, condition=1e15)
-        return out
+        return ref, out
 
-    monkeypatch.setattr(harness, "assemble_ntds", flaky)
+    monkeypatch.setattr(harness, "_free_disk_differences", flaky)
     rep = harness.lining_sweep({"n_max": 8, "convergence": {"h_values": [0.2, 0.1, 0.05]}})
     assert len(near_cloaks) == 8
     assert all(not r["flag"] for r in rep["rows"])
@@ -337,6 +337,20 @@ def test_lining_side_scans_survive_near_resonance(monkeypatch, failing, delta_sl
         assert rep["delta_shift_slope"] is None
     else:
         assert abs(rep["delta_shift_slope"] - rep["fit"]["slope"]) < 0.6
+
+
+def test_sweeps_resolve_h_down_to_1e_5():
+    # each distance comes from the devices' T-matrices at r = h, not as the
+    # difference of two maps that agree to O(h^2): the h = 1e-5 rows read
+    # C(1e-4) h^2, unflagged, for every content and for the lining
+    config = {"convergence": {"h_values": [1e-3, 1e-4, 1e-5]}}
+    conv, lin = harness.convergence_sweep(config), harness.lining_sweep(config)
+    for rows, fit in [(res["rows"], res["fit"]) for res in conv["contents"].values()] + [
+            (lin["rows"], lin["fit"])]:
+        assert not any(r["flag"] for r in rows)
+        assert not fit["rejected"] and abs(fit["slope"] - 2.0) <= 0.01
+        c = rows[1]["distance"] / 1e-4**2
+        assert rows[2]["distance"] == pytest.approx(c * 1e-5**2, rel=1e-4)
 
 
 def test_sweeps_flag_mode_overflow(tmp_path):

@@ -234,6 +234,24 @@ def test_non_finite_points_are_refused_by_name(omega, bad):
             pytest.fail(f"{name} accepted a {bad} coordinate")
 
 
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_overflowing_separation_is_refused_by_name(omega, dim):
+    # finite points whose separation passes DBL_MAX gave NaN blocks at
+    # omega = 0 and, at omega = 1, the Hankel pair's unnamed "argument must
+    # be finite"
+    far, origin = np.zeros(dim), np.zeros(dim)
+    far[0] = 1e200
+    nrm = np.eye(dim)[0]
+    cases = [("green_omega", lambda: green_omega(far, origin, omega, BG, dim)),
+             ("green_traction", lambda: green_traction(origin, far, nrm, omega, BG, dim))]
+    if dim == 2 and omega > 0:
+        cases.append(("asymptotic_gap_2d", lambda: asymptotic_gap_2d(far, origin, omega, BG)))
+    for name, call in cases:
+        with pytest.raises(ValueError, match=r"separation of x = .* and y = .* overflows"):
+            call()
+
+
 def navier_residual_fd(dim, x, y, omega, medium, step):
     """Second-order FD residual of mu Lap + (lam+mu) grad div + omega^2 rho."""
     lam, mu, rho = medium.lam, medium.mu, medium.rho

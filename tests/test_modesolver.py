@@ -470,13 +470,13 @@ def test_core_reads_the_regular_columns_of_the_full_basis():
 
 
 def test_one_basis_matrix_call_per_solve(monkeypatch):
-    # the lining sweep's one assemble_ntds call takes 14 configs of two
-    # layouts, near-cloaks and cavities, and one Bessel table
+    # the lining sweep's one walk takes 14 configs of two layouts,
+    # near-cloaks and cavities, and one Bessel table
     calls, solved = [], []
-    bm, assemble = modesolver.basis_matrix, harness.assemble_ntds
+    bm, walk = modesolver.basis_matrix, harness._free_disk_differences
     monkeypatch.setattr(modesolver, "basis_matrix", lambda *a: calls.append(a) or bm(*a))
-    monkeypatch.setattr(harness, "assemble_ntds",
-                        lambda configs, *a: solved.append(configs) or assemble(configs, *a))
+    monkeypatch.setattr(harness, "_free_disk_differences",
+                        lambda configs, *a: solved.append(configs) or walk(configs, *a))
     lining_sweep({"n_max": 8})
     (configs,) = solved
     assert len(configs) == 14
@@ -528,6 +528,104 @@ def test_sweep_paths_take_no_svd(monkeypatch):
     energy_identity_check(config, OMEGA, {0: (1.0, 0.0), 3: (0.2, 0.5j)})
     solve_mode(config, OMEGA, 3, (1.0, 0.0))
     mode_system_condition(config, OMEGA, 3)
+
+
+# ---------------------------------------------------------------------------
+# the sweeps' walk through the interfaces
+
+
+@pytest.mark.parametrize("h", [0.2, 0.05, 0.01, 1e-3])
+def test_walk_of_a_background_inner_stack_is_zero(h):
+    # a background core at r = h, and two background annuli over a
+    # background core, are the free disk: Lambda - Lambda_free vanishes to
+    # rounding. At h = 1e-3, |H_32| ~ 1e161 at r = h, past the square root
+    # of DBL_MAX: the 2x2 inverses must scale their blocks first
+    configs = [LayeredDiskConfig(radii=(2.0, h), media=(BG, BG)),
+               LayeredDiskConfig(radii=(2.0, h, 0.5 * h), media=(BG,) * 3)]
+    ref, diffs = modesolver._free_disk_differences(configs, BG, 2.0, OMEGA, 32)
+    for diff in diffs:
+        assert np.abs(diff).max() <= 1e-12 * np.abs(ref.blocks).max()
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0])
+def test_sweep_distances_match_the_paired_global_solves(omega):
+    # oracle: the NtD maps of the global interface solve, paired as the
+    # sweeps used to pair them, each device against the free disk or its
+    # cavity
+    h_values = [0.2, 0.1, 0.05, 0.025]
+    config = {"omega": omega, "convergence": {"h_values": h_values}}
+    conv, lin = convergence_sweep(config), lining_sweep(config)
+    ref = free_disk_ntd(BG, 2.0, omega, conv["n_max"])
+    for name, content in DEFAULT_CONTENTS.items():
+        devices = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=content, background=BG).virtual
+                   for h in h_values]
+        ops = assemble_ntds(devices, omega, conv["n_max"])
+        for row, op in zip(conv["contents"][name]["rows"], ops):
+            assert row["distance"] == pytest.approx(ntd_distance(op, ref), rel=1e-10)
+
+    def lining_distance(h, beta):
+        device = build_near_cloak(h, 1.0, beta, 1.0, 0.0, content=BG, background=BG).virtual
+        return ntd_distance(*assemble_ntds([device, lining_config(h, BG)], omega, lin["n_max"]))
+
+    for row in lin["rows"]:
+        assert row["distance"] == pytest.approx(lining_distance(row["h"], 1.0), rel=1e-10)
+    for row in lin["beta_scan"]:
+        assert row["distance"] == pytest.approx(
+            lining_distance(lin["beta_scan_at_h"], row["beta"]), rel=1e-10)
+
+
+def test_walk_names_a_singular_mode_of_one_config_only(monkeypatch):
+    # the s_rt row of mode 5 at the middle device's core radius is zeroed:
+    # the core's traction system S_J is singular there, its columns are not
+    configs = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
+                                background=BG).virtual for h in (0.1, 0.05, 0.025)]
+    _, want = modesolver._free_disk_differences(configs, BG, 2.0, OMEGA, 16)
+    basis_table = modesolver._basis_table
+
+    def singular_core(points, omega, orders):
+        table = basis_table(points, omega, orders)
+        table.values[table.rows[(configs[1].media[-1], configs[1].radii[-1])], 5, 3] = 0.0
+        return table
+
+    monkeypatch.setattr(modesolver, "_basis_table", singular_core)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, got = modesolver._free_disk_differences(configs, BG, 2.0, OMEGA, 16)
+    assert isinstance(got[1], NearResonanceError)
+    assert got[1].mode == 5 and got[1].condition == np.inf
+    for k in (0, 2):
+        assert got[k].tobytes() == want[k].tobytes()
+
+
+def test_walk_passes_an_inclusion_that_resonates_alone(resonance):
+    # the two-layer inclusion is traction-free resonant in mode 0 on its
+    # own, so its NtD map at r = 1 is infinite there; inside the
+    # background it is not, and the walk's T-matrix at r = 1 stays finite
+    inclusion = resonant_config(1.0, 1.0, 0.5, 1.0, resonance)
+    device = LayeredDiskConfig(radii=(2.0, 1.0, 0.5), media=(BG,) + inclusion.media)
+    ref, (diff,) = modesolver._free_disk_differences([device], BG, 2.0, OMEGA, 8)
+    want = assemble_ntd(device, OMEGA, 8).blocks - ref.blocks
+    assert np.abs(diff - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_walk_inverse_scales_its_columns():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 2, 40)) + 1j * rng.standard_normal((2, 2, 40))
+    want = np.moveaxis(np.linalg.inv(np.moveaxis(a, (0, 1), (1, 2))), (1, 2), (0, 1))
+    for scales in ((1.0, 1.0), (1e160, 1.0), (1e-160, 1e160)):
+        s = np.array(scales)[:, None]
+        b = a * s  # column j scaled by scales[j]: det(b) overflows or underflows
+        inv, cond = modesolver._inv(b, np.abs(b).max(axis=0))
+        assert np.abs(inv * s[:, None] - want).max() <= 1e-13 * np.abs(want).max()
+        assert (np.isfinite(cond) & (cond >= 1.0)).all()
+    # a zero column is singular, and the identity has condition 1
+    b = a.copy()
+    b[:, 1, 3] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, cond = modesolver._inv(b, np.abs(b).max(axis=0))
+    assert cond[3] == np.inf and np.isfinite(np.delete(cond, 3)).all()
+    eye = np.eye(2)[:, :, None] * np.ones(3)
+    assert modesolver._inv(eye, np.ones((2, 3)))[1].tolist() == [1.0] * 3
 
 
 def test_mode_decoupling_structure():
