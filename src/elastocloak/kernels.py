@@ -761,8 +761,12 @@ def _separations(quad, density, points):
     if not all(map(math.isfinite, pts.ravel().tolist())):
         bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
         raise ValueError(f"points must be finite, got point {bad} = {pts[bad]}")
-    u = pts[:, None, :] - quad.nodes[None, :, :]
-    d = np.sqrt((u * u).sum(axis=-1))
+    with np.errstate(over="ignore"):  # refused below, naming the target
+        u = pts[:, None, :] - quad.nodes[None, :, :]
+        d = np.sqrt((u * u).sum(axis=-1))
+    if not np.isfinite(d).all():
+        bad = np.flatnonzero(~np.isfinite(d).all(axis=1))[0]
+        raise ValueError(f"the separation of target {bad} = {pts[bad]} from the nodes overflows")
     if (d == 0.0).any():
         raise ValueError("kernel is singular at coincident points")
     return phi, u, d

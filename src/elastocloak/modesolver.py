@@ -12,24 +12,24 @@ interfaces at once) keep the strongly lossy layers well conditioned where
 sequential transfer matrices would overflow. Each solver call evaluates
 the basis at every distinct (medium, radius) point it needs in one
 ``basis_matrix`` table: FULL kinds, of which a core reads the J columns.
-``assemble_ntds`` shares it across every config and layout of the call
-(the lining cavities reuse the near-cloaks' background points), and
 ``energy_identity_check`` adds the first 24 Gauss-Legendre nodes of each
-lossy region; a region whose integrand those do not resolve takes one
-more call per doubling of its rule.
-The systems of every mode, and of every config of one layout, are
-gathered from that table into one array and inverted in one batched LU
-pass, which gives both the solutions and the conditions. ``assemble_ntd``
-and ``assemble_ntds``, ``solve_mode``, ``mode_system_condition`` and
-``energy_identity_check`` take this global solve.
+lossy region to it; a region whose integrand those do not resolve takes
+one more call per doubling of its rule.
+The systems of every mode of one config are gathered from that table
+into one array and inverted in one batched LU pass, which gives both the
+solutions and the conditions. ``assemble_ntd``, ``solve_mode``,
+``mode_system_condition`` and ``energy_identity_check`` take this global
+solve.
 
 The convergence and lining sweeps need only Lambda - Lambda_free, a
 device's NtD map less the free disk's, which agree to O(h^2): taking it
 as the difference of two maps loses it to rounding below h ~ 1e-5.
 ``_free_disk_differences`` walks each config inward-out through its
-interfaces with 2x2 T-matrices per mode instead, from one table, and
-never subtracts two maps. Its 2x2 algebra runs on the four entries as
-arrays, each inverse on columns scaled by powers of two.
+interfaces with 2x2 T-matrices per mode instead, every config of one
+layout at once from one table (the lining cavities reuse the
+near-cloaks' background points), and never subtracts two maps. Its 2x2
+algebra runs on the four entries as arrays, each inverse on columns
+scaled by powers of two.
 
 The uniform disk's NtD map (the damping balance's free-disk response
 too) and the traction-driven exterior cavity are one-region problems on
@@ -65,7 +65,6 @@ __all__ = [
     "ResonanceResult",
     "free_disk_ntd",
     "assemble_ntd",
-    "assemble_ntds",
     "solve_mode",
     "mode_system_condition",
     "ntd_distance",
@@ -214,18 +213,27 @@ def _traction_solve(B, orders, rhs):
         raise _singular_error(int(orders[singular].min())) from None
 
 
+def _traction(n, t):
+    """The traction ``t`` of mode ``n`` as a complex pair (s_rr, s_rt); a
+    traction of another shape, or a NaN or infinite one, is refused with
+    its mode."""
+    tr = np.asarray(t, dtype=complex)
+    if tr.shape != (2,):
+        raise ValueError(f"traction of mode {n} must be a pair (s_rr, s_rt), got {t!r}")
+    if not np.isfinite(tr).all():
+        raise ValueError(f"traction of mode {n} must be finite, got {t!r}")
+    return tr
+
+
 def _mode_tractions(tractions):
     """Orders (M,), uncast, and (s_rr, s_rt) rows (M, 2) of a dict mode ->
-    traction. A bool key is refused here: beside integer keys numpy casts
-    it to 0 or 1 before ``basis_matrix`` checks the orders. A NaN or
-    infinite traction is refused with its mode."""
+    traction, each checked by :func:`_traction`. A bool key is refused
+    here: beside integer keys numpy casts it to 0 or 1 before
+    ``basis_matrix`` checks the orders."""
     for n in tractions:
         if isinstance(n, (bool, np.bool_)):
             raise ValueError(f"order must be >= 0 and an integer, got {n}")
-    tr = np.array(list(tractions.values()), dtype=complex)
-    if not np.isfinite(tr).all():
-        n = next(n for n, t in tractions.items() if not np.isfinite(t).all())
-        raise ValueError(f"traction of mode {n} must be finite, got {tractions[n]!r}")
+    tr = np.array([_traction(n, t) for n, t in tractions.items()], dtype=complex)
     return np.array(list(tractions)), tr
 
 
@@ -339,42 +347,35 @@ def _interface_points(config):
     return [(g.medium, r) for g in _regions(config) for r in (g.r_out, g.r_in) if r > 0]
 
 
-def _all_interface_points(configs):
-    """The :func:`_interface_points` of every config of ``configs``, in
-    order."""
-    return [p for config in configs for p in _interface_points(config)]
-
-
 # the columns of BASIS_REGULAR among those of BASIS_FULL
 _REGULAR = [BASIS_FULL.index(kind) for kind in BASIS_REGULAR]
 
 
-def _interface_systems(configs, table):
-    """Interface systems of ``configs`` (one layout) at the orders of
-    ``table``, stacked: A (C, M, m, m) and the outer basis B0 (C, M, 4, w)
-    whose w columns are the outer region's, gathered from ``table``.
+def _interface_system(config, table):
+    """Interface systems of ``config`` at the orders of ``table``: A
+    (M, m, m) and the outer basis B0 (M, 4, w) whose w columns are the
+    outer region's, gathered from ``table``.
 
     Rows: 2 outer-traction rows, then 4 continuity rows per interior
     interface (2 traction-free rows at a cavity boundary).
     """
-    layout = _regions(configs[0])
+    layout = _regions(config)
     nun = layout[-1].cols.stop
-    A = np.zeros((len(configs), len(table.orders), nun, nun), dtype=complex)
-    # the basis at every interface point, (C, M, 4, 4) each: annulus i at
-    # its outer radius is point 2i and at its inner one 2i + 1, so the
-    # last point is a core's outer or a cavity's inner radius
-    B = table.gather(_all_interface_points(configs))
-    B = list(B.reshape((len(configs), -1) + B.shape[1:]).swapaxes(0, 1))
+    A = np.zeros((len(table.orders), nun, nun), dtype=complex)
+    # the basis at every interface point, (M, 4, 4) each: annulus i at its
+    # outer radius is point 2i and at its inner one 2i + 1, so the last
+    # point is a core's outer or a cavity's inner radius
+    B = list(table.gather(_interface_points(config)))
     if layout[-1].kinds == BASIS_REGULAR:
         B[-1] = B[-1][..., _REGULAR]
-    A[..., 0:2, layout[0].cols] = B[0][..., 2:4, :]
+    A[:, 0:2, layout[0].cols] = B[0][:, 2:4, :]
     row = 2
     for i in range(len(layout) - 1):
-        A[..., row:row + 4, layout[i].cols] = B[2 * i + 1]
-        A[..., row:row + 4, layout[i + 1].cols] = -B[2 * i + 2]
+        A[:, row:row + 4, layout[i].cols] = B[2 * i + 1]
+        A[:, row:row + 4, layout[i + 1].cols] = -B[2 * i + 2]
         row += 4
-    if configs[0].inner == "cavity":  # traction-free inner boundary
-        A[..., row:row + 2, layout[-1].cols] = B[-1][..., 2:4, :]
+    if config.inner == "cavity":  # traction-free inner boundary
+        A[:, row:row + 2, layout[-1].cols] = B[-1][:, 2:4, :]
         row += 2
     assert row == nun
     return A, B[0]
@@ -424,37 +425,27 @@ def _representable(B0, col):
             & (col > 0).all(axis=-1))
 
 
-def _solve_modes(configs, table, cond_limit=np.inf):
-    """Solutions of the interface systems of ``configs`` (one layout) at
-    the orders of ``table`` for unit s_rr and s_rt tractions, and the
-    systems' conditions, stacked over configs and orders, from one batched
-    inverse.
+def _solve_modes(config, table, cond_limit=np.inf):
+    """Solutions of the interface systems of ``config`` at the orders of
+    ``table`` for unit s_rr and s_rt tractions, and the systems'
+    conditions, from one batched inverse.
 
-    Returns ``(sol, B0, conds, errors)``: the solution coefficients
-    (C, M, m, 2), the outer basis, the 1-norm condition
-    ``||As||_1 ||As^-1||_1`` of each two-sided equilibrated system
-    ``As = diag(1/rw) A diag(1/col)`` and, per config, None or the error
-    ``_mode_error`` names for it. The solutions of a config with an error
-    are zero.
+    Returns ``(sol, B0, conds)``: the solution coefficients (M, m, 2), the
+    outer basis and the 1-norm condition ``||As||_1 ||As^-1||_1`` of each
+    two-sided equilibrated system ``As = diag(1/rw) A diag(1/col)``. Raises
+    the error ``_mode_error`` names.
     """
     orders = table.orders
-    A, B0 = _interface_systems(configs, table)
+    A, B0 = _interface_system(config, table)
     # two-sided equilibration: columns span J ~ 1e-40 .. H ~ 1e+40 at high
     # modes and small radii; raw solves would be hopeless. A mode whose
     # system holds an overflowed entry, or a basis column that underflowed
-    # to zero, has no double-precision solution: from a config's first such
-    # mode on, its systems are replaced by the identity (and its outer basis
-    # by zero) before they reach LAPACK, so they cannot touch the rest of
-    # the stack.
+    # to zero, has no double-precision solution: the stack is cut before
+    # the first such mode, which never reaches LAPACK.
     col = np.abs(A).max(axis=-2)
     usable = _representable(B0, col)
-    n_ok = np.where(usable.all(axis=1), len(orders), usable.argmin(axis=1))
-    unusable = np.arange(len(orders)) >= n_ok[:, None]
-    if unusable.any():
-        A[unusable] = np.eye(A.shape[-1])
-        B0[unusable] = 0.0
-        col[unusable] = 1.0
-    As = A  # equilibrated in place: the stack is the largest array of a sweep
+    n_ok = len(orders) if usable.all() else int(usable.argmin())
+    As, col = A[:n_ok], col[:n_ok]  # equilibrated in place
     As /= col[..., None, :]
     rw = np.abs(As).max(axis=-1)
     rw[rw == 0] = 1.0
@@ -464,60 +455,40 @@ def _solve_modes(configs, table, cond_limit=np.inf):
     del A, As  # not kept alive beside its inverse
     conds = norm * _norm1(inv)
     conds[singular] = np.inf
-    errors = [_mode_error(orders, c, n, cond_limit) for c, n in zip(conds, n_ok)]
+    error = _mode_error(orders, conds, n_ok, cond_limit)
+    if error is not None:
+        try:
+            raise error
+        finally:
+            # the error's traceback holds this frame: a local naming the
+            # error would keep the frame's arrays alive until a GC pass
+            del error
     # A x = e_j is As (col x) = e_j / rw: x = inv[:, j] / (rw_j col)
-    inv[[e is not None for e in errors]] = 0.0
     sol = inv[..., :, 0:2] / rw[..., None, 0:2]
     sol /= col[..., None]
-    return sol, B0, conds, errors
-
-
-def _solve_config(config, table):
-    """``_solve_modes`` of one config: its (sol, B0, conds); raises its
-    error."""
-    sol, B0, conds, (error,) = _solve_modes([config], table)
-    if error is not None:
-        raise error
-    return sol[0], B0[0], conds[0]
+    return sol, B0, conds
 
 
 def mode_system_condition(config, omega, n):
     """1-norm condition ||A||_1 ||A^-1||_1 of the equilibrated mode-n
     interface system A, where ||A||_1 is the largest column sum of |A|."""
-    _, _, conds = _solve_config(config, _basis_table(_interface_points(config), omega, [n]))
+    _, _, conds = _solve_modes(config, _basis_table(_interface_points(config), omega, [n]))
     return float(conds[0])
 
 
 def solve_mode(config, omega, n, traction):
     """Solve one mode for given traction coefficients (s_rr, s_rt).
 
-    Returns a :class:`ModeSolution` carrying per-region fields.
+    Returns a :class:`ModeSolution` carrying per-region fields. A traction
+    that is not a finite pair is refused with ``ValueError`` naming ``n``.
     """
-    sol, _, conds = _solve_config(config, _basis_table(_interface_points(config), omega, [n]))
-    coeffs = sol[0] @ np.asarray(traction, dtype=complex)
+    tr = _traction(n, traction)
+    sol, _, conds = _solve_modes(config, _basis_table(_interface_points(config), omega, [n]))
+    coeffs = sol[0] @ tr
     fields = [ModeField(g.medium, omega, n, tuple(
         (kind, pol, c) for (kind, pol), c in zip(g.kinds, coeffs[g.cols])))
         for g in _regions(config)]
     return ModeSolution(config, omega, n, fields, float(conds[0]))
-
-
-def assemble_ntds(configs, omega, n_max, cond_limit=_COND_LIMIT):
-    """NtD operators of many layered disks for modes 0..n_max.
-
-    The basis at every distinct (medium, radius) point of the configs
-    comes from one ``basis_matrix`` call. The configs of each layout (the
-    same region kinds and inner boundary) are assembled from it,
-    equilibrated and solved together, in one stacked pass over every
-    config and mode. Returns, for each config in order, its
-    :class:`NtDOperator`, or the :class:`NearResonanceError` or
-    :class:`ModeOverflowError` that :func:`assemble_ntd` would raise for
-    it; one config's error leaves the others untouched.
-    """
-    _check_count(n_max, "n_max")
-    if not configs:
-        return []
-    return _ntds(configs, _basis_table(_all_interface_points(configs), omega,
-                                       np.arange(n_max + 1)), omega, cond_limit)
 
 
 def _layouts(configs):
@@ -527,21 +498,6 @@ def _layouts(configs):
     for i, config in enumerate(configs):
         groups.setdefault((config.inner, len(config.radii)), []).append(i)
     return groups.values()
-
-
-def _ntds(configs, table, omega, cond_limit=_COND_LIMIT):
-    """:func:`assemble_ntds` of ``configs`` at the orders 0..n_max of
-    ``table``."""
-    out = [None] * len(configs)
-    for idx in _layouts(configs):
-        sol, B0, conds, errors = _solve_modes([configs[i] for i in idx], table, cond_limit)
-        w = B0.shape[-1]
-        blocks = B0[..., 0:2, :] @ sol[..., :w, :]
-        for k, i in enumerate(idx):
-            out[i] = errors[k] if errors[k] is not None else NtDOperator(
-                omega=omega, n_max=len(table.orders) - 1, radius=configs[i].outer_radius,
-                blocks=blocks[k], conditions=conds[k])
-    return out
 
 
 # the columns of BASIS_FULL in the order J P, J S, H P, H S
@@ -619,9 +575,9 @@ def _free_disk_differences(configs, medium, radius, omega, n_max):
     at which one of its basis columns holds a non-finite value or is zero
     over its region's points, or at which the free disk overflows; else a
     :class:`NearResonanceError` for the lowest mode at which a 2x2 system
-    the walk inverts is singular or has a 1-norm condition above 1e14, its
-    columns equilibrated by the field columns they belong to (see
-    :func:`_inv`).
+    the walk inverts (the free disk's S_J at ``radius`` among them) is
+    singular or has a 1-norm condition above 1e14, its columns
+    equilibrated by the field columns they belong to (see :func:`_inv`).
     """
     _check_count(n_max, "n_max")
     point = (medium, float(radius))
@@ -694,7 +650,7 @@ def _walk(config, X, mag, orders, n_ref):
             Q = inv(S, _col_max(U, S))
             if k:
                 M = _mul(U, Q)
-        free = _mul(UJ, _inv(SJ, mag[0][0])[0])  # the free disk's NtD, from the outer point
+        free = _mul(UJ, inv(SJ, mag[0][0]))  # the free disk's NtD, from the outer point
         diff = _mul(_mul(UH - _mul(free, SH), T), Q)
     cond = np.maximum.reduce(conds)
     cond[np.isnan(cond) | ~np.isfinite(diff).all(axis=(0, 1))] = np.inf
@@ -705,19 +661,25 @@ def _walk(config, X, mag, orders, n_ref):
 
 
 def assemble_ntd(config, omega, n_max, cond_limit=_COND_LIMIT):
-    """NtD operator of a layered disk for modes 0..n_max: the one-config
-    case of :func:`assemble_ntds`.
+    """NtD operator of a layered disk for modes 0..n_max.
 
-    Raises :class:`NearResonanceError` when a mode system's 1-norm
-    condition exceeds ``cond_limit`` (``cond_limit=np.inf`` keeps the
-    blocks for inspecting ``conditions`` instead) or the system is exactly
-    singular, and :class:`ModeOverflowError` when a mode system is not
-    representable.
+    The basis at every distinct (medium, radius) point of the config's
+    interfaces comes from one ``basis_matrix`` call; the mode systems are
+    assembled from it, equilibrated and inverted in one batched pass.
+
+    Raises :class:`NearResonanceError` for the lowest mode whose system's
+    1-norm condition exceeds ``cond_limit`` (``cond_limit=np.inf`` keeps
+    the blocks for inspecting ``conditions`` instead) or that is exactly
+    singular, else :class:`ModeOverflowError` for the first mode whose
+    system is not representable; the modes from that one on are not
+    solved.
     """
-    (op,) = assemble_ntds([config], omega, n_max, cond_limit)
-    if isinstance(op, Exception):
-        raise op
-    return op
+    _check_count(n_max, "n_max")
+    table = _basis_table(_interface_points(config), omega, np.arange(n_max + 1))
+    sol, B0, conds = _solve_modes(config, table, cond_limit)
+    w = B0.shape[-1]
+    return NtDOperator(omega=omega, n_max=int(n_max), radius=config.outer_radius,
+                       blocks=B0[:, 0:2, :] @ sol[:, :w, :], conditions=conds)
 
 
 def _weighted_smax(diff):
@@ -841,7 +803,7 @@ def energy_identity_check(config, omega, tractions):
     # the first rule of every lossy region shares the table of the solve
     table = _basis_table(_interface_points(config) + [(g.medium, r) for _, g, rr in lossy
                                                       for r in rr], omega, orders)
-    sol, B0, _ = _solve_config(config, table)
+    sol, B0, _ = _solve_modes(config, table)
     coeffs = sol @ tr[:, :, None]  # (M, m, 1)
     lhs = 0.0
     for i, g, rr in lossy:

@@ -91,12 +91,32 @@ def test_src_size_counts_lines_public_names_and_modules(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "src_size.py"), f"tiny={pkg}",
                            f"head={src}"], capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
-    assert lines[:3] == ["| tree | lines | public names | modules |",
-                         "| --- | ---: | ---: | ---: |", "| tiny | 10 | 2 | 2 |"]
+    assert lines[:3] == ["| tree | lines | public names | modules | uncalled public defs |",
+                         "| --- | ---: | ---: | ---: | ---: |", "| tiny | 10 | 2 | 2 | 1 |"]
     # the repository's own tree, against its imported modules
     files = sorted((src / "elastocloak").glob("*.py"))
     modules = [importlib.import_module("elastocloak" + ("" if f.stem == "__init__" else f".{f.stem}"))
                for f in files]
     names = sum(len(vars(m).get("__all__", ())) for m in modules)
     n_lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
-    assert lines[3] == f"| head | {n_lines} | {names} | {len(files)} |"
+    assert lines[3].startswith(f"| head | {n_lines} | {names} | {len(files)} | ")
+    # the public functions that only tests call, kept as oracles
+    assert lines[-1] == ("head: `maps.identity_map`, `maps.jacobian`, "
+                         "`tensors.apply_stiffness`")
+
+
+def test_src_size_lists_public_defs_that_no_other_code_names(tmp_path):
+    # f is called only inside its own module, g is not a def, h is named by
+    # another module, k by a demo and m by a benchmark string
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text('__all__ = ["f", "g", "h", "k", "m"]\n'
+                              "def f(): pass\ndef h(): return f()\n"
+                              "def k(): pass\ndef m(): pass\ng = 1\n")
+    (src / "b.py").write_text("from .a import h\n")
+    for d, text in (("demos", "import pkg\npkg.k()\n"), ("benchmark", 'TRACED = ("m",)\n')):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "x.py").write_text(text)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "src_size.py"), f"t={src.parent}"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[2:] == ["| t | 7 | 5 | 2 | 1 |", "", "t: `a.f`"]

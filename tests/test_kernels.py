@@ -237,18 +237,27 @@ def test_non_finite_points_are_refused_by_name(omega, bad):
 @pytest.mark.parametrize("omega", [0.0, 1.0])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_overflowing_separation_is_refused_by_name(omega, dim):
-    # finite points whose separation passes DBL_MAX gave NaN blocks at
-    # omega = 0 and, at omega = 1, the Hankel pair's unnamed "argument must
-    # be finite"
+    # finite points whose separation passes DBL_MAX gave NaN blocks (the
+    # layer potentials NaN values) at omega = 0 and, at omega = 1, the
+    # Hankel pair's unnamed "argument must be finite"
     far, origin = np.zeros(dim), np.zeros(dim)
     far[0] = 1e200
     nrm = np.eye(dim)[0]
-    cases = [("green_omega", lambda: green_omega(far, origin, omega, BG, dim)),
-             ("green_traction", lambda: green_traction(origin, far, nrm, omega, BG, dim))]
+    pair = r"separation of x = .* and y = .* overflows"
+    cases = [(pair, lambda: green_omega(far, origin, omega, BG, dim)),
+             (pair, lambda: green_traction(origin, far, nrm, omega, BG, dim))]
     if dim == 2 and omega > 0:
-        cases.append(("asymptotic_gap_2d", lambda: asymptotic_gap_2d(far, origin, omega, BG)))
-    for name, call in cases:
-        with pytest.raises(ValueError, match=r"separation of x = .* and y = .* overflows"):
+        cases.append((pair, lambda: asymptotic_gap_2d(far, origin, omega, BG)))
+    if dim == 2:
+        circle = circle_quadrature(2.0, 16)
+        density = np.ones(32)
+        for potential in (sl_potential, dl_potential):
+            # one far target, and a stack whose last target is the far one
+            for targets, index in ((far, 0), (np.array([[3.0, 0.0], [0.0, 4.0], far]), 2)):
+                cases.append((rf"separation of target {index} = .* from the nodes overflows",
+                              lambda p=potential, t=targets: p(circle, density, t, omega, BG)))
+    for match, call in cases:
+        with pytest.raises(ValueError, match=match):
             call()
 
 

@@ -6,7 +6,9 @@ Cartesian finite-difference stress evaluation of reconstructed fields,
 and the normal/tangential stress decomposition identity.
 """
 
+import gc
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,6 @@ from elastocloak import (
     ModeOverflowError,
     NearResonanceError,
     assemble_ntd,
-    assemble_ntds,
     build_near_cloak,
     energy_identity_check,
     lining_config,
@@ -133,12 +134,29 @@ def test_negative_order_rejected(n):
 
 @pytest.mark.parametrize("traction", [(np.nan, 0.0), (1.0, np.inf), (1.0, complex(0.0, np.nan))])
 def test_non_finite_traction_rejected(traction):
-    # a NaN or infinite traction gave a NaN balance and NaN coefficients
+    # a NaN or infinite traction gave a NaN balance, NaN coefficients and
+    # NaN fields (or solve_mode's RuntimeWarning)
     config = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, BG))
     tractions = {0: (1.0, 0.0), 1: traction}
-    for call in (lambda: energy_identity_check(config, OMEGA, tractions),
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: energy_identity_check(config, OMEGA, tractions),
+                     lambda: solve_exterior_cavity(0.1, tractions, OMEGA, BG),
+                     lambda: solve_mode(config, OMEGA, 1, traction)):
+            with pytest.raises(ValueError, match="traction of mode 1 must be finite"):
+                call()
+
+
+@pytest.mark.parametrize("traction", [(1.0,), (1.0, 0.0, 0.0)], ids=["one-entry", "three-entries"])
+def test_traction_that_is_not_a_pair_is_refused(traction):
+    # a wrong length gave numpy's gufunc error "mismatch in its core
+    # dimension", or beside pairs its "inhomogeneous shape"
+    config = LayeredDiskConfig(radii=(2.0, 1.0), media=(BG, BG))
+    tractions = {0: (1.0, 0.0), 3: traction}
+    for call in (lambda: solve_mode(config, OMEGA, 3, traction),
+                 lambda: energy_identity_check(config, OMEGA, tractions),
                  lambda: solve_exterior_cavity(0.1, tractions, OMEGA, BG)):
-        with pytest.raises(ValueError, match="traction of mode 1 must be finite"):
+        with pytest.raises(ValueError, match=r"traction of mode 3 must be a pair \(s_rr, s_rt\)"):
             call()
 
 
@@ -229,32 +247,31 @@ def test_batched_ntd_matches_one_mode_solves(kind):
     (100, 1e14, {(0.1, "ModeOverflowError"), (0.05, "ModeOverflowError"),
                  (0.025, "ModeOverflowError"), (0.005, "ModeOverflowError")}),
 ])
-def test_assemble_ntds_matches_per_config(n_max, cond_limit, errors):
-    # one stack of two layouts (near-cloaks and lining cavities) against
-    # one assemble_ntd call per config
+def test_assemble_ntd_errors_per_config(n_max, cond_limit, errors):
+    # two layouts (near-cloaks and lining cavities): a config's operator is
+    # finite within the limit, or its error names its mode
     configs = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=c, background=BG).virtual
                for c in DEFAULT_CONTENTS.values() for h in H_SWEEP]
     configs += [lining_config(h, BG) for h in H_SWEEP]
     configs.append(build_near_cloak(0.005, 1.0, 1.0, 1.0, 0.0,
                                     content=DEFAULT_CONTENTS["stiff"], background=BG).virtual)
-    stacked = assemble_ntds(configs, OMEGA, n_max, cond_limit=cond_limit)
-    seen = set()
-    for config, got in zip(configs, stacked):
+    seen, failed = set(), {}
+    for config in configs:
         try:
-            alone = assemble_ntd(config, OMEGA, n_max, cond_limit=cond_limit)
+            op = assemble_ntd(config, OMEGA, n_max, cond_limit=cond_limit)
         except (NearResonanceError, ModeOverflowError) as exc:
-            assert type(got) is type(exc) and got.mode == exc.mode
-            assert str(got) == str(exc)
+            assert str(exc).startswith(f"mode {exc.mode} ")
+            if isinstance(exc, NearResonanceError):
+                assert exc.condition > cond_limit
             seen.add((config.radii[1], type(exc).__name__))
+            failed[config] = exc
             continue
-        assert got.blocks.tobytes() == alone.blocks.tobytes()
-        assert got.conditions.tobytes() == alone.conditions.tobytes()
-        assert got.radius == alone.radius and got.n_max == n_max
-        assert np.isfinite(got.blocks).all()
+        assert op.radius == config.outer_radius and op.n_max == n_max
+        assert op.blocks.shape == (n_max + 1, 2, 2) and np.isfinite(op.blocks).all()
+        assert (op.conditions <= cond_limit).all()
     assert seen == errors
-    overflow = stacked[-1]
-    if isinstance(overflow, ModeOverflowError):
-        assert overflow.mode == 71
+    if n_max == 100:
+        assert failed[configs[-1]].mode == 71
 
 
 @pytest.mark.parametrize("h, mode", [(0.05, 91), (0.005, 71)])
@@ -285,7 +302,6 @@ def test_overflowed_mode_raises_typed_error(h, mode):
 def test_n_max_that_is_not_a_non_negative_integer_is_refused(n_max):
     config = _near_cloak_or_cavity("stiff")
     for call in (lambda: assemble_ntd(config, OMEGA, n_max),
-                 lambda: assemble_ntds([config], OMEGA, n_max),
                  lambda: free_disk_ntd(BG, 2.0, OMEGA, n_max)):
         with pytest.raises(ValueError, match="n_max"):
             call()
@@ -305,35 +321,66 @@ def test_omega_that_is_not_positive_and_finite_is_refused(omega):
 
 def test_exactly_singular_system_fails_only_its_config(monkeypatch):
     # numpy's batched inverse refuses a whole stack for one exactly
-    # singular matrix; the solver inverts that stack matrix by matrix, so
-    # only the config holding it fails, with condition inf
-    configs = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
-                                background=BG).virtual for h in (0.1, 0.05, 0.025)]
-    alone = [assemble_ntd(config, OMEGA, 16) for config in configs]
-    interface_systems = modesolver._interface_systems
+    # singular matrix; the solver then inverts the stack matrix by matrix,
+    # so the lowest singular mode is named, with condition inf, without a
+    # warning, whatever the condition limit
+    config = _near_cloak_or_cavity("stiff")
+    interface_system = modesolver._interface_system
 
-    def singular_middle(cfgs, table):
-        A, B0 = interface_systems(cfgs, table)
-        # mode 5 of the middle config: the identity with column 3 repeating
-        # column 2, singular in exact arithmetic and to LAPACK
-        for c, n in np.ndindex(A.shape[:2]):
-            if cfgs[c] == configs[1] and table.orders[n] == 5:
-                A[c, n] = np.eye(A.shape[-1])
-                A[c, n, :, 3] = A[c, n, :, 2]
+    def singular_modes(cfg, table):
+        A, B0 = interface_system(cfg, table)
+        # modes 5 and 9: the identity with column 3 repeating column 2,
+        # singular in exact arithmetic and to LAPACK
+        for k in np.flatnonzero(np.isin(table.orders, (5, 9))):
+            A[k] = np.eye(A.shape[-1])
+            A[k, :, 3] = A[k, :, 2]
         return A, B0
 
-    monkeypatch.setattr(modesolver, "_interface_systems", singular_middle)
+    monkeypatch.setattr(modesolver, "_interface_system", singular_modes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = assemble_ntds(configs, OMEGA, 16)
-        with pytest.raises(NearResonanceError) as exc:
-            mode_system_condition(configs[1], OMEGA, 5)
-    assert exc.value.condition == np.inf
-    assert isinstance(got[1], NearResonanceError)
-    assert got[1].mode == 5 and got[1].condition == np.inf
-    for k in (0, 2):
-        assert got[k].blocks.tobytes() == alone[k].blocks.tobytes()
-        assert got[k].conditions.tobytes() == alone[k].conditions.tobytes()
+        for call in (lambda: assemble_ntd(config, OMEGA, 16),
+                     lambda: assemble_ntd(config, OMEGA, 16, cond_limit=np.inf),
+                     lambda: mode_system_condition(config, OMEGA, 5)):
+            with pytest.raises(NearResonanceError) as exc:
+                call()
+            assert exc.value.mode == 5 and exc.value.condition == np.inf
+        assert mode_system_condition(config, OMEGA, 4) < 1e14
+
+
+def test_solve_stops_before_the_first_unrepresentable_mode(monkeypatch):
+    # the h = 0.05 device's mode-91 system overflows: modes 0-90 reach the
+    # batched inverse, and no system from mode 91 on does
+    sizes = []
+    inverses = modesolver._inverses
+    monkeypatch.setattr(modesolver, "_inverses",
+                        lambda A: sizes.append(A.shape[:-2]) or inverses(A))
+    config = build_near_cloak(0.05, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
+                              background=BG).virtual
+    with pytest.raises(ModeOverflowError) as exc:
+        assemble_ntd(config, OMEGA, 100)
+    assert exc.value.mode == 91
+    assert sizes == [(91,)]
+
+
+def test_a_refused_solve_frees_its_arrays_with_its_error():
+    # the error's traceback holds the solver's frames; with no reference
+    # cycle through them, their arrays (~400 kB here) go with the error,
+    # not at the next GC pass
+    config = build_near_cloak(0.05, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
+                              background=BG).virtual
+    gc.disable()
+    tracemalloc.start()
+    try:
+        try:
+            assemble_ntd(config, OMEGA, 100)
+        except ModeOverflowError:
+            pass
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 200_000 and current < 20_000
 
 
 def test_free_disk_ntd_names_an_exactly_singular_mode(monkeypatch):
@@ -358,8 +405,8 @@ def test_conditions_are_exact_one_norm_conditions():
     orders = np.array([0, 5, 16, 24])
     op = assemble_ntd(config, OMEGA, 24)
     table = modesolver._basis_table(modesolver._interface_points(config), OMEGA, orders)
-    A, _ = modesolver._interface_systems([config], table)
-    As = A[0] / np.abs(A[0]).max(axis=-2)[:, None, :]
+    A, _ = modesolver._interface_system(config, table)
+    As = A / np.abs(A).max(axis=-2)[:, None, :]
     As /= np.abs(As).max(axis=-1)[..., None]
     with mp.workdps(30):
         for n, a in zip(orders, As):
@@ -370,9 +417,9 @@ def test_conditions_are_exact_one_norm_conditions():
             assert op.conditions[n] == pytest.approx(want, rel=1e-8), n
 
 
-def _per_region_basis_table(configs):
+def _per_region_basis_table(config):
     """A stand-in for ``modesolver._basis_table`` that evaluates each region
-    of ``configs`` in its own ``basis_matrix`` call with its own kinds: the
+    of ``config`` in its own ``basis_matrix`` call with its own kinds: the
     region's medium at every point of the table inside the region. A
     point two regions share is written by both, and a core leaves its H
     columns NaN."""
@@ -381,16 +428,15 @@ def _per_region_basis_table(configs):
         for p in points:
             rows.setdefault(p, len(rows))
         values = np.full((len(rows), len(orders), 4, 4), np.nan, dtype=complex)
-        for config in configs:
-            for g in modesolver._regions(config):
-                cols = [BASIS_FULL.index(kind) for kind in g.kinds]
-                radii = [r for m, r in rows if m == g.medium and g.r_in <= r <= g.r_out]
-                B = basis_matrix(g.medium, orders, radii, omega, g.kinds)
-                for k, r in enumerate(radii):
-                    row = values[rows[g.medium, r]]
-                    assert np.isnan(row[..., cols]).all() or (
-                        row[..., cols].tobytes() == B[:, k].tobytes())
-                    row[..., cols] = B[:, k]
+        for g in modesolver._regions(config):
+            cols = [BASIS_FULL.index(kind) for kind in g.kinds]
+            radii = [r for m, r in rows if m == g.medium and g.r_in <= r <= g.r_out]
+            B = basis_matrix(g.medium, orders, radii, omega, g.kinds)
+            for k, r in enumerate(radii):
+                row = values[rows[g.medium, r]]
+                assert np.isnan(row[..., cols]).all() or (
+                    row[..., cols].tobytes() == B[:, k].tobytes())
+                row[..., cols] = B[:, k]
         return modesolver._BasisTable(rows, np.asarray(orders), values)
 
     return table
@@ -404,7 +450,7 @@ def _per_region_absorbed_power(config, omega, tractions, x, w):
     tr = np.array(list(tractions.values()), dtype=complex)
     fac = np.where(orders == 0, 2.0 * np.pi, np.pi)
     table = modesolver._basis_table(modesolver._interface_points(config), omega, orders)
-    sol, _, _ = modesolver._solve_config(config, table)
+    sol, _, _ = modesolver._solve_modes(config, table)
     coeffs = sol @ tr[:, :, None]
     lhs = 0.0
     for g in modesolver._regions(config):
@@ -445,20 +491,18 @@ def test_one_table_matches_per_region_basis_calls(monkeypatch, case):
         "lossy-core": [_lossy_core()],
     }[case]
     tractions = {0: (1.0, 0.5j), 3: (-0.2, 1.0), 5: (0.3 - 0.1j, 0.7)}
+    x, weights, _ = modesolver._gauss_rule(24)  # every case is resolved on the first rule
     for omega in (1.0, 2.0):
-        got = assemble_ntds(configs, omega, 24)
-        balances = [energy_identity_check(config, omega, tractions) for config in configs]
-        with monkeypatch.context() as m:
-            m.setattr(modesolver, "_basis_table", _per_region_basis_table(configs))
-            want = assemble_ntds(configs, omega, 24)
-            assert balances == [energy_identity_check(config, omega, tractions)
-                                for config in configs]
-        for g, w in zip(got, want):
-            assert g.blocks.tobytes() == w.blocks.tobytes()
-            assert g.conditions.tobytes() == w.conditions.tobytes()
-        x, weights, _ = modesolver._gauss_rule(24)  # every case is resolved on the first rule
-        for config, (_, lhs, _) in zip(configs, balances):
-            assert lhs == _per_region_absorbed_power(config, omega, tractions, x, weights)
+        for config in configs:
+            got = assemble_ntd(config, omega, 24)
+            balance = energy_identity_check(config, omega, tractions)
+            with monkeypatch.context() as m:
+                m.setattr(modesolver, "_basis_table", _per_region_basis_table(config))
+                want = assemble_ntd(config, omega, 24)
+                assert balance == energy_identity_check(config, omega, tractions)
+            assert got.blocks.tobytes() == want.blocks.tobytes()
+            assert got.conditions.tobytes() == want.conditions.tobytes()
+            assert balance[1] == _per_region_absorbed_power(config, omega, tractions, x, weights)
 
 
 def test_core_reads_the_regular_columns_of_the_full_basis():
@@ -523,7 +567,8 @@ def test_sweep_paths_take_no_svd(monkeypatch):
     config = _near_cloak_or_cavity("stiff")
     convergence_sweep({})
     lining_sweep({})
-    assemble_ntds([config, _near_cloak_or_cavity("cavity")], OMEGA, 16)
+    assemble_ntd(config, OMEGA, 16)
+    assemble_ntd(_near_cloak_or_cavity("cavity"), OMEGA, 16)
     free_disk_ntd(BG, 2.0, OMEGA, 16)
     energy_identity_check(config, OMEGA, {0: (1.0, 0.0), 3: (0.2, 0.5j)})
     solve_mode(config, OMEGA, 3, (1.0, 0.0))
@@ -559,13 +604,14 @@ def test_sweep_distances_match_the_paired_global_solves(omega):
     for name, content in DEFAULT_CONTENTS.items():
         devices = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=content, background=BG).virtual
                    for h in h_values]
-        ops = assemble_ntds(devices, omega, conv["n_max"])
-        for row, op in zip(conv["contents"][name]["rows"], ops):
+        for row, device in zip(conv["contents"][name]["rows"], devices):
+            op = assemble_ntd(device, omega, conv["n_max"])
             assert row["distance"] == pytest.approx(ntd_distance(op, ref), rel=1e-10)
 
     def lining_distance(h, beta):
         device = build_near_cloak(h, 1.0, beta, 1.0, 0.0, content=BG, background=BG).virtual
-        return ntd_distance(*assemble_ntds([device, lining_config(h, BG)], omega, lin["n_max"]))
+        return ntd_distance(assemble_ntd(device, omega, lin["n_max"]),
+                            assemble_ntd(lining_config(h, BG), omega, lin["n_max"]))
 
     for row in lin["rows"]:
         assert row["distance"] == pytest.approx(lining_distance(row["h"], 1.0), rel=1e-10)
@@ -606,6 +652,21 @@ def test_walk_passes_an_inclusion_that_resonates_alone(resonance):
     ref, (diff,) = modesolver._free_disk_differences([device], BG, 2.0, OMEGA, 8)
     want = assemble_ntd(device, OMEGA, 8).blocks - ref.blocks
     assert np.abs(diff - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_walk_checks_the_free_disk_inverse():
+    # the outer medium of this inclusion is traction-free resonant in mode
+    # 0 as a disk of radius 2: the walk's inverse of that disk's traction
+    # system is checked against the limit like its other 2x2 systems
+    config = resonant_config(1.0, 1.0, 1.0, 2.0,
+                             find_resonant_densities(1.0, 1.0, 1.0, 2.0, OMEGA))
+    ref, (diff,) = modesolver._free_disk_differences([config], config.media[0], 2.0, OMEGA, 8)
+    assert ref.conditions[0] > 1e14
+    assert isinstance(diff, NearResonanceError)
+    assert diff.mode == 0 and diff.condition > 1e14
+    with pytest.raises(NearResonanceError) as exc:
+        assemble_ntd(config, OMEGA, 8)
+    assert exc.value.mode == 0
 
 
 def test_walk_inverse_scales_its_columns():
