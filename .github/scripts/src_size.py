@@ -3,14 +3,15 @@ public functions no other code calls.
 
     python3 .github/scripts/src_size.py head=src base=/tmp/base/src
 
-Each argument is LABEL=DIR. The lines are every line of every ``*.py``
-file under DIR, the public names the sum over those modules of the length
-of their ``__all__`` (read without importing them), and the modules the
-count of those files. A public def is a name of a module's ``__all__``
-bound by a top-level ``def``; it counts as uncalled when no other module
-under DIR and no ``*.py`` file under DIR's sibling ``demos`` or
-``benchmark`` directories names it (as a name, an attribute, an import
-or a string).
+Each argument is LABEL=DIR; a malformed one is refused with a usage line
+on stderr and exit code 2, before anything is printed. The lines are
+every line of every ``*.py`` file under DIR, the public names the sum
+over those modules of the length of their ``__all__`` (read without
+importing them), and the modules the count of those files. A public
+def is a name of a module's ``__all__`` bound by a top-level ``def``; it
+counts as uncalled when no other module under DIR and no ``*.py`` file
+under DIR's sibling ``demos`` or ``benchmark`` directories names it (as
+a name, an attribute, an import or a string).
 Prints one Markdown table, a row per argument, then each tree's uncalled
 public defs.
 """
@@ -64,18 +65,22 @@ def size(root):
 
 
 def main(args):
+    trees = [arg.split("=", 1) for arg in args]
+    if any(len(tree) != 2 or not all(tree) for tree in trees):
+        print("usage: src_size.py LABEL=DIR [LABEL=DIR ...]", file=sys.stderr)
+        return 2
     print("| tree | lines | public names | modules | uncalled public defs |")
     print("| --- | ---: | ---: | ---: | ---: |")
     listed = []
-    for arg in args:
-        label, root = arg.split("=", 1)
+    for label, root in trees:
         lines, names, modules, uncalled = size(root)
         print(f"| {label} | {lines} | {names} | {modules} | {len(uncalled)} |")
         listed.append((label, uncalled))
     for label, uncalled in listed:
         if uncalled:
             print(f"\n{label}: " + ", ".join(f"`{name}`" for name in uncalled))
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -2,47 +2,30 @@
 
 The regularized cloak with its lossy lining should render any content
 invisible up to O(h^N): the Neumann-to-Dirichlet map of the device
-approaches the free-space map at rate 2 in 2D. The sweep solves the
-equivalent virtual three-layer disk per Fourier mode and fits the
-log-log rate, once per content, to exhibit content independence.
+approaches the free-space map at rate 2 in 2D. The convergence sweep
+walks the equivalent virtual three-layer disk per Fourier mode, from
+the content out to the free background, and fits the log-log rate, once
+per content, to exhibit content independence. Its defaults: omega = 1,
+n_max = 16, a unit background and h = 0.2, 0.1, 0.05, 0.025.
 """
 
-from elastocloak import (
-    IsotropicMedium,
-    assemble_ntd,
-    build_near_cloak,
-    free_disk_ntd,
-    ntd_distance,
-)
-from elastocloak.harness import loglog_fit
+from elastocloak import convergence_sweep
 
-omega, n_max = 1.0, 16
-bg = IsotropicMedium(1.0, 1.0, 1.0)
-reference = free_disk_ntd(bg, 2.0, omega, n_max)
-
-contents = {
-    "soft  (lam=mu=0.2)": IsotropicMedium(0.2, 0.2, 1.0),
-    "stiff (lam=mu=5.0)": IsotropicMedium(5.0, 5.0, 1.0),
-    "heavy (rho=4)     ": IsotropicMedium(1.0, 1.0, 4.0),
+labels = {
+    "soft": "soft  (lam=mu=0.2)",
+    "stiff": "stiff (lam=mu=5.0)",
+    "heavy": "heavy (rho=4)     ",
 }
-h_values = [0.2, 0.1, 0.05, 0.025]
+rep = convergence_sweep({})
+h_values = [r["h"] for r in rep["contents"]["soft"]["rows"]]
 
 print("||Lambda_h - Lambda_0|| for the lossy near-cloak, per content:\n")
 print(f"{'content':<20}" + "".join(f"  h={h:<8}" for h in h_values) + "  slope   r2")
-table = {}
-for name, content in contents.items():
-    dists = []
-    for h in h_values:
-        device = build_near_cloak(h, alpha=1.0, beta=1.0, gamma=1.0, delta=0.0,
-                                  content=content, background=bg)
-        op = assemble_ntd(device.virtual, omega, n_max)
-        dists.append(ntd_distance(op, reference))
-    fit = loglog_fit(h_values, dists)
-    table[name] = dists
-    row = "".join(f"  {d:9.3e}" for d in dists)
-    print(f"{name:<20}{row}  {fit.slope:5.3f}  {fit.r2:.4f}")
+for name, data in rep["contents"].items():
+    row = "".join(f"  {r['distance']:9.3e}" for r in data["rows"])
+    fit = data["fit"]
+    print(f"{labels[name]:<20}{row}  {fit['slope']:5.3f}  {fit['r2']:.4f}")
 
 print("\ncross-content spread per h (the rate constant is content independent):")
-for i, h in enumerate(h_values):
-    vals = [v[i] for v in table.values()]
-    print(f"  h={h:<6} spread = {(max(vals) - min(vals)) / max(vals):6.3f}")
+for s in rep["spreads"]:
+    print(f"  h={s['h']:<6} spread = {s['spread']:6.3f}")

@@ -6,37 +6,31 @@ NtD approaches the traction-free-cavity NtD at the same h^2 rate at
 which both approach free space; (ii) an h-cavity driven by a fixed
 rescaled traction radiates a far trace of size O(h) in 2D; (iii) the
 power absorbed in the lossy lining exactly balances the boundary flux
-deficit.
+deficit. The first view is the lining sweep at its defaults (n_max = 16,
+h = 0.2, 0.1, 0.05, 0.025) for one content.
 """
 
 import numpy as np
 
 from elastocloak import (
     IsotropicMedium,
-    assemble_ntd,
     build_near_cloak,
     energy_identity_check,
-    lining_config,
-    ntd_distance,
+    lining_sweep,
     solve_exterior_cavity,
 )
 from elastocloak.harness import loglog_fit
 
-omega, n_max = 1.0, 16
+omega = 1.0
 bg = IsotropicMedium(1.0, 1.0, 1.0)
 content = IsotropicMedium(2.0, 1.0, 1.0)
-h_values = [0.2, 0.1, 0.05, 0.025]
 
 print("lossy-layer NtD vs traction-free-cavity NtD:")
-dists = []
-for h in h_values:
-    nc = build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=content, background=bg)
-    d = ntd_distance(assemble_ntd(nc.virtual, omega, n_max),
-                     assemble_ntd(lining_config(h, bg), omega, n_max))
-    dists.append(d)
-    print(f"  h={h:<6} distance = {d:.3e}")
-fit = loglog_fit(h_values, dists)
-print(f"  fitted rate {fit.slope:.3f} (r2 = {fit.r2:.4f})\n")
+rep = lining_sweep({"omega": omega, "content": {"lambda": content.lam, "mu": content.mu}})
+h_values = [row["h"] for row in rep["rows"]]
+for row in rep["rows"]:
+    print(f"  h={row['h']:<6} distance = {row['distance']:.3e}")
+print(f"  fitted rate {rep['fit']['slope']:.3f} (r2 = {rep['fit']['r2']:.4f})\n")
 
 print("far trace of the traction-driven exterior cavity:")
 tractions = {0: (1.0, 0.3), 1: (0.5, 0.2), 2: (0.3, 0.1)}

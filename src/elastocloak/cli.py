@@ -1,7 +1,7 @@
 """Command-line harness.
 
     elastocloak design|convergence|lining|resonance|kernelcheck
-        [--config FILE] [--out DIR] [--n-max K] [--seed S]
+        [--config FILE] [--out DIR] [--seed S]
 
 Configs are JSON or TOML; every key is optional and defaults to the
 standard verification setup (omega = 1, unit background, h sweep
@@ -160,13 +160,10 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="JSON or TOML config")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--n-max", type=int, default=None, help="override mode cutoff")
     parser.add_argument("--seed", type=int, default=None, help="override RNG seed")
     args = parser.parse_args(argv)
 
     config = load_config(args.config)
-    if args.n_max is not None:
-        config["n_max"] = args.n_max
     if args.seed is not None:
         config["seed"] = args.seed
     out = Path(args.out)

@@ -238,7 +238,12 @@ def _load_special(seconds):
 
 
 def _h_values(config):
-    return list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
+    """The configured h grid; an empty one is refused, since the sweeps
+    read their free disk from the devices."""
+    h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
+    if not h_values:
+        raise ValueError("convergence.h_values must not be empty")
+    return h_values
 
 
 def _distances(diffs):
@@ -304,8 +309,9 @@ def convergence_sweep(config):
     preflight = None
     while True:
         with _stage(seconds, "solve"):
-            # a reference ModeOverflowError flags every row, as a device's error does
-            ref, diffs = _free_disk_differences(devices, bg, 2.0, omega, n_max)
+            # a free disk that overflows flags every row: its J columns are
+            # every device's outer annulus's
+            ref, diffs = _free_disk_differences(devices, omega, n_max)
         if preflight is None:
             preflight = float("nan") if isinstance(ref, Exception) else float(ref.conditions.max())
         with _stage(seconds, "distances"):
@@ -388,7 +394,7 @@ def lining_sweep(config):
         # the cavity of every h and the beta = beta0 device at h_mid recur
         distinct = list(dict.fromkeys(c for p in pairs for c in p))
     with _stage(seconds, "solve"):
-        _, diffs = _free_disk_differences(distinct, bg, 2.0, omega, n_max)
+        _, diffs = _free_disk_differences(distinct, omega, n_max)
         diffs = dict(zip(distinct, diffs))
     with _stage(seconds, "distances"):
         # Lambda_a - Lambda_b = (Lambda_a - Lambda_free) - (Lambda_b - Lambda_free),

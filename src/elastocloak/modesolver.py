@@ -22,8 +22,9 @@ solutions and the conditions. ``assemble_ntd``, ``solve_mode``,
 solve.
 
 The convergence and lining sweeps need only Lambda - Lambda_free, a
-device's NtD map less the free disk's, which agree to O(h^2): taking it
-as the difference of two maps loses it to rounding below h ~ 1e-5.
+device's NtD map less the free disk's (the outer region the devices
+share), which agree to O(h^2): taking it as the difference of two maps
+loses it to rounding below h ~ 1e-5.
 ``_free_disk_differences`` walks each config inward-out through its
 interfaces with 2x2 T-matrices per mode instead, every config of one
 layout at once from one table (the lining cavities reuse the
@@ -143,16 +144,6 @@ class LayeredDiskConfig:
     @property
     def n_annuli(self):
         return len(self.radii) - 1
-
-    def annulus(self, i):
-        """(medium, r_outer, r_inner) for annular region i (outside-in)."""
-        return self.media[i], self.radii[i], self.radii[i + 1]
-
-    @property
-    def core_medium(self):
-        if self.inner != "core":
-            raise ValueError("config has a cavity, not a core")
-        return self.media[-1]
 
 
 @dataclass(frozen=True)
@@ -303,14 +294,11 @@ def _regions(config):
 
     Unknown layout: 4 per annulus (J/H x P/S), then 2 for a core (J x P/S).
     """
-    out = []
-    for i in range(config.n_annuli):
-        med, r_out, r_in = config.annulus(i)
-        out.append(_Region(med, BASIS_FULL, slice(4 * i, 4 * i + 4), r_in, r_out))
+    radii, media, na = config.radii, config.media, config.n_annuli
+    out = [_Region(media[i], BASIS_FULL, slice(4 * i, 4 * i + 4), radii[i + 1], radii[i])
+           for i in range(na)]
     if config.inner == "core":
-        na = config.n_annuli
-        out.append(_Region(config.core_medium, BASIS_REGULAR, slice(4 * na, 4 * na + 2),
-                           0.0, config.radii[-1]))
+        out.append(_Region(media[-1], BASIS_REGULAR, slice(4 * na, 4 * na + 2), 0.0, radii[-1]))
     return out
 
 
@@ -548,12 +536,13 @@ def _col_max(*blocks):
     return functools.reduce(np.maximum, [x for b in m for x in (b[0], b[1])])
 
 
-def _free_disk_differences(configs, medium, radius, omega, n_max):
-    """:func:`free_disk_ntd` of ``medium`` at ``radius``, or its
-    :class:`ModeOverflowError`, and for each config of ``configs`` (each
-    an annulus of ``medium`` from ``radius`` inwards over an inner stack)
-    its blocks Lambda - Lambda_free, (n_max + 1, 2, 2), or its typed
-    error; one basis table holds every point.
+def _free_disk_differences(configs, omega, n_max):
+    """:func:`free_disk_ntd` of the free disk, the outer region that the
+    configs ``configs`` share (``media[0]`` filling ``radii[0]``), or its
+    :class:`ModeOverflowError`, and for each config its blocks
+    Lambda - Lambda_free, (n_max + 1, 2, 2), or its typed error; one basis
+    table holds every point. Configs whose outer regions differ, and a
+    config with no outer annulus, are refused with a ``ValueError``.
 
     Each config is walked inward-out through its interfaces with 2x2
     T-matrices per mode (Chew, *Waves and Fields in Inhomogeneous Media*,
@@ -564,7 +553,7 @@ def _free_disk_differences(configs, medium, radius, omega, n_max):
     annulus over M has T = -(U_H - M S_H)^-1 (U_J - M S_J) at its inner
     radius (the annulus's field, J a + H T a, meets the stack there), and
     M = (U_J + U_H T)(S_J + S_H T)^-1 at its outer one. The outer
-    annulus's T gives, at ``radius``,
+    annulus's T gives, at the outer radius,
 
         Lambda - Lambda_free = (U_H - Lambda_free S_H) T (S_J + S_H T)^-1,
 
@@ -573,22 +562,26 @@ def _free_disk_differences(configs, medium, radius, omega, n_max):
 
     A config's error is a :class:`ModeOverflowError` for the first mode
     at which one of its basis columns holds a non-finite value or is zero
-    over its region's points, or at which the free disk overflows; else a
-    :class:`NearResonanceError` for the lowest mode at which a 2x2 system
-    the walk inverts (the free disk's S_J at ``radius`` among them) is
-    singular or has a 1-norm condition above 1e14, its columns
-    equilibrated by the field columns they belong to (see :func:`_inv`).
+    over its region's points (the free disk's J columns are the outer
+    annulus's at the outer radius), else a :class:`NearResonanceError` for
+    the lowest mode at which a 2x2 system the walk inverts (the free
+    disk's S_J at the outer radius among them) is singular or has a
+    1-norm condition above 1e14, its columns equilibrated by the field
+    columns they belong to (see :func:`_inv`).
     """
     _check_count(n_max, "n_max")
-    point = (medium, float(radius))
+    for i, config in enumerate(configs):
+        if not config.n_annuli:
+            raise ValueError(f"config {i} has no outer annulus to walk from the free disk")
+    point = (configs[0].media[0], configs[0].outer_radius)
+    if any((config.media[0], config.outer_radius) != point for config in configs):
+        raise ValueError("the configs must share their outer region, the free disk")
     points = [_interface_points(config) for config in configs]
-    table = _basis_table([p for ps in points for p in ps] + [point], omega,
-                         np.arange(n_max + 1))
+    table = _basis_table([p for ps in points for p in ps], omega, np.arange(n_max + 1))
     try:
-        ref = _disk_ntd(table.gather([point])[0][..., _REGULAR], radius, omega)
-        n_ref = n_max + 1
+        ref = _disk_ntd(table.gather([point])[0][..., _REGULAR], point[1], omega)
     except ModeOverflowError as exc:
-        ref, n_ref = exc, exc.mode
+        ref = exc
     # V[U/S, J/H, i, j, row, m]: the (U or S, J or H) block of every point,
     # so that a gather over points leaves each block contiguous
     V = table.values[..., _JH]
@@ -604,18 +597,18 @@ def _free_disk_differences(configs, medium, radius, omega, n_max):
         # is the last
         rows = np.array([[table.rows[p] for p in points[i]] for i in idx]).T
         diffs = _walk(configs[idx[0]], [V[..., r, :] for r in rows],
-                      [mag[..., r, :] for r in rows], table.orders, n_ref)
+                      [mag[..., r, :] for r in rows], table.orders)
         for i, diff in zip(idx, diffs):
             out[i] = diff
     return ref, out
 
 
-def _walk(config, X, mag, orders, n_ref):
+def _walk(config, X, mag, orders):
     """The blocks Lambda - Lambda_free, or the errors, as
     :func:`_free_disk_differences` gives them, of the configs of the
     layout of ``config``. Per interface point, ``X`` holds their basis
     (U/S, J/H, 2, 2, C, M) and ``mag`` the largest |entry| of each column
-    (J/H, 2, C, M); the free disk is representable below ``n_ref``."""
+    (J/H, 2, C, M)."""
     na = config.n_annuli
     usable = True
     for k, g in enumerate(_regions(config)):
@@ -655,8 +648,7 @@ def _walk(config, X, mag, orders, n_ref):
     cond = np.maximum.reduce(conds)
     cond[np.isnan(cond) | ~np.isfinite(diff).all(axis=(0, 1))] = np.inf
     diff = np.moveaxis(diff, (0, 1), (-2, -1))
-    errors = [_mode_error(orders, c, n, _COND_LIMIT)
-              for c, n in zip(cond, np.minimum(n_ok, n_ref))]
+    errors = [_mode_error(orders, c, n, _COND_LIMIT) for c, n in zip(cond, n_ok)]
     return [d if e is None else e for d, e in zip(diff, errors)]
 
 

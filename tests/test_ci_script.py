@@ -120,3 +120,14 @@ def test_src_size_lists_public_defs_that_no_other_code_names(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "src_size.py"), f"t={src.parent}"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[2:] == ["| t | 7 | 5 | 2 | 1 |", "", "t: `a.f`"]
+
+
+def test_src_size_refuses_an_argument_that_is_not_label_dir():
+    # checked before the table header is printed: a bad argument after a
+    # good one leaves no half table
+    for args in (["src"], ["head=src", "base"], ["=src"], ["head="]):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "src_size.py"), *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: src_size.py LABEL=DIR")

@@ -96,11 +96,11 @@ def test_readme_config_runs_under_every_command(tmp_path):
     config = json.loads(block.group(1))
     for command in COMMAND_FUNCTIONS:
         command(dict(config))
-    # and through the CLI, with the --seed and --n-max overrides
+    # and through the CLI, with the --seed override
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     for cmd in ("design", "resonance", "kernelcheck"):
-        assert run([cmd, "--config", path, "--out", tmp_path, "--seed", 4, "--n-max", 8]) == 0
+        assert run([cmd, "--config", path, "--out", tmp_path, "--seed", 4]) == 0
 
 
 def test_design_grid_clipping(tmp_path, capsys):
@@ -411,8 +411,10 @@ def test_convergence_escalates_n_max_to_the_same_sweep():
 
 
 def test_sweeps_refuse_a_bad_omega_or_n_max(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_max": -1}))
     with pytest.raises(ValueError, match="n_max"):
-        run(["convergence", "--n-max", "-1", "--out", tmp_path])
+        run(["convergence", "--config", cfg, "--out", tmp_path])
     # a configured n_max that is not an integer is refused, not truncated
     for n_max in (2.5, True):
         for sweep in (harness.convergence_sweep, harness.lining_sweep):
@@ -426,13 +428,13 @@ def test_sweeps_refuse_a_bad_omega_or_n_max(tmp_path):
                 run([cmd, "--config", cfg, "--out", tmp_path])
 
 
-def test_n_max_override_and_background_content(tmp_path):
+def test_configured_n_max_and_background_content(tmp_path):
     # content defaulting to the background ("cloaking nothing") still
     # converges at the same rate
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"convergence": {"h_values": [0.2, 0.1, 0.05],
-                                               "contents": [{"name": "nothing"}]}}))
-    assert run(["convergence", "--config", cfg, "--out", tmp_path, "--n-max", "6"]) == 0
+    cfg.write_text(json.dumps({"n_max": 6, "convergence": {"h_values": [0.2, 0.1, 0.05],
+                                                           "contents": [{"name": "nothing"}]}}))
+    assert run(["convergence", "--config", cfg, "--out", tmp_path]) == 0
     rep = json.loads((tmp_path / "convergence.json").read_text())
     assert rep["n_max"] >= 6
     assert 1.6 < rep["contents"]["nothing"]["fit"]["slope"] < 2.4

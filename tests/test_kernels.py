@@ -441,15 +441,23 @@ def mpmath_gap_2d(x, y, omega, medium, digits=50):
 
 @pytest.mark.parametrize("omega,medium", [(0.7, BG), (1.3, IsotropicMedium(2.5, 0.7, 1.8))],
                          ids=["unit", "rho1.8"])
-@pytest.mark.parametrize("d", [1e-3, 1e-4])
+@pytest.mark.parametrize("d", [1e-3, 1e-4, "1.5/ks"])
 def test_gap_remainder_matches_mpmath(omega, medium, d):
-    # the remainder is O(d^2 ln d), so an O(ln d) difference of two
-    # tensors would leave rounding noise of order eps |eta| in it
+    # below the series switch |ks d| = 1 the remainder is O(d^2 ln d), so
+    # an O(ln d) difference of two tensors would leave rounding noise of
+    # order eps |eta| in it; past the switch it is that difference, and
+    # the relative bound alone holds
+    from elastocloak.wavefields import wavenumbers
+
+    series = not isinstance(d, str)
+    if not series:
+        d = 1.5 / abs(wavenumbers(medium, omega)[1])
     x = np.array([0.3, 0.4])
     y = x - d * np.array([np.cos(0.5), np.sin(0.5)])
     want, eta = mpmath_gap_2d(x, y, omega, medium)
     err = float(np.abs(asymptotic_gap_2d(x, y, omega, medium) - want).max())
-    assert err <= np.finfo(float).eps * abs(eta)
+    if series:
+        assert err <= np.finfo(float).eps * abs(eta)
     assert err <= 1e-12 * np.abs(want).max()
 
 

@@ -587,7 +587,7 @@ def test_walk_of_a_background_inner_stack_is_zero(h):
     # of DBL_MAX: the 2x2 inverses must scale their blocks first
     configs = [LayeredDiskConfig(radii=(2.0, h), media=(BG, BG)),
                LayeredDiskConfig(radii=(2.0, h, 0.5 * h), media=(BG,) * 3)]
-    ref, diffs = modesolver._free_disk_differences(configs, BG, 2.0, OMEGA, 32)
+    ref, diffs = modesolver._free_disk_differences(configs, OMEGA, 32)
     for diff in diffs:
         assert np.abs(diff).max() <= 1e-12 * np.abs(ref.blocks).max()
 
@@ -625,7 +625,7 @@ def test_walk_names_a_singular_mode_of_one_config_only(monkeypatch):
     # the core's traction system S_J is singular there, its columns are not
     configs = [build_near_cloak(h, 1.0, 1.0, 1.0, 0.0, content=DEFAULT_CONTENTS["stiff"],
                                 background=BG).virtual for h in (0.1, 0.05, 0.025)]
-    _, want = modesolver._free_disk_differences(configs, BG, 2.0, OMEGA, 16)
+    _, want = modesolver._free_disk_differences(configs, OMEGA, 16)
     basis_table = modesolver._basis_table
 
     def singular_core(points, omega, orders):
@@ -636,7 +636,7 @@ def test_walk_names_a_singular_mode_of_one_config_only(monkeypatch):
     monkeypatch.setattr(modesolver, "_basis_table", singular_core)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, got = modesolver._free_disk_differences(configs, BG, 2.0, OMEGA, 16)
+        _, got = modesolver._free_disk_differences(configs, OMEGA, 16)
     assert isinstance(got[1], NearResonanceError)
     assert got[1].mode == 5 and got[1].condition == np.inf
     for k in (0, 2):
@@ -649,7 +649,7 @@ def test_walk_passes_an_inclusion_that_resonates_alone(resonance):
     # background it is not, and the walk's T-matrix at r = 1 stays finite
     inclusion = resonant_config(1.0, 1.0, 0.5, 1.0, resonance)
     device = LayeredDiskConfig(radii=(2.0, 1.0, 0.5), media=(BG,) + inclusion.media)
-    ref, (diff,) = modesolver._free_disk_differences([device], BG, 2.0, OMEGA, 8)
+    ref, (diff,) = modesolver._free_disk_differences([device], OMEGA, 8)
     want = assemble_ntd(device, OMEGA, 8).blocks - ref.blocks
     assert np.abs(diff - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -660,7 +660,7 @@ def test_walk_checks_the_free_disk_inverse():
     # system is checked against the limit like its other 2x2 systems
     config = resonant_config(1.0, 1.0, 1.0, 2.0,
                              find_resonant_densities(1.0, 1.0, 1.0, 2.0, OMEGA))
-    ref, (diff,) = modesolver._free_disk_differences([config], config.media[0], 2.0, OMEGA, 8)
+    ref, (diff,) = modesolver._free_disk_differences([config], OMEGA, 8)
     assert ref.conditions[0] > 1e14
     assert isinstance(diff, NearResonanceError)
     assert diff.mode == 0 and diff.condition > 1e14
@@ -687,6 +687,42 @@ def test_walk_inverse_scales_its_columns():
     assert cond[3] == np.inf and np.isfinite(np.delete(cond, 3)).all()
     eye = np.eye(2)[:, :, None] * np.ones(3)
     assert modesolver._inv(eye, np.ones((2, 3)))[1].tolist() == [1.0] * 3
+
+
+def _walk_two(other):
+    """The walk of a near-cloak beside ``other``."""
+    return modesolver._free_disk_differences([_near_cloak_or_cavity("stiff"), other], OMEGA, 8)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: LayeredDiskConfig(radii=(2.0,), media=(BG,), inner="shell"), "inner must be"),
+    (lambda: LayeredDiskConfig(radii=(2.0, 2.0), media=(BG, BG)), "strictly decreasing"),
+    (lambda: LayeredDiskConfig(radii=(2.0, 1.0), media=(BG,)), "expected 2 media"),
+    (lambda: LayeredDiskConfig(radii=(2.0,), media=(), inner="cavity"), "needs an annulus"),
+    (lambda: harness.loglog_fit([0.1], [1.0]), "at least two points"),
+    (lambda: energy_identity_check(_lossy_core(), OMEGA, {}), (0.0, 0.0, 0.0)),
+    # the walk's free disk is the configs' shared outer region: configs
+    # whose outer regions differ have none, and a config with no outer
+    # annulus has nothing to walk; an empty h grid leaves a sweep no device
+    (lambda: _walk_two(LayeredDiskConfig(radii=(3.0, 1.0), media=(BG, BG))),
+     "share their outer region"),
+    (lambda: _walk_two(LayeredDiskConfig(radii=(2.0, 1.0), media=(DEFAULT_CONTENTS["soft"], BG))),
+     "share their outer region"),
+    (lambda: _walk_two(LayeredDiskConfig(radii=(2.0,), media=(BG,))),
+     "config 1 has no outer annulus"),
+    (lambda: convergence_sweep({"convergence": {"h_values": []}}), "h_values"),
+    (lambda: lining_sweep({"convergence": {"h_values": []}}), "h_values"),
+], ids=["inner", "radii-order", "media-count", "cavity-without-annulus", "one-point-fit",
+        "no-tractions", "walk-outer-radius", "walk-outer-medium", "walk-no-annulus",
+        "convergence-empty-h", "lining-empty-h"])
+def test_edge_inputs_are_refused_or_trivial(call, want):
+    # a refusal names what is wrong, and a balance over no tractions is all
+    # zero; no sweep, CLI command or demo reaches these branches
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            call()
+    else:
+        assert call() == want
 
 
 def test_mode_decoupling_structure():
