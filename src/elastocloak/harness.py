@@ -4,7 +4,10 @@ kernel-property reports.
 All drivers are pure functions from a configuration dictionary to plain
 data (lists/dicts of Python floats), so the CLI layer only does I/O.
 Each refuses a config key that no command reads, naming its path.
-Rate fits are unweighted least squares on log-log data over the
+The convergence and lining sweeps share one pipeline: ``_sweep_setup``
+reads their common settings, and ``_sweep`` takes the distances of
+config pairs from one walk per n_max, raising n_max the same way for
+both. Rate fits are unweighted least squares on log-log data over the
 unflagged rows; fits with R^2 < 0.98, or with fewer than two unflagged
 rows (slope NaN), are flagged as rejected, and data with an h that is
 not positive and finite, or a distance that is not, raises.
@@ -137,14 +140,6 @@ def loglog_fit(h_values, distances):
     return FitResult(slope=slope, intercept=intercept, r2=r2, rejected=r2 < _R2_MIN)
 
 
-def _n_max(config):
-    """The configured mode cutoff (default 16); a value that is not a
-    non-negative integer is refused, not truncated."""
-    n_max = config.get("n_max", 16)
-    _check_count(n_max, "n_max")
-    return int(n_max)
-
-
 def _background(config):
     bg = config.get("background", {})
     return IsotropicMedium(bg.get("lambda", 1.0), bg.get("mu", 1.0), 1.0)
@@ -155,16 +150,6 @@ def _content_from(d):
         d.get("lambda", 1.0),
         d.get("mu", 1.0),
         complex(d.get("rho_re", 1.0), d.get("rho_im", 0.0)),
-    )
-
-
-def _cloak_params(config):
-    c = config.get("cloak", {})
-    return dict(
-        alpha=c.get("alpha", 1.0),
-        beta=c.get("beta", 1.0),
-        gamma=c.get("gamma", 1.0),
-        delta=c.get("delta", 0.0),
     )
 
 
@@ -230,36 +215,69 @@ def _stage(seconds, name):
         seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
 
 
-def _load_special(seconds):
-    """Load ``scipy.special`` (deferred until the first cylinder function)
-    as a stage of its own, so the first solve does not carry it."""
-    with _stage(seconds, "load_special"):
-        _special()
-
-
-def _h_values(config):
-    """The configured h grid; an empty one is refused, since the sweeps
-    read their free disk from the devices."""
+def _sweep_setup(config):
+    """Check the config's keys and read what both sweeps share: omega,
+    n_max, the background, the cloak constants and the h grid (an empty
+    one is refused: the sweeps read their free disk from the devices).
+    The stage times start with loading ``scipy.special``, deferred until
+    here so that the first solve does not carry it."""
+    _check_keys(config)
+    omega = float(config.get("omega", 1.0))
+    n_max = config.get("n_max", 16)
+    _check_count(n_max, "n_max")  # refused, not truncated
+    bg = _background(config)
+    cloak = config.get("cloak", {})
+    params = {key: cloak.get(key, default)
+              for key, default in (("alpha", 1.0), ("beta", 1.0), ("gamma", 1.0), ("delta", 0.0))}
     h_values = list(config.get("convergence", {}).get("h_values", [0.2, 0.1, 0.05, 0.025]))
     if not h_values:
         raise ValueError("convergence.h_values must not be empty")
-    return h_values
+    seconds = {}
+    with _stage(seconds, "load_special"):
+        _special()
+    return omega, int(n_max), bg, params, h_values, seconds
 
 
-def _distances(diffs):
-    """Weighted per-mode distances sqrt(1+n^2) smax(D_n) of block
-    differences D, in one closed-form pass over every difference, and each
-    row's flag. A difference that is a typed error (as
-    ``_free_disk_differences`` returns it) gives None and the flag of that
-    error.
+def _sweep(pairs, omega, n_max, seconds):
+    """(distance, tail ratio, flag) of ||Lambda_a - Lambda_b|| for each
+    pair (a, b) of configs, b None for the free disk, and the n_max and
+    free-disk preflight it used.
+
+    Every distinct config is walked once per n_max, in one
+    ``_free_disk_differences`` call, and Lambda_a - Lambda_b is taken as
+    (Lambda_a - Lambda_free) - (Lambda_b - Lambda_free), so no two maps
+    that agree to O(h^2) are subtracted. The distance is the largest
+    per-mode sqrt(1+n^2) smax, the tail ratio the share of it in the last
+    two modes. A pair with a typed error on either side (every pair, when
+    the free disk overflows: its J columns are every device's outer
+    annulus's) gets NaN for both and the flag of the first. While some
+    tail ratio exceeds 1%, n_max is raised by 8, up to ``_N_MAX_CEILING``.
+    The preflight is the largest 1-norm condition ||S||_1 ||S^-1||_1 of
+    the free disk's traction systems S (NaN when it overflows), taken
+    once, at the configured n_max.
     """
-    flags = [_flag(d) if isinstance(d, Exception) else "" for d in diffs]
-    ok = [i for i, flag in enumerate(flags) if not flag]
-    per_mode = [None] * len(diffs)
-    if ok:
-        for i, d in zip(ok, _weighted_smax(np.stack([diffs[i] for i in ok]))):
-            per_mode[i] = d
-    return per_mode, flags
+    configs = list(dict.fromkeys(c for pair in pairs for c in pair if c is not None))
+    nan, preflight = float("nan"), None
+    while True:
+        with _stage(seconds, "solve"):
+            ref, diffs = _free_disk_differences(configs, omega, n_max)
+        if preflight is None:
+            preflight = nan if isinstance(ref, Exception) else float(ref.conditions.max())
+        with _stage(seconds, "distances"):
+            # the free disk's Lambda - Lambda_free is 0, and x - 0.0 is x
+            diffs = {None: 0.0, **dict(zip(configs, diffs))}
+            flags = [next((_flag(diffs[c]) for c in pair if isinstance(diffs[c], Exception)), "")
+                     for pair in pairs]
+            out = [(nan, nan, flag) for flag in flags]
+            ok = [i for i, flag in enumerate(flags) if not flag]
+            if ok:
+                stack = np.stack([diffs[pairs[i][0]] - diffs[pairs[i][1]] for i in ok])
+                for i, per_mode in zip(ok, _weighted_smax(stack)):
+                    dist = float(per_mode.max())
+                    out[i] = (dist, float(per_mode[-2:].max() / max(dist, 1e-300)), "")
+        if n_max >= _N_MAX_CEILING or all(flag or tail <= 0.01 for _, tail, flag in out):
+            return out, n_max, preflight
+        n_max = min(n_max + 8, _N_MAX_CEILING)
 
 
 def _fit_rows(rows):
@@ -276,62 +294,35 @@ def convergence_sweep(config):
     """Near-cloak convergence: fitted rate of ||Lambda_h - Lambda_0||.
 
     Runs the h sweep for each configured content (default: soft, stiff,
-    heavy), raising n_max automatically while the last two modes carry
-    more than 1% of the distance. Every content and h of one n_max, and
-    the free-disk reference, are taken from one Bessel table: each
-    device's Lambda_h - Lambda_0 comes from the T-matrix walk through its
-    interfaces (``_free_disk_differences``), not as the difference of two
-    maps, so it stays right to h = 1e-5. A row whose walk is near a
-    resonance or overflows gets a NaN distance and a flag, and so does
-    every row when the free-disk reference overflows. Also
+    heavy; a list of contents must not be empty, and their names, given or
+    the automatic ``content{i}``, must be distinct strings), each device
+    against the free disk through ``_sweep``, which raises n_max while the
+    last two modes carry more than 1% of some row's distance. A row whose walk
+    is near a resonance or overflows gets a NaN distance and a flag. Also
     reports the cross-content spread at each h (content independence) and
-    a frequency preflight: the largest 1-norm condition ||S||_1 ||S^-1||_1
-    of the free-disk traction systems S (NaN when the reference overflows),
-    taken once at the configured n_max, before any raise.
-    The wall time of each stage is kept apart, under ``seconds``.
+    the free-disk preflight condition. The wall time of each stage is
+    kept apart, under ``seconds``.
     """
-    _check_keys(config)
-    omega = float(config.get("omega", 1.0))
-    n_max = _n_max(config)
-    bg = _background(config)
-    params = _cloak_params(config)
-    h_values = _h_values(config)
-    contents = config.get("convergence", {}).get("contents")
-    if contents:
-        contents = {c.get("name", f"content{i}"): _content_from(c) for i, c in enumerate(contents)}
-    else:
-        contents = dict(DEFAULT_CONTENTS)
-    seconds = {}
-    _load_special(seconds)
+    omega, n_max, bg, params, h_values, seconds = _sweep_setup(config)
+    entries = config.get("convergence", {}).get("contents")
+    if entries == []:
+        raise ValueError("convergence.contents must not be empty")
+    contents = dict(DEFAULT_CONTENTS) if entries is None else {}
+    for i, entry in enumerate(entries or []):
+        name = entry.get("name", f"content{i}")
+        if not isinstance(name, str):  # the name keys the JSON and CSV outputs
+            raise ValueError(f"convergence.contents[{i}].name must be a string, got {name!r}")
+        if name in contents:
+            raise ValueError(f"convergence.contents names must be distinct: {name!r} repeats")
+        contents[name] = _content_from(entry)
     with _stage(seconds, "build"):
         devices = [build_near_cloak(h, content=content, background=bg, **params).virtual
                    for content in contents.values() for h in h_values]
-    preflight = None
-    while True:
-        with _stage(seconds, "solve"):
-            # a free disk that overflows flags every row: its J columns are
-            # every device's outer annulus's
-            ref, diffs = _free_disk_differences(devices, omega, n_max)
-        if preflight is None:
-            preflight = float("nan") if isinstance(ref, Exception) else float(ref.conditions.max())
-        with _stage(seconds, "distances"):
-            tails, flags = _distances(diffs)
-            rows = []
-            for h, tail, flag in zip(h_values * len(contents), tails, flags):
-                if flag:
-                    rows.append({"h": float(h), "distance": float("nan"),
-                                 "tail_ratio": float("nan"), "flag": flag})
-                    continue
-                dist = float(tail.max())
-                rows.append({"h": float(h), "distance": dist,
-                             "tail_ratio": float(tail[-2:].max() / max(dist, 1e-300)),
-                             "flag": ""})
-        worst_tail = max((r["tail_ratio"] for r in rows if not r["flag"]), default=0.0)
-        if worst_tail <= 0.01 or n_max >= _N_MAX_CEILING:
-            break
-        n_max = min(n_max + 8, _N_MAX_CEILING)
+    dists, n_max, preflight = _sweep([(d, None) for d in devices], omega, n_max, seconds)
 
     with _stage(seconds, "fit"):
+        rows = [{"h": float(h), "distance": d, "tail_ratio": tail, "flag": flag}
+                for h, (d, tail, flag) in zip(h_values * len(contents), dists)]
         results = {}
         for k, name in enumerate(contents):
             content_rows = rows[k * len(h_values):(k + 1) * len(h_values)]
@@ -360,21 +351,15 @@ def lining_sweep(config):
     the same virtual geometry across the h grid. The report also carries
     two qualitative side scans (not pass/fail gated): the per-h distance
     as damping grows, and the fitted rate with a larger scaling exponent
-    delta (the rate constant does not depend on it). Every distinct
-    config of the rows and side scans is walked once, in one
-    ``_free_disk_differences`` call, and a distance is taken from the
-    difference of the near-cloak's and the cavity's Lambda - Lambda_free,
-    both O(h^2); a row whose walk is near a resonance or overflows, on
-    either side, gets a NaN distance and the flag of the first. The wall
-    time of each stage is kept apart, under ``seconds``.
+    delta (the rate constant does not depend on it). Every (near-cloak,
+    cavity) pair of the rows and side scans goes through ``_sweep``, so
+    its n_max is raised as the convergence sweep's is, and the side scans
+    count toward that; a row whose walk is near a resonance or overflows,
+    on either side, gets a NaN distance and the flag of the first. The
+    wall time of each stage is kept apart, under ``seconds``.
     """
-    _check_keys(config)
-    omega = float(config.get("omega", 1.0))
-    n_max = _n_max(config)
-    bg = _background(config)
-    params = _cloak_params(config)
+    omega, n_max, bg, params, h_values, seconds = _sweep_setup(config)
     content = _content_from(config.get("content", {}))
-    h_values = _h_values(config)
     h_mid = h_values[min(1, len(h_values) - 1)]
     betas = (params["beta"], 4.0 * params["beta"], 16.0 * params["beta"])
     shifted = {**params, "delta": params["delta"] + 0.5}
@@ -384,29 +369,15 @@ def lining_sweep(config):
         return (build_near_cloak(h, content=content, background=bg, **p).virtual,
                 lining_config(h, bg))
 
-    seconds = {}
-    _load_special(seconds)
     with _stage(seconds, "build"):
         # the rows, then the beta scan at h_mid, then the delta-shifted rows
         pairs = ([pair(h, params) for h in h_values]
                  + [pair(h_mid, {**params, "beta": b}) for b in betas]
                  + [pair(h, shifted) for h in h_values])
-        # the cavity of every h and the beta = beta0 device at h_mid recur
-        distinct = list(dict.fromkeys(c for p in pairs for c in p))
-    with _stage(seconds, "solve"):
-        _, diffs = _free_disk_differences(distinct, omega, n_max)
-        diffs = dict(zip(distinct, diffs))
-    with _stage(seconds, "distances"):
-        # Lambda_a - Lambda_b = (Lambda_a - Lambda_free) - (Lambda_b - Lambda_free),
-        # or the first typed error of a and b
-        errors = [next((x for x in (diffs[a], diffs[b]) if isinstance(x, Exception)), None)
-                  for a, b in pairs]
-        tails, flags = _distances([diffs[a] - diffs[b] if e is None else e
-                                   for (a, b), e in zip(pairs, errors)])
-        dists = [{"distance": float("nan") if flag else float(tail.max()), "flag": flag}
-                 for tail, flag in zip(tails, flags)]
+    dists, n_max, _ = _sweep(pairs, omega, n_max, seconds)
     n_h = len(h_values)
     with _stage(seconds, "fit"):
+        dists = [{"distance": d, "flag": flag} for d, _, flag in dists]
         rows = [{"h": float(h), **d} for h, d in zip(h_values, dists[:n_h])]
         fit = _fit_rows(rows)
         beta_scan = [{"beta": b, **d} for b, d in zip(betas, dists[n_h:n_h + len(betas)])]

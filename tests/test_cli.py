@@ -401,13 +401,18 @@ def test_convergence_escalates_n_max_to_the_same_sweep():
     # n_max 2 leaves more than 1% of the distance in its last two modes,
     # so the sweep raises it by 8 to 10, and every row and spread is then
     # that of a sweep configured at 10; the preflight is taken once, at
-    # the configured n_max, before any escalation
+    # the configured n_max, before any escalation; the lining sweep raises
+    # n_max the same way
     low, high = harness.convergence_sweep({"n_max": 2}), harness.convergence_sweep({"n_max": 10})
     assert low["n_max"] == high["n_max"] == 10
     assert low["contents"] == high["contents"]
     assert low["spreads"] == high["spreads"]
     assert low["preflight_max_condition"] == pytest.approx(7.32, rel=1e-3)
     assert high["preflight_max_condition"] == pytest.approx(30773, rel=1e-4)
+    low, high = harness.lining_sweep({"n_max": 2}), harness.lining_sweep({"n_max": 10})
+    del low["seconds"], high["seconds"]
+    assert low["n_max"] == 10
+    assert low == high
 
 
 def test_sweeps_refuse_a_bad_omega_or_n_max(tmp_path):

@@ -712,9 +712,23 @@ def _walk_two(other):
      "config 1 has no outer annulus"),
     (lambda: convergence_sweep({"convergence": {"h_values": []}}), "h_values"),
     (lambda: lining_sweep({"convergence": {"h_values": []}}), "h_values"),
+    # an empty list of contents leaves no device either, two contents of
+    # one name, given or automatic, would keep only the last, and a name
+    # that is not a string cannot key the outputs
+    (lambda: convergence_sweep({"convergence": {"contents": []}}), "contents must not be empty"),
+    (lambda: convergence_sweep({"convergence": {"contents": [{"name": "a"},
+                                                             {"name": "a", "lambda": 3.0}]}}),
+     "names must be distinct: 'a' repeats"),
+    (lambda: convergence_sweep({"convergence": {"contents": [{"lambda": 2.0},
+                                                             {"name": "content0"}]}}),
+     "names must be distinct: 'content0' repeats"),
+    (lambda: convergence_sweep({"convergence": {"contents": [{"name": 3}, {"name": "3"}]}}),
+     r"contents\[0\].name must be a string, got 3"),
 ], ids=["inner", "radii-order", "media-count", "cavity-without-annulus", "one-point-fit",
         "no-tractions", "walk-outer-radius", "walk-outer-medium", "walk-no-annulus",
-        "convergence-empty-h", "lining-empty-h"])
+        "convergence-empty-h", "lining-empty-h", "convergence-empty-contents",
+        "convergence-repeated-name", "convergence-repeated-automatic-name",
+        "convergence-name-not-a-string"])
 def test_edge_inputs_are_refused_or_trivial(call, want):
     # a refusal names what is wrong, and a balance over no tractions is all
     # zero; no sweep, CLI command or demo reaches these branches
